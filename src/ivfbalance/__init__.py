@@ -48,7 +48,6 @@ from .kmeans import (
     Centroids,
     assign_plain,
     init_centroids,
-    lloyd,
     lloyd_full,
 )
 from .metrics import (
@@ -89,7 +88,6 @@ __all__ = [
     "imbalance_factor",
     "init_centroids",
     "list_variance",
-    "lloyd",
     "lloyd_full",
     "load_codebook",
     "load_fvecs",
@@ -106,5 +104,4 @@ __all__ = [
     "search",
     "select_cells",
     "update_penalties",
-    "evaluate",
 ]

@@ -28,11 +28,11 @@ import numpy as np
 
 from .dataset import VectorSet, load_fvecs, save_fvecs
 from .distances import sqdist_to_centroids, sqdist_vector
-from .kmeans import Assignment, Centroids, load_centroid_meta, save_centroid_meta
+from .kmeans import Assignment, Centroids
 from .metrics import imbalance_factor
 
 DEFAULT_ALPHA = 0.01
-DEFAULT_B_FLOOR = 1e-9
+B_FLOOR = 1e-9
 DEFAULT_MAX_ITERS_CAP = 1000
 COUNT_FLOOR = 1
 
@@ -43,6 +43,24 @@ STOP_TARGET_FRACTION = "target_fraction"
 CENTROIDS_FILE = "centroids.fvecs"
 PENALTIES_FILE = "penalties.txt"
 META_FILE = "meta.txt"
+
+
+def save_centroid_meta(path: str | os.PathLike, meta: dict) -> None:
+    """Write a key=value sidecar (``META_FILE``) next to persisted files."""
+    lines = [f"{key}={value}" for key, value in meta.items()]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def load_centroid_meta(path: str | os.PathLike) -> dict[str, str]:
+    """Read a key=value sidecar written by :func:`save_centroid_meta`."""
+    meta: dict[str, str] = {}
+    for line in Path(path).read_text().splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        key, _, value = line.partition("=")
+        meta[key] = value
+    return meta
 
 
 @dataclass(eq=False)
@@ -122,18 +140,15 @@ class StopRule:
 
 @dataclass(frozen=True)
 class BalanceConfig:
-    """Balancing parameters: speed exponent, stop rule and guards."""
+    """Balancing parameters: speed exponent, stop rule and iteration cap."""
 
     stop: StopRule
     alpha: float = DEFAULT_ALPHA
-    b_floor: float = DEFAULT_B_FLOOR
     max_iters_cap: int = DEFAULT_MAX_ITERS_CAP
 
     def __post_init__(self) -> None:
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.b_floor <= 0:
-            raise ValueError("b_floor must be positive")
         if self.max_iters_cap < 0:
             raise ValueError("max_iters_cap must be >= 0")
 
@@ -209,16 +224,12 @@ def assign_balanced(data: VectorSet, codebook: Codebook) -> Assignment:
 
 
 def update_penalties(
-    codebook: Codebook,
-    counts: np.ndarray,
-    n_opt: float,
-    alpha: float,
-    b_floor: float = DEFAULT_B_FLOOR,
+    codebook: Codebook, counts: np.ndarray, n_opt: float, alpha: float
 ) -> Codebook:
     """One multiplicative penalty update; returns a new Codebook.
 
     Zero counts are clamped to 1 inside the ratio (a zero count would make
-    b=0 an absorbing state) and the result is clamped to ``b_floor``.
+    b=0 an absorbing state) and the result is clamped to ``B_FLOOR``.
     """
     counts = np.asarray(counts)
     if counts.shape != (codebook.k,):
@@ -228,7 +239,7 @@ def update_penalties(
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     ratio = np.maximum(counts, COUNT_FLOOR) / float(n_opt)
-    new_b = np.maximum(codebook.penalties * ratio**alpha, b_floor)
+    new_b = np.maximum(codebook.penalties * ratio**alpha, B_FLOOR)
     return Codebook(codebook.centroids, new_b, codebook.iteration + 1)
 
 
@@ -288,7 +299,7 @@ def balance(
         if iteration >= config.max_iters_cap:
             break
         codebook = update_penalties(
-            codebook, assignment.counts, n_opt, config.alpha, config.b_floor
+            codebook, assignment.counts, n_opt, config.alpha
         )
         iteration += 1
     return codebook, trace

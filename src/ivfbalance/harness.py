@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -110,7 +112,6 @@ def codebooks_at_iterations(
     codebook: Codebook,
     iteration_presets: tuple[int, ...],
     alpha: float,
-    b_floor: float = 1e-9,
 ) -> tuple[dict[int, Codebook], BalanceTrace]:
     """Balance once to the largest preset and snapshot every requested stage.
 
@@ -121,10 +122,7 @@ def codebooks_at_iterations(
     """
     target = max(iteration_presets)
     config = BalanceConfig(
-        stop=StopRule.fixed_iters(target),
-        alpha=alpha,
-        b_floor=b_floor,
-        max_iters_cap=target,
+        stop=StopRule.fixed_iters(target), alpha=alpha, max_iters_cap=target
     )
     _, trace = balance(balance_set, codebook, config)
     stages = {
@@ -143,7 +141,12 @@ def _out_dir(spec: ExperimentSpec) -> Path:
 def ground_truth_cached(
     db: VectorSet, queries: VectorSet, r: int, cache_dir: str | os.PathLike
 ) -> GroundTruth:
-    """Brute-force ground truth, cached on disk keyed by dataset checksums."""
+    """Brute-force ground truth, cached on disk keyed by dataset checksums.
+
+    The cache file is written to a temporary name and renamed into place,
+    so a reader never sees a partial file. A cache file that cannot be read
+    or does not hold (Q, r) ids and distances is recomputed and replaced.
+    """
     digest = hashlib.sha256()
     digest.update(db.data.tobytes())
     digest.update(queries.data.tobytes())
@@ -151,11 +154,22 @@ def ground_truth_cached(
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     cache_file = cache_dir / f"gt_{digest.hexdigest()[:24]}.npz"
-    if cache_file.is_file():
-        stored = np.load(cache_file)
-        return GroundTruth(stored["ids"], stored["dists"])
+    try:
+        with np.load(cache_file) as stored:
+            truth = GroundTruth(stored["ids"], stored["dists"])
+        if truth.ids.shape == (queries.count, r):
+            return truth
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
+        pass  # missing, unreadable or malformed: recompute and replace it
     truth = brute_force_nn(db, queries, r)
-    np.savez(cache_file, ids=truth.ids, dists=truth.dists)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, ids=truth.ids, dists=truth.dists)
+        os.replace(tmp, cache_file)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return truth
 
 

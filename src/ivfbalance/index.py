@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +26,13 @@ from .balancer import (
     PENALTIES_FILE,
     Codebook,
     assign_balanced,
+    load_centroid_meta,
     load_codebook,
+    save_centroid_meta,
     save_codebook,
 )
 from .dataset import VectorSet
 from .distances import sqdist_exact, sqdist_to_centroids
-from .kmeans import load_centroid_meta, save_centroid_meta
 
 LISTS_FILE = "lists.bin"
 
@@ -74,16 +75,35 @@ class QueryResult:
 
 @dataclass(eq=False)
 class InvertedFile:
-    """Codebook plus one posting list of point ids per cell.
+    """Codebook plus the posting lists of all cells, in CSR form.
 
-    Every indexed id appears in exactly one list; list i holds exactly the
-    points the penalized assignment maps to cell i.
+    ``ids`` holds every indexed point id exactly once, grouped by cell:
+    list i is ``ids[offsets[i]:offsets[i + 1]]`` and holds exactly the
+    points the penalized assignment maps to cell i. Construction checks
+    this, so a built and a loaded index satisfy it alike.
     """
 
     codebook: Codebook
-    lists: list[np.ndarray]
+    offsets: np.ndarray
+    ids: np.ndarray
     source: VectorSet
-    _cell_of: np.ndarray = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        self.ids = np.asarray(self.ids, dtype=np.int64)
+        k, n = self.codebook.k, self.source.count
+        if self.offsets.shape != (k + 1,) or self.offsets[0] != 0:
+            raise ValueError(f"expected {k + 1} posting-list offsets, the first 0")
+        if (np.diff(self.offsets) < 0).any():
+            raise ValueError("posting-list offsets must not decrease")
+        if self.ids.shape != (n,) or self.offsets[-1] != n:
+            raise ValueError(
+                f"posting lists cover {self.offsets[-1]} ids, dataset has {n}"
+            )
+        if n and (self.ids.min() < 0 or self.ids.max() >= n):
+            raise ValueError(f"posting lists hold ids outside [0, {n})")
+        if (np.bincount(self.ids, minlength=n) != 1).any():
+            raise ValueError("posting lists repeat a point id")
 
     @property
     def k(self) -> int:
@@ -93,17 +113,19 @@ class InvertedFile:
     def count(self) -> int:
         return self.source.count
 
+    @property
+    def lists(self) -> list[np.ndarray]:
+        """Per-cell views into ``ids``."""
+        return np.split(self.ids, self.offsets[1:-1])
+
     def list_sizes(self) -> np.ndarray:
-        return np.array([len(lst) for lst in self.lists], dtype=np.int64)
+        return np.diff(self.offsets)
 
     def cell_of_points(self) -> np.ndarray:
         """Inverse mapping: the cell id storing each point."""
-        if self._cell_of is None:
-            cell_of = np.empty(self.source.count, dtype=np.int64)
-            for cell, ids in enumerate(self.lists):
-                cell_of[ids] = cell
-            self._cell_of = cell_of
-        return self._cell_of
+        cell_of = np.empty(self.count, dtype=np.int64)
+        cell_of[self.ids] = np.repeat(np.arange(self.k), self.list_sizes())
+        return cell_of
 
 
 def build(data: VectorSet, codebook: Codebook) -> InvertedFile:
@@ -111,10 +133,9 @@ def build(data: VectorSet, codebook: Codebook) -> InvertedFile:
     if data.count == 0:
         raise ValueError("cannot index an empty dataset")
     assignment = assign_balanced(data, codebook)
-    order = np.argsort(assignment.cell_of, kind="stable")
-    bounds = np.cumsum(assignment.counts)[:-1]
-    lists = [ids.astype(np.int64) for ids in np.split(order, bounds)]
-    return InvertedFile(codebook, lists, data, assignment.cell_of.copy())
+    ids = np.argsort(assignment.cell_of, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(assignment.counts)))
+    return InvertedFile(codebook, offsets, ids, data)
 
 
 def route_cells_batch(
@@ -157,18 +178,8 @@ def search(index: InvertedFile, query: np.ndarray, params: SearchParams) -> Quer
     whose spread across queries measures response-time variability.
     """
     cells = select_cells(query, index.codebook, params.ma, params.route)
-    candidates = (
-        np.concatenate([index.lists[c] for c in cells])
-        if len(cells)
-        else np.empty(0, dtype=np.int64)
-    )
-    if candidates.size == 0:
-        return QueryResult(
-            ids=np.empty(0, dtype=np.int64),
-            dists=np.empty(0, dtype=np.float64),
-            scanned=0,
-            probed_cells=cells,
-        )
+    offsets = index.offsets
+    candidates = np.concatenate([index.ids[offsets[c] : offsets[c + 1]] for c in cells])
     query64 = np.asarray(query, dtype=np.float64)
     d2 = sqdist_exact(query64[None, :], index.source.data[candidates])[0]
     order = np.lexsort((candidates, d2))[: params.r_results]
@@ -184,30 +195,26 @@ def _sha256(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _encode_lists(lists: list[np.ndarray]) -> bytes:
-    chunks = []
-    for ids in lists:
-        chunks.append(np.int32(len(ids)).tobytes())
-        chunks.append(np.asarray(ids, dtype="<i4").tobytes())
-    return b"".join(chunks)
+def _encode_lists(index: InvertedFile) -> bytes:
+    """Each list as its int32 length followed by its int32 ids, in cell order."""
+    sizes = index.list_sizes()
+    return np.insert(index.ids, index.offsets[:-1], sizes).astype("<i4").tobytes()
 
 
-def _decode_lists(raw: bytes, k: int) -> list[np.ndarray]:
-    lists = []
-    offset = 0
+def _decode_lists(raw: bytes, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`_encode_lists`: the (offsets, ids) of k lists."""
+    words = np.frombuffer(raw, dtype="<i4", count=len(raw) // 4)
+    offsets = np.zeros(k + 1, dtype=np.int64)
     for cell in range(k):
-        if offset + 4 > len(raw):
+        pos = int(offsets[cell]) + cell  # each earlier list adds one header word
+        # A missing length header reads as -1: the file ends before list ``cell``.
+        length = int(words[pos]) if pos < len(words) else -1
+        if length < 0 or pos + 1 + length > len(words):
             raise ValueError(f"posting-list file truncated at list {cell}")
-        length = int(np.frombuffer(raw, dtype="<i4", count=1, offset=offset)[0])
-        offset += 4
-        if length < 0 or offset + 4 * length > len(raw):
-            raise ValueError(f"posting-list file truncated at list {cell}")
-        ids = np.frombuffer(raw, dtype="<i4", count=length, offset=offset)
-        lists.append(ids.astype(np.int64))
-        offset += 4 * length
-    if offset != len(raw):
+        offsets[cell + 1] = offsets[cell] + length
+    if 4 * (offsets[-1] + k) != len(raw):
         raise ValueError("posting-list file has trailing bytes")
-    return lists
+    return offsets, np.delete(words, offsets[:-1] + np.arange(k)).astype(np.int64)
 
 
 def save_index(index: InvertedFile, directory: str | os.PathLike) -> None:
@@ -220,7 +227,7 @@ def save_index(index: InvertedFile, directory: str | os.PathLike) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_codebook(index.codebook, directory)
-    lists_blob = _encode_lists(index.lists)
+    lists_blob = _encode_lists(index)
     (directory / LISTS_FILE).write_bytes(lists_blob)
     meta = {
         "k": index.codebook.k,
@@ -238,8 +245,9 @@ def save_index(index: InvertedFile, directory: str | os.PathLike) -> None:
 def load_index(directory: str | os.PathLike, data: VectorSet) -> InvertedFile:
     """Load a persisted index and bind it to its source vectors.
 
-    Raises ValueError if any checksum disagrees or the supplied data does
-    not match the dataset the index was built over.
+    Raises ValueError if any checksum disagrees, the supplied data does
+    not match the dataset the index was built over, or the posting lists
+    are not a permutation of the dataset's ids.
     """
     directory = Path(directory)
     meta = load_centroid_meta(directory / META_FILE)
@@ -256,10 +264,5 @@ def load_index(directory: str | os.PathLike, data: VectorSet) -> InvertedFile:
     if int(meta["n"]) != data.count or int(meta["dim"]) != data.dim:
         raise ValueError("dataset shape disagrees with index metadata")
     codebook = load_codebook(directory)
-    lists = _decode_lists((directory / LISTS_FILE).read_bytes(), codebook.k)
-    total = sum(len(lst) for lst in lists)
-    if total != data.count:
-        raise ValueError(
-            f"posting lists cover {total} ids, dataset has {data.count}"
-        )
-    return InvertedFile(codebook, lists, data)
+    offsets, ids = _decode_lists((directory / LISTS_FILE).read_bytes(), codebook.k)
+    return InvertedFile(codebook, offsets, ids, data)

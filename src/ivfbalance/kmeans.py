@@ -7,9 +7,7 @@ execution matches sequential execution exactly.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -211,40 +209,9 @@ def lloyd_full(
     return LloydResult(centroids, assignment, distortions, iterations)
 
 
-def lloyd(
-    data: VectorSet,
-    k: int,
-    seed: int,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    rel_tol: float = DEFAULT_REL_TOL,
-    init_method: str = INIT_KMEANS_PP,
-) -> tuple[Centroids, Assignment]:
-    """Standard k-means; returns the final centroids and assignment."""
-    result = lloyd_full(data, k, seed, max_iters, rel_tol, init_method)
-    return result.centroids, result.assignment
-
-
 def _distortion(
     data: VectorSet, centroids: Centroids, assignment: Assignment
 ) -> float:
     """Total squared distance from each point to its assigned centroid."""
     d2 = sqdist_to_centroids(data.data, centroids.points)
     return float(d2[np.arange(data.count), assignment.cell_of].sum())
-
-
-def save_centroid_meta(path: str | os.PathLike, meta: dict) -> None:
-    """Write a key=value sidecar next to a persisted codebook."""
-    lines = [f"{key}={value}" for key, value in meta.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_centroid_meta(path: str | os.PathLike) -> dict[str, str]:
-    """Read a key=value sidecar written by :func:`save_centroid_meta`."""
-    meta: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        meta[key] = value
-    return meta

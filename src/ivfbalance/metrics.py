@@ -141,6 +141,27 @@ def compute_scan_histogram(
     return {int(i): int(c) for i, c in zip(idx, cnt)}
 
 
+def _probe_hits(
+    index: "InvertedFile",
+    queries: VectorSet,
+    params: "SearchParams",
+    truth: GroundTruth,
+    r: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (Q, ma) probed cells, and a (Q, r) mask that is True where a
+    true top-r neighbor's cell is among its query's probed cells."""
+    from .index import route_cells_batch  # deferred: metrics <-> index cycle
+
+    if truth.num_queries != queries.count:
+        raise ValueError(
+            f"truth covers {truth.num_queries} queries, got {queries.count}"
+        )
+    probed = route_cells_batch(queries.data, index.codebook, params.ma, params.route)
+    truth_cells = index.cell_of_points()[truth.ids[:, :r]]
+    found = (truth_cells[:, :, None] == probed[:, None, :]).any(axis=2)
+    return probed, found
+
+
 def evaluate(
     index: "InvertedFile",
     queries: VectorSet,
@@ -155,21 +176,11 @@ def evaluate(
     of its probed cells (it is then necessarily ranked first). gamma and
     Var come from the index's list lengths.
     """
-    from .index import route_cells_batch  # deferred: metrics <-> index cycle
-
-    if truth.num_queries != queries.count:
-        raise ValueError(
-            f"truth covers {truth.num_queries} queries, got {queries.count}"
-        )
+    probed, found = _probe_hits(index, queries, params, truth, 1)
     n = index.source.count
     k = index.codebook.k
-    probed = route_cells_batch(queries.data, index.codebook, params.ma, params.route)
     list_sizes = index.list_sizes()
     scanned = list_sizes[probed].sum(axis=1)
-
-    cell_of = index.cell_of_points()
-    truth_cells = cell_of[truth.ids[:, 0]]
-    hit = (probed == truth_cells[:, None]).any(axis=1)
 
     if bucket_width is None:
         bucket_width = n / (10.0 * k)
@@ -177,7 +188,7 @@ def evaluate(
         gamma=imbalance_factor(list_sizes),
         variance=list_variance(list_sizes),
         selectivity=float(scanned.sum()) / (n * queries.count),
-        recall_at_1=float(hit.mean()),
+        recall_at_1=float(found.mean()),
         scan_histogram=compute_scan_histogram(scanned, bucket_width),
         bucket_width=float(bucket_width),
         scanned=scanned,
@@ -193,14 +204,9 @@ def recall_at_r(
 ) -> float:
     """Generalized recall: mean fraction of the true top-r found in probed
     cells. Not part of the headline report; recall@1 is the primary measure."""
-    from .index import route_cells_batch  # deferred: metrics <-> index cycle
-
     if not 1 <= r <= truth.r:
         raise ValueError(f"r={r} out of range [1, {truth.r}]")
-    probed = route_cells_batch(queries.data, index.codebook, params.ma, params.route)
-    cell_of = index.cell_of_points()
-    truth_cells = cell_of[truth.ids[:, :r]]
-    found = (truth_cells[:, :, None] == probed[:, None, :]).any(axis=2)
+    _, found = _probe_hits(index, queries, params, truth, r)
     return float(found.mean())
 
 

@@ -27,7 +27,7 @@ from ivfbalance import (
     gen_gaussian_mixture,
     imbalance_factor,
     list_variance,
-    lloyd,
+    lloyd_full,
     load_fvecs,
     load_index,
     penalized_distance_sq,
@@ -82,7 +82,7 @@ def fx() -> MixtureFixture:
     queries = gen_gaussian_mixture(
         4242, 1000, DIM, MODES, WEIGHTS, SPREAD, centers_from_seed=SEED
     )
-    centroids, _ = lloyd(db, K, seed=SEED)
+    centroids = lloyd_full(db, K, seed=SEED).centroids
     base = Codebook.fresh(centroids)
     config = BalanceConfig(
         stop=StopRule.fixed_iters(FULL_ITERS), alpha=ALPHA, max_iters_cap=FULL_ITERS

@@ -17,6 +17,7 @@ from ivfbalance import (
     save_codebook,
     update_penalties,
 )
+from ivfbalance.balancer import B_FLOOR
 
 from conftest import random_vectors
 
@@ -102,9 +103,9 @@ class TestUpdatePenalties:
         assert out.penalties[0] == pytest.approx(0.954993, abs=1e-6)
 
     def test_b_floor_applies(self):
-        cb = codebook_1d([0.0], [1e-9])
+        cb = codebook_1d([0.0], [B_FLOOR])
         out = update_penalties(cb, np.array([1]), n_opt=100.0, alpha=1.0)
-        assert out.penalties[0] == 1e-9
+        assert out.penalties[0] == B_FLOOR
 
     def test_count_length_mismatch(self):
         cb = codebook_1d([0.0, 1.0], [1.0, 1.0])
@@ -197,9 +198,9 @@ class TestBalance:
     def test_penalties_respect_floor(self, rng):
         data = random_vectors(rng, 100, 2)
         cb = Codebook.fresh(Centroids(data.data[:30].copy()))
-        config = BalanceConfig(stop=StopRule.fixed_iters(200), alpha=0.5, b_floor=1e-6)
+        config = BalanceConfig(stop=StopRule.fixed_iters(200), alpha=0.5)
         _, trace = balance(data, cb, config)
-        assert min(r.b_min for r in trace.records) >= 1e-6
+        assert min(r.b_min for r in trace.records) >= B_FLOOR
 
     def test_closed_form_penalty_log(self, rng):
         data = random_vectors(rng, 500, 4)

@@ -9,7 +9,6 @@ from ivfbalance import (
     VectorSet,
     balance,
     gen_gaussian_mixture,
-    lloyd,
     run_convergence,
     run_histogram,
     run_tradeoff,
@@ -245,3 +244,17 @@ class TestGroundTruthCache:
         ground_truth_cached(data, queries, 2, cache)
         ground_truth_cached(other, queries, 2, cache)
         assert len(list(cache.glob("gt_*.npz"))) == 2
+
+    def test_unreadable_cache_is_recomputed(self, tmp_path, rng):
+        data = random_vectors(rng, 60, 3)
+        queries = random_vectors(rng, 5, 3)
+        cache = tmp_path / "cache"
+        expected = ground_truth_cached(data, queries, 2, cache)
+        (cache_file,) = cache.glob("gt_*.npz")
+        cache_file.write_bytes(b"not an npz archive")
+        again = ground_truth_cached(data, queries, 2, cache)
+        assert np.array_equal(again.ids, expected.ids)
+        assert np.array_equal(again.dists, expected.dists)
+        assert list(cache.iterdir()) == [cache_file]
+        with np.load(cache_file) as stored:
+            assert np.array_equal(stored["ids"], expected.ids)

@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -14,12 +17,12 @@ from ivfbalance import (
     build,
     evaluate,
     load_index,
-    lloyd,
+    lloyd_full,
     save_index,
     search,
     select_cells,
 )
-from ivfbalance.index import route_cells_batch
+from ivfbalance.index import InvertedFile, route_cells_batch
 
 from conftest import random_vectors
 
@@ -27,7 +30,7 @@ from conftest import random_vectors
 @pytest.fixture
 def indexed(rng):
     data = random_vectors(rng, 200, 4)
-    centroids, _ = lloyd(data, 8, seed=5)
+    centroids = lloyd_full(data, 8, seed=5).centroids
     return data, build(data, Codebook.fresh(centroids))
 
 
@@ -47,7 +50,8 @@ class TestBuild:
 
     def test_uniform_penalties_match_plain_kmeans_lists(self, rng):
         data = random_vectors(rng, 300, 3)
-        centroids, assignment = lloyd(data, 6, seed=2)
+        result = lloyd_full(data, 6, seed=2)
+        centroids, assignment = result.centroids, result.assignment
         cb = Codebook(centroids, np.full(6, 3.25))
         index = build(data, cb)
         plain = assign_plain(data, centroids)
@@ -70,6 +74,30 @@ class TestBuild:
         cb = Codebook.fresh(Centroids(np.zeros((1, 2), dtype=np.float32)))
         with pytest.raises(ValueError):
             build(VectorSet.empty(), cb)
+
+    def test_csr_views_match_offsets(self, indexed):
+        _, index = indexed
+        for cell, ids in enumerate(index.lists):
+            lo, hi = index.offsets[cell], index.offsets[cell + 1]
+            assert np.array_equal(ids, index.ids[lo:hi])
+        assert np.array_equal(index.list_sizes(), np.diff(index.offsets))
+
+    @pytest.mark.parametrize(
+        "offsets, ids, match",
+        [
+            ([1, 2, 4], [0, 1, 2, 3], "first 0"),
+            ([0, 3, 2], [0, 1, 2, 3], "not decrease"),
+            ([0, 2, 3], [0, 1, 2], "cover"),
+            ([0, 2, 4], [0, 1, 2, 4], "outside"),
+            ([0, 2, 4], [0, 1, 1, 3], "repeat"),
+            ([0, 4], [0, 1, 2, 3], "offsets"),
+        ],
+    )
+    def test_constructor_rejects_broken_csr(self, offsets, ids, match):
+        data = VectorSet.from_array(np.arange(4, dtype=np.float32)[:, None])
+        cb = Codebook.fresh(Centroids(np.array([[0.0], [3.0]], dtype=np.float32)))
+        with pytest.raises(ValueError, match=match):
+            InvertedFile(cb, np.array(offsets), np.array(ids), data)
 
 
 class TestSelectCells:
@@ -129,7 +157,7 @@ class TestSearch:
 
     def test_partial_probe_matches_restricted_brute_force(self, rng):
         data = random_vectors(rng, 20, 2)
-        centroids, _ = lloyd(data, 4, seed=11)
+        centroids = lloyd_full(data, 4, seed=11).centroids
         index = build(data, Codebook.fresh(centroids))
         params = SearchParams(ma=2, r_results=20)
         query = rng.standard_normal(2).astype(np.float32)
@@ -162,7 +190,34 @@ class TestSearch:
             SearchParams(ma=1, route="sideways")
 
 
+def rewrite_lists(directory, blob):
+    """Replace lists.bin and update its checksum so only the content is wrong."""
+    (directory / "lists.bin").write_bytes(blob)
+    meta = directory / "meta.txt"
+    lines = [
+        f"checksum_lists={hashlib.sha256(blob).hexdigest()}"
+        if line.startswith("checksum_lists=")
+        else line
+        for line in meta.read_text().splitlines()
+    ]
+    meta.write_text("\n".join(lines) + "\n")
+
+
 class TestPersistence:
+    def test_lists_file_bytes_pinned(self, tmp_path):
+        # Cell 0 holds ids 1 and 3, cell 1 is empty, cell 2 holds 0, 2, 4.
+        data = VectorSet.from_array([[10.0], [0.0], [11.0], [1.0], [12.0]])
+        cb = Codebook.fresh(
+            Centroids(np.array([[0.0], [5.5], [11.0]], dtype=np.float32))
+        )
+        index = build(data, cb)
+        save_index(index, tmp_path / "idx")
+        expected = struct.pack("<8i", 2, 1, 3, 0, 3, 0, 2, 4)
+        assert (tmp_path / "idx" / "lists.bin").read_bytes() == expected
+        reloaded = load_index(tmp_path / "idx", data)
+        assert np.array_equal(reloaded.offsets, [0, 2, 2, 5])
+        assert np.array_equal(reloaded.ids, [1, 3, 0, 2, 4])
+
     def test_roundtrip_bit_exact(self, indexed, tmp_path):
         data, index = indexed
         first_dir = tmp_path / "first"
@@ -198,6 +253,28 @@ class TestPersistence:
         raw[-1] ^= 0xFF
         lists_file.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="checksum"):
+            load_index(tmp_path / "idx", data)
+
+    @pytest.mark.parametrize("match", ["repeat", "outside"])
+    def test_non_permutation_lists_rejected(self, indexed, tmp_path, match):
+        data, index = indexed
+        save_index(index, tmp_path / "idx")
+        raw = (tmp_path / "idx" / "lists.bin").read_bytes()
+        words = np.frombuffer(raw, dtype="<i4").copy()
+        assert words[0] >= 2  # ids sit at words 1 and 2 of the first list
+        words[2] = words[1] if match == "repeat" else data.count
+        rewrite_lists(tmp_path / "idx", words.tobytes())
+        with pytest.raises(ValueError, match=match):
+            load_index(tmp_path / "idx", data)
+
+    @pytest.mark.parametrize("cut", [-4, -2, 4])
+    def test_truncated_or_padded_lists_rejected(self, indexed, tmp_path, cut):
+        data, index = indexed
+        save_index(index, tmp_path / "idx")
+        raw = (tmp_path / "idx" / "lists.bin").read_bytes()
+        blob = raw[:cut] if cut < 0 else raw + bytes(cut)
+        rewrite_lists(tmp_path / "idx", blob)
+        with pytest.raises(ValueError, match="truncated|trailing"):
             load_index(tmp_path / "idx", data)
 
     def test_wrong_dataset_detected(self, indexed, tmp_path, rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ivfbalance import Centroids, VectorSet, assign_plain, init_centroids, lloyd, lloyd_full
+from ivfbalance import Centroids, VectorSet, assign_plain, init_centroids, lloyd_full
 from ivfbalance.kmeans import Assignment, INIT_KMEANS_PP, INIT_RANDOM_POINTS
 
 from conftest import random_vectors
@@ -89,7 +89,8 @@ class TestLloyd:
         blob_a = rng.normal(0.0, 0.5, (n, 2))
         blob_b = rng.normal(8.0, 0.5, (n, 2))
         data = VectorSet.from_array(np.vstack([blob_a, blob_b]))
-        centroids, assignment = lloyd(data, 2, seed=7)
+        result = lloyd_full(data, 2, seed=7)
+        centroids, assignment = result.centroids, result.assignment
         found = np.sort(centroids.points[:, 0])
         tol = 3 * 0.5 / np.sqrt(n)
         assert abs(found[0] - 0.0) < tol + 0.05
@@ -110,7 +111,7 @@ class TestLloyd:
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            lloyd(VectorSet.empty(), 1, seed=0)
+            lloyd_full(VectorSet.empty(), 1, seed=0)
 
     def test_duplicate_rows_stay_deterministic(self):
         # duplicated values force the empty-cluster repair path

@@ -12,7 +12,7 @@ from ivfbalance import (
     evaluate,
     imbalance_factor,
     list_variance,
-    lloyd,
+    lloyd_full,
     recall_at_r,
     select_cells,
 )
@@ -113,7 +113,7 @@ class TestBruteForce:
 def eval_fixture(rng):
     data = random_vectors(rng, 100, 4)
     queries = random_vectors(rng, 25, 4)
-    centroids, _ = lloyd(data, 4, seed=3)
+    centroids = lloyd_full(data, 4, seed=3).centroids
     index = build(data, Codebook.fresh(centroids))
     truth = brute_force_nn(data, queries, 3)
     return data, queries, index, truth
@@ -128,7 +128,7 @@ class TestEvaluate:
 
     def test_single_cell_scans_everything(self, rng):
         data = random_vectors(rng, 60, 2)
-        index = build(data, Codebook.fresh(lloyd(data, 1, seed=0)[0]))
+        index = build(data, Codebook.fresh(lloyd_full(data, 1, seed=0).centroids))
         queries = random_vectors(rng, 10, 2)
         truth = brute_force_nn(data, queries, 1)
         report = evaluate(index, queries, SearchParams(ma=1), truth)
@@ -173,7 +173,7 @@ class TestEvaluate:
     def test_expected_cost_identity(self, rng):
         # mean single-probe scan cost over the database itself = gamma*N/k
         data = random_vectors(rng, 500, 8)
-        centroids, _ = lloyd(data, 10, seed=4)
+        centroids = lloyd_full(data, 10, seed=4).centroids
         cb = Codebook(centroids, rng.uniform(0.0, 2.0, 10))
         index = build(data, cb)
         truth = brute_force_nn(data, data, 1)
@@ -183,7 +183,7 @@ class TestEvaluate:
 
     def test_plain_route_matches_plain_replay(self, rng):
         data = random_vectors(rng, 120, 3)
-        centroids, _ = lloyd(data, 5, seed=8)
+        centroids = lloyd_full(data, 5, seed=8).centroids
         index = build(data, Codebook(centroids, rng.uniform(0.0, 4.0, 5)))
         queries = random_vectors(rng, 15, 3)
         truth = brute_force_nn(data, queries, 1)
