@@ -15,9 +15,7 @@ from .balancer import (
     balance,
     embed_augmented,
     embed_points,
-    load_codebook,
     penalized_distance_sq,
-    save_codebook,
     update_penalties,
 )
 from .dataset import (
@@ -38,7 +36,9 @@ from .index import (
     QueryResult,
     SearchParams,
     build,
+    load_codebook,
     load_index,
+    save_codebook,
     save_index,
     search,
     select_cells,

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import VectorSet, load_fvecs, save_fvecs
+from .dataset import VectorSet
 from .distances import sqdist_to_centroids, sqdist_vector
 from .kmeans import Assignment, Centroids
 from .metrics import imbalance_factor
@@ -39,28 +39,6 @@ COUNT_FLOOR = 1
 STOP_FIXED_ITERS = "fixed_iters"
 STOP_TARGET_GAMMA = "target_gamma"
 STOP_TARGET_FRACTION = "target_fraction"
-
-CENTROIDS_FILE = "centroids.fvecs"
-PENALTIES_FILE = "penalties.txt"
-META_FILE = "meta.txt"
-
-
-def save_centroid_meta(path: str | os.PathLike, meta: dict) -> None:
-    """Write a key=value sidecar (``META_FILE``) next to persisted files."""
-    lines = [f"{key}={value}" for key, value in meta.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_centroid_meta(path: str | os.PathLike) -> dict[str, str]:
-    """Read a key=value sidecar written by :func:`save_centroid_meta`."""
-    meta: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        meta[key] = value
-    return meta
 
 
 @dataclass(eq=False)
@@ -329,47 +307,3 @@ def embed_points(vectors: np.ndarray) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError("expected a 2-d array of vectors")
     return np.hstack([arr, np.zeros((arr.shape[0], 1))])
-
-
-def save_codebook(
-    codebook: Codebook, directory: str | os.PathLike, extra_meta: dict | None = None
-) -> None:
-    """Persist a codebook: centroids.fvecs, penalties.txt, meta.txt.
-
-    Centroids round to float32 on disk (fvecs); in-memory centroids are
-    float32 already, so save/load round-trips bit-exactly. Penalties are
-    written one float64 repr per line (lossless).
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    save_fvecs(
-        VectorSet.from_array(codebook.centroids.points), directory / CENTROIDS_FILE
-    )
-    penalty_lines = "\n".join(repr(float(b)) for b in codebook.penalties)
-    (directory / PENALTIES_FILE).write_text(penalty_lines + "\n")
-    meta = {
-        "k": codebook.k,
-        "dim": codebook.dim,
-        "iteration": codebook.iteration,
-    }
-    meta.update(extra_meta or {})
-    save_centroid_meta(directory / META_FILE, meta)
-
-
-def load_codebook(directory: str | os.PathLike) -> Codebook:
-    """Load a codebook persisted by :func:`save_codebook`."""
-    directory = Path(directory)
-    centroids = Centroids(load_fvecs(directory / CENTROIDS_FILE).data)
-    penalties_path = directory / PENALTIES_FILE
-    if penalties_path.is_file():
-        values = [
-            float(line)
-            for line in penalties_path.read_text().splitlines()
-            if line.strip()
-        ]
-        penalties = np.array(values, dtype=np.float64)
-    else:
-        penalties = np.ones(centroids.k, dtype=np.float64)
-    meta = load_centroid_meta(directory / META_FILE)
-    iteration = int(meta.get("iteration", 0))
-    return Codebook(centroids, penalties, iteration)

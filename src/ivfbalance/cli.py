@@ -177,7 +177,7 @@ def _cmd_kmeans(args: argparse.Namespace) -> None:
         data, args.k, args.seed, args.max_iters, args.tol, args.init
     )
     codebook = balancer.Codebook.fresh(result.centroids)
-    balancer.save_codebook(
+    index_mod.save_codebook(
         codebook,
         args.out,
         extra_meta={
@@ -202,13 +202,13 @@ def _stop_rule(args: argparse.Namespace) -> balancer.StopRule:
 
 def _cmd_balance(args: argparse.Namespace) -> None:
     data = load_fvecs(args.db)
-    codebook = balancer.load_codebook(args.codebook)
+    codebook = index_mod.load_codebook(args.codebook)
     config = balancer.BalanceConfig(
         stop=_stop_rule(args), alpha=args.alpha, max_iters_cap=args.max_iters_cap
     )
     balanced, trace = balancer.balance(data, codebook, config)
     out = Path(args.out)
-    balancer.save_codebook(
+    index_mod.save_codebook(
         balanced,
         out,
         extra_meta={
@@ -227,7 +227,7 @@ def _cmd_balance(args: argparse.Namespace) -> None:
 
 def _cmd_build(args: argparse.Namespace) -> None:
     data = load_fvecs(args.db)
-    codebook = balancer.load_codebook(args.codebook)
+    codebook = index_mod.load_codebook(args.codebook)
     inverted = index_mod.build(data, codebook)
     index_mod.save_index(inverted, args.out)
     sizes = inverted.list_sizes()
@@ -264,21 +264,10 @@ def _cmd_eval(args: argparse.Namespace) -> None:
     truth = harness.ground_truth_cached(data, queries, 1, out / "gt_cache")
     params = index_mod.SearchParams(ma=args.ma, route=args.route)
     report = metrics.evaluate(inverted, queries, params, truth)
-    metrics.write_report_csv(
-        out / "report.csv",
-        [
-            {
-                "k": inverted.k,
-                "ma": args.ma,
-                "iters": inverted.codebook.iteration,
-                "alpha": "",
-                "gamma": report.gamma,
-                "variance": report.variance,
-                "selectivity": report.selectivity,
-                "recall_at_1": report.recall_at_1,
-            }
-        ],
+    row = metrics.report_row(
+        report, inverted.k, args.ma, inverted.codebook.iteration, alpha=""
     )
+    metrics.write_report_csv(out / "report.csv", [row])
     metrics.write_histogram_csv(out / "histogram.csv", report)
     print(
         f"gamma {report.gamma:.4f}  selectivity {report.selectivity:.4f}  "

@@ -100,7 +100,13 @@ def load_fvecs(path: PathLike) -> VectorSet:
     file_path = Path(path)
     if not file_path.is_file():
         raise FileNotFoundError(f"no such vector file: {file_path}")
-    raw = file_path.read_bytes()
+    return decode_fvecs(file_path.read_bytes(), file_path)
+
+
+def decode_fvecs(raw: bytes, path: PathLike) -> VectorSet:
+    """Decode the bytes read from ``path``, which names the file in errors
+    and, by a ``.bvecs`` suffix, selects uint8 components."""
+    file_path = Path(path)
     if len(raw) == 0:
         return VectorSet.empty()
 
@@ -136,15 +142,18 @@ def load_fvecs(path: PathLike) -> VectorSet:
 
 def save_fvecs(vectors: VectorSet, path: PathLike) -> None:
     """Write a VectorSet as fvecs. load_fvecs(save_fvecs(s)) is bit-exact."""
-    file_path = Path(path)
+    Path(path).write_bytes(encode_fvecs(vectors))
+
+
+def encode_fvecs(vectors: VectorSet) -> bytes:
+    """The fvecs bytes of a VectorSet; the empty set encodes as no bytes."""
     n, d = vectors.count, vectors.dim
     if n == 0:
-        file_path.write_bytes(b"")
-        return
+        return b""
     record = np.empty(n, dtype=np.dtype([("dim", "<i4"), ("vec", "<f4", (d,))]))
     record["dim"] = d
     record["vec"] = vectors.data
-    file_path.write_bytes(record.tobytes())
+    return record.tobytes()
 
 
 def mixture_centers(seed: int, dim: int, modes: int) -> np.ndarray:
@@ -158,7 +167,10 @@ def mixture_centers(seed: int, dim: int, modes: int) -> np.ndarray:
     """
     if dim <= 0 or modes <= 0:
         raise ValueError("dim and modes must be positive")
-    rng = np.random.default_rng(seed)
+    return _draw_centers(np.random.default_rng(seed), dim, modes)
+
+
+def _draw_centers(rng: np.random.Generator, dim: int, modes: int) -> np.ndarray:
     half = 1.0 / np.sqrt(dim)
     return rng.uniform(-half, half, size=(modes, dim))
 
@@ -196,8 +208,9 @@ def gen_gaussian_mixture(
     weights = weights / weights.sum()
 
     rng = np.random.default_rng(seed)
-    half = 1.0 / np.sqrt(dim)
-    centers = rng.uniform(-half, half, size=(modes, dim))
+    # Drawn even when replaced below, so the labels and noise that follow in
+    # the stream do not depend on ``centers_from_seed``.
+    centers = _draw_centers(rng, dim, modes)
     if centers_from_seed is not None:
         centers = mixture_centers(centers_from_seed, dim, modes)
     labels = rng.choice(modes, size=n, p=weights)

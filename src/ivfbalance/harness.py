@@ -21,6 +21,7 @@ import hashlib
 import os
 import tempfile
 import zipfile
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,6 +43,7 @@ from .metrics import (
     brute_force_nn,
     compute_scan_histogram,
     evaluate,
+    report_row,
     write_histogram_csv,
     write_report_csv,
 )
@@ -89,22 +91,23 @@ class ExperimentSpec:
             raise ValueError(f"mode {self.mode!r} requires a learning set")
 
 
-def _load_sets(spec: ExperimentSpec) -> tuple[VectorSet, VectorSet | None, VectorSet | None]:
+def _load_sets(
+    spec: ExperimentSpec,
+) -> tuple[VectorSet, VectorSet | None, VectorSet, VectorSet]:
+    """(database, queries, k-means set, balancing set) for the spec's mode."""
     db = load_fvecs(spec.db)
     queries = load_fvecs(spec.queries) if spec.queries is not None else None
     learning = load_fvecs(spec.learning) if spec.learning is not None else None
-    return db, queries, learning
-
-
-def _training_sets(
-    spec: ExperimentSpec, db: VectorSet, learning: VectorSet | None
-) -> tuple[VectorSet, VectorSet]:
-    """Resolve (k-means set, balancing set) for the spec's mode."""
     if spec.mode == MODE_CLOSED:
-        return db, db
+        return db, queries, db, db
     if spec.mode == MODE_SEMICLOSED:
-        return learning, db
-    return learning, learning
+        return db, queries, learning, db
+    return db, queries, learning, learning
+
+
+def _require_queries(spec: ExperimentSpec, sweep: str) -> None:
+    if spec.queries is None:
+        raise ValueError(f"the {sweep} sweep requires a query set")
 
 
 def codebooks_at_iterations(
@@ -173,18 +176,33 @@ def ground_truth_cached(
     return truth
 
 
-def run_convergence(spec: ExperimentSpec) -> list[Path]:
-    """Per k: train, balance to the largest preset, dump the gamma trace."""
-    db, _, learning = _load_sets(spec)
-    kmeans_set, balance_set = _training_sets(spec, db, learning)
-    out = _out_dir(spec)
-    written = []
+def _trained(
+    spec: ExperimentSpec, kmeans_set: VectorSet, balance_set: VectorSet
+) -> Iterator[tuple[int, dict[int, Codebook], BalanceTrace]]:
+    """Per k: k-means, then the codebook at every balancing preset."""
     for k in spec.ks:
         result = lloyd_full(kmeans_set, k, spec.seed)
-        codebook = Codebook.fresh(result.centroids)
-        _, trace = codebooks_at_iterations(
-            balance_set, codebook, spec.iters, spec.alpha
+        stages, trace = codebooks_at_iterations(
+            balance_set, Codebook.fresh(result.centroids), spec.iters, spec.alpha
         )
+        yield k, stages, trace
+
+
+def _indexes(
+    spec: ExperimentSpec, db: VectorSet, kmeans_set: VectorSet, balance_set: VectorSet
+) -> Iterator[tuple[int, int, InvertedFile]]:
+    """Per k and balancing preset r: the database indexed at stage r."""
+    for k, stages, _ in _trained(spec, kmeans_set, balance_set):
+        for r in spec.iters:
+            yield k, r, build(db, stages[r])
+
+
+def run_convergence(spec: ExperimentSpec) -> list[Path]:
+    """Per k: train, balance to the largest preset, dump the gamma trace."""
+    _, _, kmeans_set, balance_set = _load_sets(spec)
+    out = _out_dir(spec)
+    written = []
+    for k, _, trace in _trained(spec, kmeans_set, balance_set):
         path = out / f"convergence_k{k}.csv"
         trace.to_csv(path)
         written.append(path)
@@ -193,35 +211,16 @@ def run_convergence(spec: ExperimentSpec) -> list[Path]:
 
 def run_tradeoff(spec: ExperimentSpec) -> Path:
     """Grid over (k, iteration preset, ma): one evaluation row each."""
-    db, queries, learning = _load_sets(spec)
-    if queries is None:
-        raise ValueError("the tradeoff sweep requires a query set")
-    kmeans_set, balance_set = _training_sets(spec, db, learning)
+    _require_queries(spec, "tradeoff")
+    db, queries, kmeans_set, balance_set = _load_sets(spec)
     out = _out_dir(spec)
     truth = ground_truth_cached(db, queries, 1, out / "gt_cache")
     rows = []
-    for k in spec.ks:
-        result = lloyd_full(kmeans_set, k, spec.seed)
-        stages, _ = codebooks_at_iterations(
-            balance_set, Codebook.fresh(result.centroids), spec.iters, spec.alpha
-        )
-        for r in spec.iters:
-            index = build(db, stages[r])
-            for ma in spec.mas:
-                params = SearchParams(ma=ma, route=spec.route)
-                report = evaluate(index, queries, params, truth)
-                rows.append(
-                    {
-                        "k": k,
-                        "ma": ma,
-                        "iters": r,
-                        "alpha": spec.alpha,
-                        "gamma": report.gamma,
-                        "variance": report.variance,
-                        "selectivity": report.selectivity,
-                        "recall_at_1": report.recall_at_1,
-                    }
-                )
+    for k, r, index in _indexes(spec, db, kmeans_set, balance_set):
+        for ma in spec.mas:
+            params = SearchParams(ma=ma, route=spec.route)
+            report = evaluate(index, queries, params, truth)
+            rows.append(report_row(report, k, ma, r, spec.alpha))
     path = out / "tradeoff.csv"
     write_report_csv(path, rows)
     return path
@@ -237,32 +236,24 @@ def scanned_counts(
 
 def run_histogram(spec: ExperimentSpec) -> tuple[list[Path], Path]:
     """Distribution of scan counts per preset, plus a variance summary."""
-    db, queries, learning = _load_sets(spec)
-    if queries is None:
-        raise ValueError("the histogram sweep requires a query set")
-    kmeans_set, balance_set = _training_sets(spec, db, learning)
+    _require_queries(spec, "histogram")
+    db, queries, kmeans_set, balance_set = _load_sets(spec)
     out = _out_dir(spec)
     written = []
     summary_lines = [HISTOGRAM_SUMMARY_HEADER]
-    for k in spec.ks:
-        result = lloyd_full(kmeans_set, k, spec.seed)
-        stages, _ = codebooks_at_iterations(
-            balance_set, Codebook.fresh(result.centroids), spec.iters, spec.alpha
-        )
-        for r in spec.iters:
-            index = build(db, stages[r])
-            for ma in spec.mas:
-                scanned = scanned_counts(index, queries, ma, spec.route)
-                width = db.count / (10.0 * k)
-                path = out / f"histogram_k{k}_ma{ma}_r{r}.csv"
-                write_histogram_csv(
-                    path, ScanHistogram(compute_scan_histogram(scanned, width), width)
-                )
-                written.append(path)
-                mean = float(scanned.mean())
-                var = float(scanned.var(ddof=1)) if scanned.size > 1 else 0.0
-                cv = float(np.sqrt(var) / mean) if mean > 0 else 0.0
-                summary_lines.append(f"{k},{ma},{r},{mean!r},{var!r},{cv!r}")
+    for k, r, index in _indexes(spec, db, kmeans_set, balance_set):
+        for ma in spec.mas:
+            scanned = scanned_counts(index, queries, ma, spec.route)
+            width = db.count / (10.0 * k)
+            path = out / f"histogram_k{k}_ma{ma}_r{r}.csv"
+            write_histogram_csv(
+                path, ScanHistogram(compute_scan_histogram(scanned, width), width)
+            )
+            written.append(path)
+            mean = float(scanned.mean())
+            var = float(scanned.var(ddof=1)) if scanned.size > 1 else 0.0
+            cv = float(np.sqrt(var) / mean) if mean > 0 else 0.0
+            summary_lines.append(f"{k},{ma},{r},{mean!r},{var!r},{cv!r}")
     summary = out / "histogram_summary.csv"
     summary.write_text("\n".join(summary_lines) + "\n")
     return written, summary

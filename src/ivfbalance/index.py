@@ -9,6 +9,9 @@ difference.
 
 The index is immutable after build; concurrent searches over a shared
 index are safe.
+
+This module also owns the codebook and index directory format: each file is
+written once, ``META_FILE`` last, and a load parses the bytes it checked.
 """
 
 from __future__ import annotations
@@ -20,21 +23,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .balancer import (
-    CENTROIDS_FILE,
-    META_FILE,
-    PENALTIES_FILE,
-    Codebook,
-    assign_balanced,
-    load_centroid_meta,
-    load_codebook,
-    save_centroid_meta,
-    save_codebook,
-)
-from .dataset import VectorSet
+from .balancer import Codebook, assign_balanced
+from .dataset import VectorSet, decode_fvecs, encode_fvecs
 from .distances import sqdist_exact, sqdist_to_centroids
+from .kmeans import Centroids
 
+CENTROIDS_FILE = "centroids.fvecs"
+PENALTIES_FILE = "penalties.txt"
 LISTS_FILE = "lists.bin"
+META_FILE = "meta.txt"
+
+# The meta.txt key holding each index artifact's sha256.
+_CHECKSUM_KEYS = {
+    CENTROIDS_FILE: "checksum_centroids",
+    PENALTIES_FILE: "checksum_penalties",
+    LISTS_FILE: "checksum_lists",
+}
 
 ROUTE_PENALIZED = "penalized"
 ROUTE_PLAIN = "plain"
@@ -217,6 +221,72 @@ def _decode_lists(raw: bytes, k: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets, np.delete(words, offsets[:-1] + np.arange(k)).astype(np.int64)
 
 
+def _write_directory(
+    directory: str | os.PathLike, files: dict[str, bytes], meta: dict
+) -> None:
+    """Write each file once, then ``meta`` as key=value lines to META_FILE."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, blob in files.items():
+        (directory / name).write_bytes(blob)
+    lines = "".join(f"{key}={value}\n" for key, value in meta.items())
+    (directory / META_FILE).write_text(lines)
+
+
+def _read_directory(
+    directory: Path, names: tuple[str, ...]
+) -> tuple[dict[str, str], dict[str, bytes]]:
+    """The key=value pairs of META_FILE and the bytes of each named file."""
+    meta: dict[str, str] = {}
+    for line in (directory / META_FILE).read_text().splitlines():
+        line = line.strip()
+        if line:
+            key, _, value = line.partition("=")
+            meta[key] = value
+    return meta, {name: (directory / name).read_bytes() for name in names}
+
+
+def _encode_codebook(codebook: Codebook) -> dict[str, bytes]:
+    """Float32 centroids as fvecs and penalties as float64 reprs: both lossless."""
+    centroids = VectorSet.from_array(codebook.centroids.points)
+    penalties = "".join(f"{float(b)!r}\n" for b in codebook.penalties)
+    return {CENTROIDS_FILE: encode_fvecs(centroids), PENALTIES_FILE: penalties.encode()}
+
+
+def _decode_codebook(
+    directory: Path, meta: dict[str, str], files: dict[str, bytes]
+) -> Codebook:
+    """Parse a codebook from :func:`_read_directory` output; ValueError when
+    the meta ``k`` or ``dim`` disagrees with the centroids file."""
+    centroids = Centroids(
+        decode_fvecs(files[CENTROIDS_FILE], directory / CENTROIDS_FILE).data
+    )
+    if (meta.get("k"), meta.get("dim")) != (str(centroids.k), str(centroids.dim)):
+        raise ValueError(
+            f"{META_FILE} declares k={meta.get('k')}, dim={meta.get('dim')}; "
+            f"{CENTROIDS_FILE} holds k={centroids.k}, dim={centroids.dim}"
+        )
+    penalties = [float(x) for x in files[PENALTIES_FILE].splitlines() if x.strip()]
+    return Codebook(centroids, penalties, int(meta.get("iteration", 0)))
+
+
+def save_codebook(
+    codebook: Codebook, directory: str | os.PathLike, extra_meta: dict | None = None
+) -> None:
+    """Persist a codebook: centroids.fvecs, penalties.txt, and meta.txt with
+    k, dim, the balancing iteration and then ``extra_meta``."""
+    meta = {"k": codebook.k, "dim": codebook.dim, "iteration": codebook.iteration}
+    meta.update(extra_meta or {})
+    _write_directory(directory, _encode_codebook(codebook), meta)
+
+
+def load_codebook(directory: str | os.PathLike) -> Codebook:
+    """Load a codebook persisted by :func:`save_codebook` or :func:`save_index`."""
+    directory = Path(directory)
+    meta, files = _read_directory(directory, (CENTROIDS_FILE, PENALTIES_FILE))
+    return _decode_codebook(directory, meta, files)
+
+
 def save_index(index: InvertedFile, directory: str | os.PathLike) -> None:
     """Persist the index directory: codebook files, lists.bin and meta.txt.
 
@@ -224,45 +294,36 @@ def save_index(index: InvertedFile, directory: str | os.PathLike) -> None:
     checksums of every artifact plus the indexed data buffer, so load can
     verify it is being paired with the right dataset.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    save_codebook(index.codebook, directory)
-    lists_blob = _encode_lists(index)
-    (directory / LISTS_FILE).write_bytes(lists_blob)
+    files = _encode_codebook(index.codebook)
+    files[LISTS_FILE] = _encode_lists(index)
     meta = {
         "k": index.codebook.k,
         "dim": index.codebook.dim,
         "iteration": index.codebook.iteration,
         "n": index.source.count,
-        "checksum_centroids": _sha256((directory / CENTROIDS_FILE).read_bytes()),
-        "checksum_penalties": _sha256((directory / PENALTIES_FILE).read_bytes()),
-        "checksum_lists": _sha256(lists_blob),
-        "checksum_data": _sha256(index.source.data.tobytes()),
     }
-    save_centroid_meta(directory / META_FILE, meta)
+    meta.update({key: _sha256(files[name]) for name, key in _CHECKSUM_KEYS.items()})
+    meta["checksum_data"] = _sha256(index.source.data.tobytes())
+    _write_directory(directory, files, meta)
 
 
 def load_index(directory: str | os.PathLike, data: VectorSet) -> InvertedFile:
     """Load a persisted index and bind it to its source vectors.
 
     Raises ValueError if any checksum disagrees, the supplied data does
-    not match the dataset the index was built over, or the posting lists
-    are not a permutation of the dataset's ids.
+    not match the dataset the index was built over, the meta k or dim
+    disagrees with the centroids, or the posting lists are not a
+    permutation of the dataset's ids.
     """
     directory = Path(directory)
-    meta = load_centroid_meta(directory / META_FILE)
-    for filename, key in (
-        (CENTROIDS_FILE, "checksum_centroids"),
-        (PENALTIES_FILE, "checksum_penalties"),
-        (LISTS_FILE, "checksum_lists"),
-    ):
-        actual = _sha256((directory / filename).read_bytes())
-        if meta.get(key) != actual:
-            raise ValueError(f"checksum mismatch for {filename}")
+    meta, files = _read_directory(directory, tuple(_CHECKSUM_KEYS))
+    for name, key in _CHECKSUM_KEYS.items():
+        if meta.get(key) != _sha256(files[name]):
+            raise ValueError(f"checksum mismatch for {name}")
     if meta.get("checksum_data") != _sha256(data.data.tobytes()):
         raise ValueError("supplied vectors do not match the indexed dataset")
-    if int(meta["n"]) != data.count or int(meta["dim"]) != data.dim:
+    if (meta.get("n"), meta.get("dim")) != (str(data.count), str(data.dim)):
         raise ValueError("dataset shape disagrees with index metadata")
-    codebook = load_codebook(directory)
-    offsets, ids = _decode_lists((directory / LISTS_FILE).read_bytes(), codebook.k)
+    codebook = _decode_codebook(directory, meta, files)
+    offsets, ids = _decode_lists(files[LISTS_FILE], codebook.k)
     return InvertedFile(codebook, offsets, ids, data)

@@ -210,6 +210,17 @@ def recall_at_r(
     return float(found.mean())
 
 
+def report_row(
+    report: EvalReport, k: int, ma: int, iters: int, alpha: float | str
+) -> dict:
+    """One :func:`write_report_csv` row; ``alpha`` is ``""`` where unknown."""
+    return dict(
+        k=k, ma=ma, iters=iters, alpha=alpha, gamma=report.gamma,
+        variance=report.variance, selectivity=report.selectivity,
+        recall_at_1=report.recall_at_1,
+    )
+
+
 def write_report_csv(path: str | os.PathLike, rows: list[dict]) -> None:
     """Write evaluation rows: k,ma,iters,alpha,gamma,variance,selectivity,recall_at_1."""
     lines = [REPORT_CSV_HEADER]

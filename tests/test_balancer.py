@@ -12,12 +12,11 @@ from ivfbalance import (
     balance,
     embed_augmented,
     embed_points,
-    load_codebook,
     penalized_distance_sq,
-    save_codebook,
     update_penalties,
 )
 from ivfbalance.balancer import B_FLOOR
+from ivfbalance.index import load_codebook, save_codebook
 
 from conftest import random_vectors
 

@@ -120,6 +120,14 @@ class TestExitCodes:
         assert run(["balance", "--db", db, "--codebook", cb_dir,
                     "--target-gamma", 0.5, "--out", tmp_path / "bal"]) == 2
 
+    def test_codebook_without_penalties_is_validation_error(self, generated, tmp_path):
+        db, _ = generated
+        cb_dir = tmp_path / "cb"
+        assert run(["kmeans", "--db", db, "--k", 4, "--out", cb_dir]) == 0
+        (cb_dir / "penalties.txt").unlink()
+        assert run(["build", "--db", db, "--codebook", cb_dir,
+                    "--out", tmp_path / "idx"]) == 2
+
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--nope"])

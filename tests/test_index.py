@@ -16,8 +16,10 @@ from ivfbalance import (
     brute_force_nn,
     build,
     evaluate,
+    load_codebook,
     load_index,
     lloyd_full,
+    save_codebook,
     save_index,
     search,
     select_cells,
@@ -190,25 +192,30 @@ class TestSearch:
             SearchParams(ma=1, route="sideways")
 
 
-def rewrite_lists(directory, blob):
-    """Replace lists.bin and update its checksum so only the content is wrong."""
-    (directory / "lists.bin").write_bytes(blob)
+def set_meta(directory, key, value):
+    """Replace the ``key=`` line of meta.txt."""
     meta = directory / "meta.txt"
     lines = [
-        f"checksum_lists={hashlib.sha256(blob).hexdigest()}"
-        if line.startswith("checksum_lists=")
-        else line
+        f"{key}={value}" if line.startswith(f"{key}=") else line
         for line in meta.read_text().splitlines()
     ]
     meta.write_text("\n".join(lines) + "\n")
+
+
+def rewrite_lists(directory, blob):
+    """Replace lists.bin and update its checksum so only the content is wrong."""
+    (directory / "lists.bin").write_bytes(blob)
+    set_meta(directory, "checksum_lists", hashlib.sha256(blob).hexdigest())
 
 
 class TestPersistence:
     def test_lists_file_bytes_pinned(self, tmp_path):
         # Cell 0 holds ids 1 and 3, cell 1 is empty, cell 2 holds 0, 2, 4.
         data = VectorSet.from_array([[10.0], [0.0], [11.0], [1.0], [12.0]])
-        cb = Codebook.fresh(
-            Centroids(np.array([[0.0], [5.5], [11.0]], dtype=np.float32))
+        cb = Codebook(
+            Centroids(np.array([[0.0], [5.5], [11.0]], dtype=np.float32)),
+            np.array([0.25, 1e-9, 1.5]),
+            iteration=7,
         )
         index = build(data, cb)
         save_index(index, tmp_path / "idx")
@@ -217,6 +224,26 @@ class TestPersistence:
         reloaded = load_index(tmp_path / "idx", data)
         assert np.array_equal(reloaded.offsets, [0, 2, 2, 5])
         assert np.array_equal(reloaded.ids, [1, 3, 0, 2, 4])
+
+        penalties = b"0.25\n1e-09\n1.5\n"
+        assert (tmp_path / "idx" / "penalties.txt").read_bytes() == penalties
+        centroids = struct.pack("<ififif", 1, 0.0, 1, 5.5, 1, 11.0)
+        assert (tmp_path / "idx" / "centroids.fvecs").read_bytes() == centroids
+
+        def sha(blob):
+            return hashlib.sha256(blob).hexdigest()
+
+        assert (tmp_path / "idx" / "meta.txt").read_bytes() == (
+            "k=3\ndim=1\niteration=7\nn=5\n"
+            f"checksum_centroids={sha(centroids)}\n"
+            f"checksum_penalties={sha(penalties)}\n"
+            f"checksum_lists={sha(expected)}\n"
+            f"checksum_data={sha(struct.pack('<5f', 10, 0, 11, 1, 12))}\n"
+        ).encode()
+        save_codebook(cb, tmp_path / "cb", extra_meta={"alpha": 0.03})
+        assert (tmp_path / "cb" / "penalties.txt").read_bytes() == penalties
+        meta = b"k=3\ndim=1\niteration=7\nalpha=0.03\n"
+        assert (tmp_path / "cb" / "meta.txt").read_bytes() == meta
 
     def test_roundtrip_bit_exact(self, indexed, tmp_path):
         data, index = indexed
@@ -245,14 +272,37 @@ class TestPersistence:
         )
         assert a.scan_histogram == b.scan_histogram
 
-    def test_corrupted_lists_detected(self, indexed, tmp_path):
+    @pytest.mark.parametrize("name", ["centroids.fvecs", "penalties.txt", "lists.bin"])
+    def test_corrupted_file_detected(self, indexed, tmp_path, name):
         data, index = indexed
         save_index(index, tmp_path / "idx")
-        lists_file = tmp_path / "idx" / "lists.bin"
-        raw = bytearray(lists_file.read_bytes())
+        path = tmp_path / "idx" / name
+        raw = bytearray(path.read_bytes())
         raw[-1] ^= 0xFF
-        lists_file.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="checksum"):
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"checksum mismatch for {name}"):
+            load_index(tmp_path / "idx", data)
+
+    def test_codebook_without_penalties_rejected(self, indexed, tmp_path):
+        _, index = indexed
+        save_codebook(index.codebook, tmp_path / "cb")
+        (tmp_path / "cb" / "penalties.txt").unlink()
+        with pytest.raises(FileNotFoundError, match="penalties.txt"):
+            load_codebook(tmp_path / "cb")
+
+    @pytest.mark.parametrize("key, value", [("k", 9), ("dim", 5)])
+    def test_meta_shape_disagreeing_with_centroids_rejected(
+        self, indexed, tmp_path, key, value
+    ):
+        data, index = indexed
+        save_codebook(index.codebook, tmp_path / "cb")
+        save_index(index, tmp_path / "idx")
+        set_meta(tmp_path / "cb", key, value)
+        set_meta(tmp_path / "idx", key, value)
+        with pytest.raises(ValueError, match=f"{key}={value}"):
+            load_codebook(tmp_path / "cb")
+        # A changed dim already fails the dataset-shape check.
+        with pytest.raises(ValueError, match=f"{key}={value}|dataset shape"):
             load_index(tmp_path / "idx", data)
 
     @pytest.mark.parametrize("match", ["repeat", "outside"])
@@ -275,6 +325,15 @@ class TestPersistence:
         blob = raw[:cut] if cut < 0 else raw + bytes(cut)
         rewrite_lists(tmp_path / "idx", blob)
         with pytest.raises(ValueError, match="truncated|trailing"):
+            load_index(tmp_path / "idx", data)
+
+    def test_meta_without_n_rejected(self, indexed, tmp_path):
+        data, index = indexed
+        save_index(index, tmp_path / "idx")
+        meta = tmp_path / "idx" / "meta.txt"
+        lines = meta.read_text().splitlines()
+        meta.write_text("".join(f"{ln}\n" for ln in lines if not ln.startswith("n=")))
+        with pytest.raises(ValueError, match="dataset shape"):
             load_index(tmp_path / "idx", data)
 
     def test_wrong_dataset_detected(self, indexed, tmp_path, rng):
