@@ -137,11 +137,6 @@ class TraceRecord:
 
     iteration: int
     gamma: float
-    b_min: float
-    b_max: float
-    b_mean: float
-    n_min: int
-    n_max: int
     counts: np.ndarray
     penalties: np.ndarray
 
@@ -169,9 +164,10 @@ class BalanceTrace:
         """Export aggregates as CSV: iter,gamma,b_min,b_max,b_mean,n_min,n_max."""
         lines = ["iter,gamma,b_min,b_max,b_mean,n_min,n_max"]
         for r in self.records:
+            b, n = r.penalties, r.counts
             lines.append(
-                f"{r.iteration},{r.gamma!r},{r.b_min!r},{r.b_max!r},"
-                f"{r.b_mean!r},{r.n_min},{r.n_max}"
+                f"{r.iteration},{r.gamma!r},{float(b.min())!r},{float(b.max())!r},"
+                f"{float(b.mean())!r},{int(n.min())},{int(n.max())}"
             )
         Path(path).write_text("\n".join(lines) + "\n")
 
@@ -198,7 +194,7 @@ def assign_balanced(data: VectorSet, codebook: Codebook) -> Assignment:
             f"dimension mismatch: data dim {data.dim}, codebook dim {codebook.dim}"
         )
     d2 = penalized_sqdist_matrix(data.data, codebook)
-    return Assignment.from_cells(np.argmin(d2, axis=1), codebook.k)
+    return Assignment(np.argmin(d2, axis=1), codebook.k)
 
 
 def update_penalties(
@@ -258,18 +254,9 @@ def balance(
         if iteration == 0:
             gamma0 = gamma
             trace.scale_ratio = _mean_nearest_sqdist(data, codebook)
-        b = codebook.penalties
         trace.records.append(
             TraceRecord(
-                iteration=iteration,
-                gamma=gamma,
-                b_min=float(b.min()),
-                b_max=float(b.max()),
-                b_mean=float(b.mean()),
-                n_min=int(assignment.counts.min()),
-                n_max=int(assignment.counts.max()),
-                counts=assignment.counts.copy(),
-                penalties=b.copy(),
+                iteration, gamma, assignment.counts, codebook.penalties.copy()
             )
         )
         if _stop_satisfied(config.stop, iteration, gamma, gamma0):

@@ -51,7 +51,7 @@ def _add_experiment_flags(sub: argparse.ArgumentParser, queries_required: bool) 
     sub.add_argument("--mode", choices=harness.MODES, default=harness.MODE_CLOSED)
     sub.add_argument(
         "--route",
-        choices=(index_mod.ROUTE_PENALIZED, index_mod.ROUTE_PLAIN),
+        choices=index_mod.ROUTES,
         default=index_mod.ROUTE_PENALIZED,
     )
 
@@ -130,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     srch.add_argument("--r", type=int, default=index_mod.DEFAULT_R_RESULTS)
     srch.add_argument(
         "--route",
-        choices=(index_mod.ROUTE_PENALIZED, index_mod.ROUTE_PLAIN),
+        choices=index_mod.ROUTES,
         default=index_mod.ROUTE_PENALIZED,
     )
     srch.add_argument("--out", help="write hits CSV here instead of stdout")
@@ -142,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--ma", type=int, default=1)
     ev.add_argument(
         "--route",
-        choices=(index_mod.ROUTE_PENALIZED, index_mod.ROUTE_PLAIN),
+        choices=index_mod.ROUTES,
         default=index_mod.ROUTE_PENALIZED,
     )
     ev.add_argument("--out", required=True, help="output directory")

@@ -35,15 +35,21 @@ from .balancer import (
     balance,
 )
 from .dataset import VectorSet, load_fvecs
-from .index import InvertedFile, SearchParams, build, route_cells_batch
+from .index import (
+    ROUTE_PENALIZED,
+    ROUTES,
+    InvertedFile,
+    SearchParams,
+    build,
+    route_cells_batch,
+)
 from .kmeans import lloyd_full
 from .metrics import (
     GroundTruth,
-    ScanHistogram,
     brute_force_nn,
-    compute_scan_histogram,
     evaluate,
     report_row,
+    scan_costs,
     write_histogram_csv,
     write_report_csv,
 )
@@ -72,13 +78,15 @@ class ExperimentSpec:
     alpha: float = 0.01
     seed: int = 0
     mode: str = MODE_CLOSED
-    route: str = "penalized"
+    route: str = ROUTE_PENALIZED
 
     def __post_init__(self) -> None:
-        if not self.ks:
-            raise ValueError("at least one k is required")
-        if not self.mas:
-            raise ValueError("at least one ma is required")
+        if not self.ks or min(self.ks) < 1:
+            raise ValueError("at least one k is required, each >= 1")
+        if not self.mas or min(self.mas) < 1:
+            raise ValueError("at least one ma is required, each >= 1")
+        if max(self.mas) > min(self.ks):
+            raise ValueError(f"ma={max(self.mas)} exceeds k={min(self.ks)}")
         if not self.iters:
             raise ValueError("iteration preset list must not be empty")
         if any(r < 0 for r in self.iters):
@@ -87,27 +95,28 @@ class ExperimentSpec:
             raise ValueError("alpha must be positive")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode: {self.mode!r}")
+        if self.route not in ROUTES:
+            raise ValueError(f"unknown route: {self.route!r}")
         if self.mode in (MODE_SEMICLOSED, MODE_OPEN) and self.learning is None:
             raise ValueError(f"mode {self.mode!r} requires a learning set")
 
 
-def _load_sets(
-    spec: ExperimentSpec,
-) -> tuple[VectorSet, VectorSet | None, VectorSet, VectorSet]:
-    """(database, queries, k-means set, balancing set) for the spec's mode."""
+def _load_sets(spec: ExperimentSpec) -> tuple[VectorSet, VectorSet, VectorSet]:
+    """(database, k-means set, balancing set) for the spec's mode; the
+    learning set is read only in the modes that train on it."""
     db = load_fvecs(spec.db)
-    queries = load_fvecs(spec.queries) if spec.queries is not None else None
-    learning = load_fvecs(spec.learning) if spec.learning is not None else None
     if spec.mode == MODE_CLOSED:
-        return db, queries, db, db
+        return db, db, db
+    learning = load_fvecs(spec.learning)
     if spec.mode == MODE_SEMICLOSED:
-        return db, queries, learning, db
-    return db, queries, learning, learning
+        return db, learning, db
+    return db, learning, learning
 
 
-def _require_queries(spec: ExperimentSpec, sweep: str) -> None:
+def _load_queries(spec: ExperimentSpec, sweep: str) -> VectorSet:
     if spec.queries is None:
         raise ValueError(f"the {sweep} sweep requires a query set")
+    return load_fvecs(spec.queries)
 
 
 def codebooks_at_iterations(
@@ -199,7 +208,7 @@ def _indexes(
 
 def run_convergence(spec: ExperimentSpec) -> list[Path]:
     """Per k: train, balance to the largest preset, dump the gamma trace."""
-    _, _, kmeans_set, balance_set = _load_sets(spec)
+    _, kmeans_set, balance_set = _load_sets(spec)
     out = _out_dir(spec)
     written = []
     for k, _, trace in _trained(spec, kmeans_set, balance_set):
@@ -211,8 +220,8 @@ def run_convergence(spec: ExperimentSpec) -> list[Path]:
 
 def run_tradeoff(spec: ExperimentSpec) -> Path:
     """Grid over (k, iteration preset, ma): one evaluation row each."""
-    _require_queries(spec, "tradeoff")
-    db, queries, kmeans_set, balance_set = _load_sets(spec)
+    queries = _load_queries(spec, "tradeoff")
+    db, kmeans_set, balance_set = _load_sets(spec)
     out = _out_dir(spec)
     truth = ground_truth_cached(db, queries, 1, out / "gt_cache")
     rows = []
@@ -226,32 +235,22 @@ def run_tradeoff(spec: ExperimentSpec) -> Path:
     return path
 
 
-def scanned_counts(
-    index: InvertedFile, queries: VectorSet, ma: int, route: str = "penalized"
-) -> np.ndarray:
-    """Per-query scan cost: summed populations of the probed cells."""
-    probed = route_cells_batch(queries.data, index.codebook, ma, route)
-    return index.list_sizes()[probed].sum(axis=1)
-
-
 def run_histogram(spec: ExperimentSpec) -> tuple[list[Path], Path]:
     """Distribution of scan counts per preset, plus a variance summary."""
-    _require_queries(spec, "histogram")
-    db, queries, kmeans_set, balance_set = _load_sets(spec)
+    queries = _load_queries(spec, "histogram")
+    db, kmeans_set, balance_set = _load_sets(spec)
     out = _out_dir(spec)
     written = []
     summary_lines = [HISTOGRAM_SUMMARY_HEADER]
     for k, r, index in _indexes(spec, db, kmeans_set, balance_set):
         for ma in spec.mas:
-            scanned = scanned_counts(index, queries, ma, spec.route)
-            width = db.count / (10.0 * k)
+            probed = route_cells_batch(queries.data, index.codebook, ma, spec.route)
+            costs = scan_costs(index, probed)
             path = out / f"histogram_k{k}_ma{ma}_r{r}.csv"
-            write_histogram_csv(
-                path, ScanHistogram(compute_scan_histogram(scanned, width), width)
-            )
+            write_histogram_csv(path, costs)
             written.append(path)
-            mean = float(scanned.mean())
-            var = float(scanned.var(ddof=1)) if scanned.size > 1 else 0.0
+            mean = float(costs.scanned.mean())
+            var = float(costs.scanned.var(ddof=1)) if costs.scanned.size > 1 else 0.0
             cv = float(np.sqrt(var) / mean) if mean > 0 else 0.0
             summary_lines.append(f"{k},{ma},{r},{mean!r},{var!r},{cv!r}")
     summary = out / "histogram_summary.csv"

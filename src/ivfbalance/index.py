@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,7 @@ _CHECKSUM_KEYS = {
 
 ROUTE_PENALIZED = "penalized"
 ROUTE_PLAIN = "plain"
+ROUTES = (ROUTE_PENALIZED, ROUTE_PLAIN)
 
 DEFAULT_R_RESULTS = 100
 
@@ -59,7 +60,7 @@ class SearchParams:
             raise ValueError("ma must be >= 1")
         if self.r_results < 1:
             raise ValueError("r_results must be >= 1")
-        if self.route not in (ROUTE_PENALIZED, ROUTE_PLAIN):
+        if self.route not in ROUTES:
             raise ValueError(f"unknown route: {self.route!r}")
 
 
@@ -84,13 +85,15 @@ class InvertedFile:
     ``ids`` holds every indexed point id exactly once, grouped by cell:
     list i is ``ids[offsets[i]:offsets[i + 1]]`` and holds exactly the
     points the penalized assignment maps to cell i. Construction checks
-    this, so a built and a loaded index satisfy it alike.
+    this for a built and a loaded index alike, derives the point-to-cell
+    map from the same arrays, and makes all three read-only.
     """
 
     codebook: Codebook
     offsets: np.ndarray
     ids: np.ndarray
     source: VectorSet
+    _cell_of: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.offsets = np.asarray(self.offsets, dtype=np.int64)
@@ -106,8 +109,14 @@ class InvertedFile:
             )
         if n and (self.ids.min() < 0 or self.ids.max() >= n):
             raise ValueError(f"posting lists hold ids outside [0, {n})")
-        if (np.bincount(self.ids, minlength=n) != 1).any():
+        # n in-range ids leave a slot at -1 exactly when some id repeats.
+        cell_of = np.full(n, -1, dtype=np.int64)
+        cell_of[self.ids] = np.repeat(np.arange(k), self.list_sizes())
+        if (cell_of < 0).any():
             raise ValueError("posting lists repeat a point id")
+        self._cell_of = cell_of
+        for array in (self.offsets, self.ids, cell_of):
+            array.flags.writeable = False
 
     @property
     def k(self) -> int:
@@ -126,10 +135,8 @@ class InvertedFile:
         return np.diff(self.offsets)
 
     def cell_of_points(self) -> np.ndarray:
-        """Inverse mapping: the cell id storing each point."""
-        cell_of = np.empty(self.count, dtype=np.int64)
-        cell_of[self.ids] = np.repeat(np.arange(self.k), self.list_sizes())
-        return cell_of
+        """Inverse mapping: the cell id storing each point (read-only)."""
+        return self._cell_of
 
 
 def build(data: VectorSet, codebook: Codebook) -> InvertedFile:
@@ -152,7 +159,7 @@ def route_cells_batch(
     """
     if not 1 <= ma <= codebook.k:
         raise ValueError(f"ma={ma} out of range [1, {codebook.k}]")
-    if route not in (ROUTE_PENALIZED, ROUTE_PLAIN):
+    if route not in ROUTES:
         raise ValueError(f"unknown route: {route!r}")
     d2 = sqdist_to_centroids(queries, codebook.centroids.points)
     if route == ROUTE_PENALIZED:

@@ -46,31 +46,20 @@ class Centroids:
 
 @dataclass(eq=False)
 class Assignment:
-    """Per-point cell ids plus exact per-cell population counts."""
+    """Per-point cell ids over k cells, and the per-cell population
+    ``counts`` derived from them once."""
 
     cell_of: np.ndarray
-    counts: np.ndarray
+    k: int
+    counts: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.cell_of = np.asarray(self.cell_of, dtype=np.int64)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        k = self.counts.shape[0]
         if self.cell_of.size and (
-            self.cell_of.min() < 0 or self.cell_of.max() >= k
+            self.cell_of.min() < 0 or self.cell_of.max() >= self.k
         ):
             raise ValueError("cell ids out of range")
-        expected = np.bincount(self.cell_of, minlength=k)
-        if not np.array_equal(expected, self.counts):
-            raise ValueError("counts inconsistent with cell ids")
-
-    @classmethod
-    def from_cells(cls, cell_of: np.ndarray, k: int) -> "Assignment":
-        cell_of = np.asarray(cell_of, dtype=np.int64)
-        return cls(cell_of, np.bincount(cell_of, minlength=k))
-
-    @property
-    def n(self) -> int:
-        return self.cell_of.shape[0]
+        self.counts = np.bincount(self.cell_of, minlength=self.k)
 
 
 @dataclass
@@ -134,7 +123,7 @@ def assign_plain(data: VectorSet, centroids: Centroids) -> Assignment:
             f"dimension mismatch: data dim {data.dim}, centroids dim {centroids.dim}"
         )
     d2 = sqdist_to_centroids(data.data, centroids.points)
-    return Assignment.from_cells(np.argmin(d2, axis=1), centroids.k)
+    return Assignment(np.argmin(d2, axis=1), centroids.k)
 
 
 def _update_means(

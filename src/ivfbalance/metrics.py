@@ -102,34 +102,6 @@ def brute_force_nn(data: VectorSet, queries: VectorSet, r: int) -> GroundTruth:
     return GroundTruth(ids, dists)
 
 
-@dataclass(eq=False)
-class EvalReport:
-    """Index quality and cost summary for one (index, queries, params) run.
-
-    ``scanned`` keeps the raw per-query scan counts behind the histogram.
-    """
-
-    gamma: float
-    variance: float
-    selectivity: float
-    recall_at_1: float
-    scan_histogram: dict[int, int]
-    bucket_width: float
-    scanned: np.ndarray | None = field(repr=False, default=None)
-
-
-@dataclass(frozen=True)
-class ScanHistogram:
-    """A scan-count histogram with the bucket width it was counted at.
-
-    Carries the same two fields as ``EvalReport``, for callers that have
-    scan counts but no ground truth and so cannot build a full report.
-    """
-
-    scan_histogram: dict[int, int]
-    bucket_width: float
-
-
 def compute_scan_histogram(
     scanned: np.ndarray, bucket_width: float
 ) -> dict[int, int]:
@@ -139,6 +111,36 @@ def compute_scan_histogram(
     buckets = np.floor(np.asarray(scanned) / bucket_width).astype(np.int64)
     idx, cnt = np.unique(buckets, return_counts=True)
     return {int(i): int(c) for i, c in zip(idx, cnt)}
+
+
+@dataclass(frozen=True, eq=False)
+class ScanHistogram:
+    """Per-query scan counts and the bucket width their histogram uses."""
+
+    scanned: np.ndarray = field(repr=False)
+    bucket_width: float
+
+    @property
+    def scan_histogram(self) -> dict[int, int]:
+        return compute_scan_histogram(self.scanned, self.bucket_width)
+
+
+@dataclass(frozen=True, eq=False)
+class EvalReport(ScanHistogram):
+    """Index quality and cost summary for one (index, queries, params) run."""
+
+    gamma: float
+    variance: float
+    selectivity: float
+    recall_at_1: float
+
+
+def scan_costs(index: "InvertedFile", probed: np.ndarray) -> ScanHistogram:
+    """Each query's scan cost, the summed population of its (Q, ma) probed
+    cells, at the bucket width N / (10 k)."""
+    return ScanHistogram(
+        index.list_sizes()[probed].sum(axis=1), index.count / (10.0 * index.k)
+    )
 
 
 def _probe_hits(
@@ -167,7 +169,6 @@ def evaluate(
     queries: VectorSet,
     params: "SearchParams",
     truth: GroundTruth,
-    bucket_width: float | None = None,
 ) -> EvalReport:
     """Measure selectivity, recall@1, imbalance and the scan-count histogram.
 
@@ -177,21 +178,15 @@ def evaluate(
     Var come from the index's list lengths.
     """
     probed, found = _probe_hits(index, queries, params, truth, 1)
-    n = index.source.count
-    k = index.codebook.k
+    costs = scan_costs(index, probed)
     list_sizes = index.list_sizes()
-    scanned = list_sizes[probed].sum(axis=1)
-
-    if bucket_width is None:
-        bucket_width = n / (10.0 * k)
     return EvalReport(
+        scanned=costs.scanned,
+        bucket_width=costs.bucket_width,
         gamma=imbalance_factor(list_sizes),
         variance=list_variance(list_sizes),
-        selectivity=float(scanned.sum()) / (n * queries.count),
+        selectivity=float(costs.scanned.sum()) / (index.count * queries.count),
         recall_at_1=float(found.mean()),
-        scan_histogram=compute_scan_histogram(scanned, bucket_width),
-        bucket_width=float(bucket_width),
-        scanned=scanned,
     )
 
 
@@ -226,7 +221,8 @@ def write_report_csv(path: str | os.PathLike, rows: list[dict]) -> None:
     lines = [REPORT_CSV_HEADER]
     for row in rows:
         lines.append(
-            f"{row['k']},{row['ma']},{row['iters']},{row['alpha']!r},"
+            # str of a float is its repr, and an unknown alpha ("") stays empty.
+            f"{row['k']},{row['ma']},{row['iters']},{row['alpha']},"
             f"{row['gamma']!r},{row['variance']!r},"
             f"{row['selectivity']!r},{row['recall_at_1']!r}"
         )
@@ -234,14 +230,12 @@ def write_report_csv(path: str | os.PathLike, rows: list[dict]) -> None:
 
 
 def write_histogram_csv(
-    path: str | os.PathLike, source: EvalReport | ScanHistogram
+    path: str | os.PathLike, source: ScanHistogram
 ) -> None:
     """Write one histogram: bucket_lo,bucket_hi,count.
 
-    ``source`` is an ``EvalReport`` or a ``ScanHistogram``; both carry the
-    histogram (``scan_histogram``) and the ``bucket_width`` its bucket
-    indices were counted at, and the bucket bounds are taken from that
-    width.
+    ``source`` is a ``ScanHistogram`` or an ``EvalReport``; the bucket
+    bounds are taken from its ``bucket_width``.
     """
     histogram, bucket_width = source.scan_histogram, source.bucket_width
     lines = [HISTOGRAM_CSV_HEADER]

@@ -35,7 +35,8 @@ from ivfbalance import (
     save_index,
     search,
 )
-from ivfbalance.harness import scanned_counts
+from ivfbalance.index import route_cells_batch
+from ivfbalance.metrics import scan_costs
 
 SEED = 42
 N = 20_000
@@ -47,6 +48,11 @@ K = 32
 ALPHA = 0.01
 FULL_ITERS = 500
 PRESETS = (0, 8, 16, 32, 64)
+
+
+def scanned_counts(index, queries: VectorSet, ma: int) -> np.ndarray:
+    probed = route_cells_batch(queries.data, index.codebook, ma)
+    return scan_costs(index, probed).scanned
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -199,7 +199,7 @@ class TestBalance:
         cb = Codebook.fresh(Centroids(data.data[:30].copy()))
         config = BalanceConfig(stop=StopRule.fixed_iters(200), alpha=0.5)
         _, trace = balance(data, cb, config)
-        assert min(r.b_min for r in trace.records) >= B_FLOOR
+        assert min(r.penalties.min() for r in trace.records) >= B_FLOOR
 
     def test_closed_form_penalty_log(self, rng):
         data = random_vectors(rng, 500, 4)
@@ -271,6 +271,21 @@ class TestTraceExport:
         assert lines[0] == "iter,gamma,b_min,b_max,b_mean,n_min,n_max"
         assert len(lines) == 5
         assert lines[1].startswith("0,")
+
+    def test_four_point_csv_pinned(self, tmp_path):
+        fx = FourPointFixture()
+        config = BalanceConfig(stop=StopRule.target_gamma(1.0), alpha=0.2)
+        _, trace = balance(fx.data, fx.codebook, config)
+        trace.to_csv(tmp_path / "trace.csv")
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        assert len(lines) == fx.MIGRATION_ITERATION + 2
+        assert lines[:3] + lines[-2:] == [
+            "iter,gamma,b_min,b_max,b_mean,n_min,n_max",
+            "0,1.25,1.0,1.0,1.0,1,3",
+            "1,1.25,0.8705505632961241,1.0844717711976986,0.9775111672469113,1,3",
+            "51,1.25,0.0008501470344688709,62.53610704829367,31.26847859766407,1,3",
+            "52,1.0,0.000740095979741405,67.81864277447193,33.90969143522583,2,2",
+        ]
 
     def test_scale_ratio_reported(self, rng):
         data = random_vectors(rng, 60, 2)

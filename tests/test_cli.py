@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,19 @@ class TestPipeline:
         hist = (tmp_path / "eval" / "histogram.csv").read_text().splitlines()
         assert hist[0] == "bucket_lo,bucket_hi,count"
         assert sum(int(line.split(",")[2]) for line in hist[1:]) == 50
+
+    def test_eval_report_leaves_alpha_empty(self, generated, tmp_path):
+        db, queries = generated
+        assert run(["kmeans", "--db", db, "--k", 4, "--seed", 1,
+                    "--out", tmp_path / "cb"]) == 0
+        assert run(["build", "--db", db, "--codebook", tmp_path / "cb",
+                    "--out", tmp_path / "idx"]) == 0
+        assert run(["eval", "--index", tmp_path / "idx", "--db", db,
+                    "--queries", queries, "--out", tmp_path / "eval"]) == 0
+        with open(tmp_path / "eval" / "report.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["alpha"] == ""
+        assert row["iters"] == "0"
 
     def test_gen_deterministic(self, tmp_path):
         a = tmp_path / "a.fvecs"

@@ -49,6 +49,40 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="learning"):
             ExperimentSpec(db=db, queries=q, out=tmp_path / "o", ks=(4,), mode="semiclosed")
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (dict(route="sideways"), "route"),
+            (dict(mas=(0,)), "ma is required"),
+            (dict(ks=(32, 0)), "k is required"),
+            (dict(ks=(32, 4), mas=(1, 8)), "exceeds"),
+        ],
+        ids=["route", "ma-zero", "k-zero", "ma-above-k"],
+    )
+    def test_bad_grid_rejected_before_training(self, mixture_files, tmp_path, bad, match):
+        db, q = mixture_files
+        fields = dict(db=db, queries=q, out=tmp_path / "o", ks=(32,))
+        with pytest.raises(ValueError, match=match):
+            ExperimentSpec(**{**fields, **bad})
+
+
+class TestUnusedFiles:
+    def test_convergence_ignores_queries(self, mixture_files, tmp_path):
+        db, _ = mixture_files
+        spec = ExperimentSpec(
+            db=db, queries=tmp_path / "missing.fvecs", out=tmp_path / "o",
+            ks=(4,), iters=(0, 2),
+        )
+        assert len(run_convergence(spec)) == 1
+
+    def test_closed_tradeoff_ignores_learning(self, mixture_files, tmp_path):
+        db, q = mixture_files
+        spec = ExperimentSpec(
+            db=db, queries=q, learning=tmp_path / "missing.fvecs",
+            out=tmp_path / "o", ks=(4,), iters=(0, 2),
+        )
+        assert run_tradeoff(spec).is_file()
+
 
 class TestPresetSnapshots:
     def test_prefix_property_is_exact(self, rng):

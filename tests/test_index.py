@@ -84,6 +84,21 @@ class TestBuild:
             assert np.array_equal(ids, index.ids[lo:hi])
         assert np.array_equal(index.list_sizes(), np.diff(index.offsets))
 
+    def test_cell_map_inverts_lists(self, indexed, tmp_path):
+        data, index = indexed
+        save_index(index, tmp_path / "idx")
+        for ix in (index, load_index(tmp_path / "idx", data)):
+            expected = np.full(data.count, -1)
+            for cell, ids in enumerate(ix.lists):
+                expected[ids] = cell
+            assert np.array_equal(ix.cell_of_points(), expected)
+
+    def test_arrays_are_read_only(self, indexed):
+        _, index = indexed
+        for array in (index.cell_of_points(), index.ids, index.offsets):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
     @pytest.mark.parametrize(
         "offsets, ids, match",
         [

@@ -68,13 +68,9 @@ class TestAssignPlain:
 
 
 class TestAssignmentType:
-    def test_inconsistent_counts_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            Assignment(np.array([0, 0, 1]), np.array([1, 2]))
-
     def test_out_of_range_cell(self):
         with pytest.raises(ValueError, match="range"):
-            Assignment(np.array([0, 3]), np.array([1, 0, 0]))
+            Assignment(np.array([0, 3]), 3)
 
 
 class TestLloyd:
