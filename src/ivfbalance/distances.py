@@ -5,11 +5,21 @@ Two kernels with different determinism/speed trade-offs:
 * :func:`sqdist_to_centroids` uses the BLAS expansion trick. It is fast and
   deterministic for identical inputs, which is all that assignment and query
   routing need (the callers that must agree always pass identical arrays).
+  Its bits for one row can depend on the other rows in the call (1- and
+  2-row calls have been seen to differ from the same rows in a larger
+  batch), so it does not decide ground-truth ranks on its own.
 * :func:`sqdist_exact` computes elementwise differences, so each (row, col)
   distance is bitwise identical no matter how candidates are sliced,
   permuted, or batched. Candidate scoring and ground truth use this one:
   an exhaustive multi-probe search must reproduce the brute-force ranking
   exactly, ties included.
+
+Ground truth combines the two (screen and certify). :func:`error_bounds`
+bounds how far each kernel can be from the real squared distance of its
+float64 inputs. The BLAS kernel screens all pairs; every pair whose exact
+value could still reach the r-th smallest is re-scored with the exact
+kernel, and the exact values decide. The result is bit-identical to an
+exact scan of every pair, for any data.
 
 All arithmetic is float64 regardless of input dtype; float32 inputs widen
 exactly.
@@ -21,6 +31,15 @@ import numpy as np
 
 # Chunk row count so a temporary (rows, k, dim) float64 block stays ~128 MiB.
 _CHUNK_ELEMS = 16 * 1024 * 1024
+
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u): the relative error bound of n
+    chained float64 roundings (*Accuracy and Stability of Numerical
+    Algorithms*, ch. 3)."""
+    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
 
 
 def _as_f64_matrix(a: np.ndarray, name: str) -> np.ndarray:
@@ -82,6 +101,34 @@ def sqdist_exact(x: np.ndarray, c: np.ndarray) -> np.ndarray:
         diff = x[start:stop, None, :] - c[None, :, :]
         np.einsum("ijk,ijk->ij", diff, diff, out=out[start:stop])
     return out
+
+
+def error_bounds(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
+    """Rounding-error bounds of the two kernels for the rows of ``x``
+    against the rows of ``c``.
+
+    Returns ``(b, g)``. With ``D`` the real squared distance of a pair of
+    (float64-widened) rows, for every row i of ``x`` and every row j of
+    ``c``::
+
+        |sqdist_to_centroids(x, c)[i, j] - D| <= b[i]
+        |sqdist_exact(x, c)[i, j] - D|        <= g * D
+
+    The BLAS expansion ``|x|^2 + |c|^2 - 2 x.c`` rounds three d-term dot
+    products, each within ``gamma_d |x| |c|``, then two sums, so its error
+    is at most ``gamma_{d+2} (|x| + |c|)^2``. ``b`` doubles that with
+    ``gamma_{d+4}`` and the largest ``|c|``, which also covers the rounding
+    of the norms the bound is computed from and of a test built on it.
+    The exact kernel sums d nonnegative rounded squares of rounded
+    differences, so its relative error is at most ``gamma_{d+2}``.
+    """
+    x = _as_f64_matrix(x, "x")
+    c = _as_f64_matrix(c, "c")
+    _check_dims(x, c)
+    d = x.shape[1]
+    x_norm = np.sqrt(np.einsum("ij,ij->i", x, x))
+    c_norm = np.sqrt(np.einsum("ij,ij->i", c, c).max(initial=0.0))
+    return 2.0 * _gamma(d + 4) * (x_norm + c_norm) ** 2, _gamma(d + 2)
 
 
 def sqdist_vector(x: np.ndarray, y: np.ndarray) -> float:

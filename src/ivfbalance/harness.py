@@ -101,10 +101,14 @@ class ExperimentSpec:
             raise ValueError(f"mode {self.mode!r} requires a learning set")
 
 
-def _load_sets(spec: ExperimentSpec) -> tuple[VectorSet, VectorSet, VectorSet]:
-    """(database, k-means set, balancing set) for the spec's mode; the
-    learning set is read only in the modes that train on it."""
-    db = load_fvecs(spec.db)
+def _load_sets(
+    spec: ExperimentSpec, indexed: bool = True
+) -> tuple[VectorSet | None, VectorSet, VectorSet]:
+    """(database, k-means set, balancing set) for the spec's mode. The
+    learning set is read only in the modes that train on it, and the
+    database only where it is trained on or ``indexed``; otherwise the
+    database slot is None."""
+    db = load_fvecs(spec.db) if indexed or spec.mode != MODE_OPEN else None
     if spec.mode == MODE_CLOSED:
         return db, db, db
     learning = load_fvecs(spec.learning)
@@ -158,6 +162,9 @@ def ground_truth_cached(
     The cache file is written to a temporary name and renamed into place,
     so a reader never sees a partial file. A cache file that cannot be read
     or does not hold (Q, r) ids and distances is recomputed and replaced.
+    The key names no code version: :func:`brute_force_nn` returns the
+    exact scan's bytes however it computes them, so a cache file written
+    by an earlier version stays valid.
     """
     digest = hashlib.sha256()
     digest.update(db.data.tobytes())
@@ -208,7 +215,7 @@ def _indexes(
 
 def run_convergence(spec: ExperimentSpec) -> list[Path]:
     """Per k: train, balance to the largest preset, dump the gamma trace."""
-    _, kmeans_set, balance_set = _load_sets(spec)
+    _, kmeans_set, balance_set = _load_sets(spec, indexed=False)
     out = _out_dir(spec)
     written = []
     for k, _, trace in _trained(spec, kmeans_set, balance_set):

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dataset import VectorSet
-from .distances import sqdist_exact
+from .distances import error_bounds, sqdist_exact, sqdist_to_centroids
 
 if TYPE_CHECKING:  # pragma: no cover
     from .index import InvertedFile, SearchParams
@@ -82,7 +82,20 @@ class GroundTruth:
 
 
 def brute_force_nn(data: VectorSet, queries: VectorSet, r: int) -> GroundTruth:
-    """Exhaustive exact top-r by squared L2, ascending-id tie-break."""
+    """Exhaustive exact top-r by squared L2, ascending-id tie-break.
+
+    Ids and distances are those of an exact scan: :func:`sqdist_exact` over
+    every (query, point) pair, ranked by ``(distance, id)``. They do not
+    depend on how the queries are sliced into calls. To get there cheaply,
+    every pair is screened with the BLAS kernel, whose error per query is
+    at most ``b`` (see :func:`~ivfbalance.distances.error_bounds`). The r
+    smallest screened values give ``hi``, an upper bound on the exact r-th
+    distance, so every point of the exact top r, ties included, satisfies
+    ``(screened - b) * (1 - g) <= hi``. Only those points are re-scored
+    with the exact kernel, one call per query, and the exact values
+    decide. On data without near-ties that is about r points per query;
+    where the bound cannot separate the points, the whole row is re-scored.
+    """
     if data.dim != queries.dim:
         raise ValueError(
             f"dimension mismatch: data dim {data.dim}, queries dim {queries.dim}"
@@ -91,14 +104,20 @@ def brute_force_nn(data: VectorSet, queries: VectorSet, r: int) -> GroundTruth:
         raise ValueError(f"r={r} out of range [1, {data.count}]")
     ids = np.empty((queries.count, r), dtype=np.int64)
     dists = np.empty((queries.count, r), dtype=np.float64)
-    # Chunk queries so the (q, N) block stays modest.
+    points = data.data.astype(np.float64)  # widened once for both kernels
+    bound, g = error_bounds(queries.data, points)
+    # Chunk queries so the (q, N) screened block stays modest.
     chunk = max(1, (8 << 20) // max(1, data.count))
     for start in range(0, queries.count, chunk):
         stop = min(start + chunk, queries.count)
-        d2 = sqdist_exact(queries.data[start:stop], data.data)
-        order = np.argsort(d2, axis=1, kind="stable")[:, :r]
-        ids[start:stop] = order
-        dists[start:stop] = np.take_along_axis(d2, order, axis=1)
+        screened = sqdist_to_centroids(queries.data[start:stop], points)
+        for i, row in enumerate(screened, start):
+            hi = (np.partition(row, r - 1)[r - 1] + bound[i]) * (1.0 + g)
+            cand = np.flatnonzero((row - bound[i]) * (1.0 - g) <= hi)
+            exact = sqdist_exact(queries.data[i : i + 1], points[cand])[0]
+            order = np.lexsort((cand, exact))[:r]
+            ids[i] = cand[order]
+            dists[i] = exact[order]
     return GroundTruth(ids, dists)
 
 

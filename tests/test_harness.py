@@ -75,6 +75,14 @@ class TestUnusedFiles:
         )
         assert len(run_convergence(spec)) == 1
 
+    def test_open_convergence_ignores_database(self, mixture_files, tmp_path):
+        learning, _ = mixture_files
+        spec = ExperimentSpec(
+            db=tmp_path / "missing.fvecs", learning=learning, out=tmp_path / "o",
+            ks=(4,), iters=(0, 2), mode="open",
+        )
+        assert len(run_convergence(spec)) == 1
+
     def test_closed_tradeoff_ignores_learning(self, mixture_files, tmp_path):
         db, q = mixture_files
         spec = ExperimentSpec(

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivfbalance import (
+    Centroids,
     Codebook,
     SearchParams,
     VectorSet,
@@ -14,8 +15,11 @@ from ivfbalance import (
     list_variance,
     lloyd_full,
     recall_at_r,
+    search,
     select_cells,
 )
+from ivfbalance import metrics
+from ivfbalance.distances import sqdist_exact
 from ivfbalance.metrics import compute_scan_histogram, write_histogram_csv, write_report_csv
 
 from conftest import random_vectors
@@ -107,6 +111,104 @@ class TestBruteForce:
         data = random_vectors(rng, 10, 2)
         with pytest.raises(ValueError):
             brute_force_nn(data, data, 11)
+
+
+def exact_scan_nn(data, queries, r):
+    """Reference ground truth: every pair through the exact kernel, then a
+    stable argsort, so equal distances keep ascending ids."""
+    d2 = sqdist_exact(queries.data, data.data)
+    order = np.argsort(d2, axis=1, kind="stable")[:, :r]
+    return order, np.take_along_axis(d2, order, axis=1)
+
+
+@st.composite
+def tie_fixtures(draw):
+    """(data, queries, r) built to hold exact and near ties.
+
+    ``duplicates`` repeats a few base rows, with queries on or next to
+    them; ``permuted`` holds coordinate permutations of one vector, each at
+    the same real distance from a constant query. Both are scaled and
+    shifted, and a far offset rounds the float32 points onto a coarse grid.
+    """
+    kind = draw(st.sampled_from(("duplicates", "permuted")))
+    n = draw(st.integers(2, 60))
+    dim = draw(st.sampled_from((1, 3, 8, 32)))
+    scale = draw(st.sampled_from((1e-3, 1.0, 1e3)))
+    offset = draw(st.sampled_from((0.0, 1e4)))
+    r = draw(st.sampled_from((1, max(1, n // 2), n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "duplicates":
+        base = rng.standard_normal((max(1, n // 4), dim))
+        points = base[rng.integers(0, len(base), n)]
+        queries = base[rng.integers(0, len(base), 4)]
+        queries[1::2] += 1e-6 * rng.standard_normal((len(queries[1::2]), dim))
+    else:
+        vector = rng.standard_normal(dim)
+        points = np.stack([rng.permutation(vector) for _ in range(n)])
+        queries = np.full((3, dim), rng.standard_normal())
+    return (
+        VectorSet.from_array(points * scale + offset),
+        VectorSet.from_array(queries * scale + offset),
+        r,
+    )
+
+
+class TestCertifiedGroundTruth:
+    """brute_force_nn screens with the BLAS kernel and re-scores only the
+    points its error bound cannot rule out; its output must still be the
+    exact scan's, bit for bit."""
+
+    @given(tie_fixtures())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exact_scan_on_ties(self, fixture):
+        data, queries, r = fixture
+        ids, dists = exact_scan_nn(data, queries, r)
+        truth = brute_force_nn(data, queries, r)
+        assert np.array_equal(truth.ids, ids)
+        assert np.array_equal(truth.dists, dists)
+
+    @given(tie_fixtures())
+    @settings(max_examples=100, deadline=None)
+    def test_exhaustive_search_matches_ground_truth(self, fixture):
+        data, queries, r = fixture
+        k = min(4, data.count)
+        index = build(data, Codebook.fresh(Centroids(data.data[:k])))
+        truth = brute_force_nn(data, queries, r)
+        params = SearchParams(ma=k, r_results=r)
+        for q, ids, dists in zip(queries.data, truth.ids, truth.dists):
+            result = search(index, q, params)
+            assert np.array_equal(result.ids, ids)
+            assert np.array_equal(result.dists, dists)
+
+    def test_query_slices_concatenate_to_the_whole(self, rng):
+        # Enough points that one call screens its queries in several
+        # chunks, on a coarse lattice so that every top 10 holds ties.
+        data = VectorSet.from_array(rng.integers(-3, 4, (100_000, 4)))
+        queries = VectorSet.from_array(rng.integers(-3, 4, (200, 4)) + 0.5)
+        whole = brute_force_nn(data, queries, 10)
+        parts = [
+            brute_force_nn(data, VectorSet.from_array(chunk), 10)
+            for chunk in np.array_split(queries.data, 7)
+        ]
+        assert np.array_equal(whole.ids, np.concatenate([p.ids for p in parts]))
+        assert np.array_equal(whole.dists, np.concatenate([p.dists for p in parts]))
+
+    def test_rescores_few_pairs(self, rng, monkeypatch):
+        data = random_vectors(rng, 5000, 16)
+        queries = random_vectors(rng, 20, 16)
+        columns = []
+
+        def counting(x, c):
+            columns.append(len(c))
+            return sqdist_exact(x, c)
+
+        monkeypatch.setattr(metrics, "sqdist_exact", counting)
+        truth = brute_force_nn(data, queries, 10)
+        monkeypatch.undo()
+        assert sum(columns) < 0.02 * queries.count * data.count
+        ids, dists = exact_scan_nn(data, queries, 10)
+        assert np.array_equal(truth.ids, ids)
+        assert np.array_equal(truth.dists, dists)
 
 
 @pytest.fixture
