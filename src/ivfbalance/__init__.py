@@ -13,9 +13,6 @@ from .balancer import (
     StopRule,
     assign_balanced,
     balance,
-    embed_augmented,
-    embed_points,
-    penalized_distance_sq,
     update_penalties,
 )
 from .dataset import (
@@ -33,7 +30,6 @@ from .harness import (
 )
 from .index import (
     InvertedFile,
-    QueryResult,
     SearchParams,
     build,
     load_codebook,
@@ -72,7 +68,6 @@ __all__ = [
     "ExperimentSpec",
     "GroundTruth",
     "InvertedFile",
-    "QueryResult",
     "SearchParams",
     "StopRule",
     "VectorSet",
@@ -81,8 +76,6 @@ __all__ = [
     "balance",
     "brute_force_nn",
     "build",
-    "embed_augmented",
-    "embed_points",
     "evaluate",
     "gen_gaussian_mixture",
     "imbalance_factor",
@@ -93,7 +86,6 @@ __all__ = [
     "load_fvecs",
     "load_index",
     "mixture_centers",
-    "penalized_distance_sq",
     "recall_at_r",
     "run_convergence",
     "run_histogram",

@@ -14,8 +14,7 @@ never re-estimated during balancing; only the penalties move.
 Geometrically, the penalized distance equals the plain squared L2 distance
 in a (d+1)-space where point x becomes (x, 0) and centroid i becomes
 (c_i, sqrt(b_i)): balancing elevates crowded centroids off the data
-hyperplane, shrinking their cells. :func:`embed_augmented` exposes that view
-for verification.
+hyperplane, shrinking their cells. The test suite checks that identity.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import VectorSet
-from .distances import sqdist_to_centroids, sqdist_vector
+from .distances import sqdist_to_centroids
 from .kmeans import Assignment, Centroids
 from .metrics import imbalance_factor
 
@@ -172,13 +171,6 @@ class BalanceTrace:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def penalized_distance_sq(x: np.ndarray, c: np.ndarray, b: float) -> float:
-    """Squared L2 distance from x to c plus the cell penalty b."""
-    if b < 0:
-        raise ValueError("penalty must be non-negative")
-    return sqdist_vector(x, c) + float(b)
-
-
 def penalized_sqdist_matrix(data: np.ndarray, codebook: Codebook) -> np.ndarray:
     """(n, k) matrix of penalized squared distances to every centroid."""
     d2 = sqdist_to_centroids(data, codebook.centroids.points)
@@ -275,22 +267,3 @@ def _mean_nearest_sqdist(data: VectorSet, codebook: Codebook) -> float:
     d2 = sqdist_to_centroids(data.data, codebook.centroids.points)
     return float(d2.min(axis=1).mean())
 
-
-def embed_augmented(codebook: Codebook) -> Centroids:
-    """Centroids lifted into (d+1)-space: row i becomes (c_i, sqrt(b_i)).
-
-    Plain squared L2 between an embedded point (x, 0) and these rows equals
-    the penalized squared distance. Returned in float64: the last coordinate
-    must square back to b_i at full precision.
-    """
-    pts = codebook.centroids.points.astype(np.float64)
-    lift = np.sqrt(codebook.penalties)
-    return Centroids(np.hstack([pts, lift[:, None]]))
-
-
-def embed_points(vectors: np.ndarray) -> np.ndarray:
-    """Companion point embedding: append a zero coordinate to each row."""
-    arr = np.asarray(vectors, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-d array of vectors")
-    return np.hstack([arr, np.zeros((arr.shape[0], 1))])

@@ -130,16 +130,3 @@ def error_bounds(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
     c_norm = np.sqrt(np.einsum("ij,ij->i", c, c).max(initial=0.0))
     return 2.0 * _gamma(d + 4) * (x_norm + c_norm) ** 2, _gamma(d + 2)
 
-
-def sqdist_vector(x: np.ndarray, y: np.ndarray) -> float:
-    """Exact squared L2 distance between two 1-d vectors, in float64."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1:
-        raise ValueError("sqdist_vector expects 1-d vectors")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}"
-        )
-    diff = x - y
-    return float(np.dot(diff, diff))

@@ -121,17 +121,6 @@ def brute_force_nn(data: VectorSet, queries: VectorSet, r: int) -> GroundTruth:
     return GroundTruth(ids, dists)
 
 
-def compute_scan_histogram(
-    scanned: np.ndarray, bucket_width: float
-) -> dict[int, int]:
-    """Fixed-width histogram of per-query scan counts, keyed by bucket index."""
-    if bucket_width <= 0:
-        raise ValueError("bucket width must be positive")
-    buckets = np.floor(np.asarray(scanned) / bucket_width).astype(np.int64)
-    idx, cnt = np.unique(buckets, return_counts=True)
-    return {int(i): int(c) for i, c in zip(idx, cnt)}
-
-
 @dataclass(frozen=True, eq=False)
 class ScanHistogram:
     """Per-query scan counts and the bucket width their histogram uses."""
@@ -141,7 +130,12 @@ class ScanHistogram:
 
     @property
     def scan_histogram(self) -> dict[int, int]:
-        return compute_scan_histogram(self.scanned, self.bucket_width)
+        """Fixed-width histogram of ``scanned``, keyed by bucket index."""
+        if self.bucket_width <= 0:
+            raise ValueError("bucket width must be positive")
+        buckets = np.floor(np.asarray(self.scanned) / self.bucket_width)
+        idx, cnt = np.unique(buckets.astype(np.int64), return_counts=True)
+        return {int(i): int(c) for i, c in zip(idx, cnt)}
 
 
 @dataclass(frozen=True, eq=False)

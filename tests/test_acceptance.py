@@ -30,13 +30,14 @@ from ivfbalance import (
     lloyd_full,
     load_fvecs,
     load_index,
-    penalized_distance_sq,
     save_fvecs,
     save_index,
     search,
 )
 from ivfbalance.index import route_cells_batch
 from ivfbalance.metrics import scan_costs
+
+from oracles import penalized_distance_sq
 
 SEED = 42
 N = 20_000

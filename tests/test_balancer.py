@@ -10,15 +10,13 @@ from ivfbalance import (
     assign_balanced,
     assign_plain,
     balance,
-    embed_augmented,
-    embed_points,
-    penalized_distance_sq,
     update_penalties,
 )
 from ivfbalance.balancer import B_FLOOR
 from ivfbalance.index import load_codebook, save_codebook
 
 from conftest import random_vectors
+from oracles import embed_augmented, embed_points, penalized_distance_sq
 
 
 def codebook_1d(centroid_values, penalties):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import struct
 
 import numpy as np
@@ -24,7 +25,8 @@ from ivfbalance import (
     search,
     select_cells,
 )
-from ivfbalance.index import InvertedFile, route_cells_batch
+from ivfbalance.distances import sqdist_exact
+from ivfbalance.index import ROUTES, InvertedFile, route_cells_batch
 
 from conftest import random_vectors
 
@@ -95,9 +97,17 @@ class TestBuild:
 
     def test_arrays_are_read_only(self, indexed):
         _, index = indexed
-        for array in (index.cell_of_points(), index.ids, index.offsets):
+        for array in (index.cell_of_points(), index.ids, index.offsets, index.vectors):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
+
+    def test_vectors_are_the_source_rows_in_list_order(self, indexed, tmp_path):
+        data, index = indexed
+        assert index.vectors.dtype == np.float32
+        assert np.array_equal(index.vectors, data.data[index.ids])
+        save_index(index, tmp_path / "idx")
+        loaded = load_index(tmp_path / "idx", data)
+        assert loaded.vectors.tobytes() == index.vectors.tobytes()
 
     @pytest.mark.parametrize(
         "offsets, ids, match",
@@ -155,7 +165,64 @@ class TestSelectCells:
             assert np.array_equal(select_cells(q, index.codebook, 3), row)
 
 
+def gather_and_sort_search(index, query, params):
+    """Reference search: gather every candidate row from the whole dataset,
+    score it with ``sqdist_exact`` and sort all candidates by (distance, id)."""
+    cells = select_cells(query, index.codebook, params.ma, params.route)
+    candidates = np.concatenate([index.lists[c] for c in cells])
+    query64 = np.asarray(query, dtype=np.float64)
+    d2 = sqdist_exact(query64[None, :], index.source.data[candidates])[0]
+    order = np.lexsort((candidates, d2))
+    return candidates[order], d2[order], cells
+
+
+@pytest.fixture(scope="module")
+def tie_indexes(tmp_path_factory):
+    """A built and a loaded index over tie-heavy data with two empty cells.
+
+    40 integer points in [0, 5)^2, each stored three times, so squared
+    distances from integer queries are small integers that tie at every
+    rank. The last two centroids lie far from the data and hold no points.
+    """
+    grid = np.random.default_rng(7).integers(0, 5, (40, 2))
+    data = VectorSet.from_array(np.repeat(grid, 3, axis=0))
+    far = [[100.0, 100.0], [-100.0, 100.0]]
+    centroids = Centroids(np.vstack([grid[:4], far]).astype(np.float32))
+    index = build(data, Codebook.fresh(centroids))
+    assert (index.list_sizes()[4:] == 0).all()
+    directory = tmp_path_factory.mktemp("tie_index")
+    save_index(index, directory)
+    return index, load_index(directory, data)
+
+
 class TestSearch:
+    def test_matches_gather_and_full_sort_on_ties(self, tie_indexes):
+        queries = [(x, y) for x in range(-1, 6) for y in range(-1, 6)]
+        queries += [(2.5, 1.5), (np.nan, 0.0)]  # NaN: the r-th value is NaN too
+        k = tie_indexes[0].k
+        seen = set()
+        for index in tie_indexes:
+            for query in np.array(queries, dtype=np.float32):
+                for ma, r, route in itertools.product((1, 2, 3, k), (1, 2, 5, 9, 500), ROUTES):
+                    params = SearchParams(ma, r, route)
+                    result = search(index, query, params)
+                    ids, d2, cells = gather_and_sort_search(index, query, params)
+                    assert np.array_equal(result.ids, ids[:r])
+                    assert result.dists.tobytes() == d2[:r].tobytes()
+                    assert result.scanned == ids.size
+                    assert np.array_equal(result.probed_cells, cells)
+                    if r < ids.size and d2[r - 1] == d2[r]:
+                        seen.add("ties straddle rank r")
+                    if r >= ids.size:
+                        seen.add("r >= candidates")
+                    if (index.list_sizes()[cells] == 0).any():
+                        seen.add("empty probed cell")
+                    if r == 1:
+                        seen.add("r = 1")
+                    if ma == k:
+                        seen.add("ma = k")
+        assert len(seen) == 5, seen
+
     def test_exhaustive_probe_equals_brute_force(self, indexed):
         data, index = indexed
         queries = VectorSet.from_array(data.data[:10].copy())

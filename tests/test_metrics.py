@@ -20,7 +20,7 @@ from ivfbalance import (
 )
 from ivfbalance import metrics
 from ivfbalance.distances import sqdist_exact
-from ivfbalance.metrics import compute_scan_histogram, write_histogram_csv, write_report_csv
+from ivfbalance.metrics import ScanHistogram, write_histogram_csv, write_report_csv
 
 from conftest import random_vectors
 
@@ -310,7 +310,7 @@ class TestEvaluate:
 
 class TestHistogram:
     def test_bucketing(self):
-        hist = compute_scan_histogram(np.array([0, 5, 9, 10, 11, 25]), 10.0)
+        hist = ScanHistogram(np.array([0, 5, 9, 10, 11, 25]), 10.0).scan_histogram
         assert hist == {0: 3, 1: 2, 2: 1}
 
     def test_csv_export(self, tmp_path, eval_fixture):
