@@ -33,6 +33,10 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats: {text!r}") from exc
 
 
+def _add_route_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--route", choices=index_mod.ROUTES, default=index_mod.ROUTE_PENALIZED)
+
+
 def _add_experiment_flags(sub: argparse.ArgumentParser, queries_required: bool) -> None:
     sub.add_argument("--db", required=True, help="database fvecs file")
     sub.add_argument("--queries", required=queries_required, help="query fvecs file")
@@ -49,11 +53,7 @@ def _add_experiment_flags(sub: argparse.ArgumentParser, queries_required: bool) 
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("--mode", choices=harness.MODES, default=harness.MODE_CLOSED)
-    sub.add_argument(
-        "--route",
-        choices=index_mod.ROUTES,
-        default=index_mod.ROUTE_PENALIZED,
-    )
+    _add_route_flag(sub)
 
 
 def _experiment_spec(args: argparse.Namespace) -> harness.ExperimentSpec:
@@ -128,11 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     srch.add_argument("--queries", required=True)
     srch.add_argument("--ma", type=int, default=1)
     srch.add_argument("--r", type=int, default=index_mod.DEFAULT_R_RESULTS)
-    srch.add_argument(
-        "--route",
-        choices=index_mod.ROUTES,
-        default=index_mod.ROUTE_PENALIZED,
-    )
+    _add_route_flag(srch)
     srch.add_argument("--out", help="write hits CSV here instead of stdout")
 
     ev = subs.add_parser("eval", help="evaluate an index against ground truth")
@@ -140,11 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--db", required=True)
     ev.add_argument("--queries", required=True)
     ev.add_argument("--ma", type=int, default=1)
-    ev.add_argument(
-        "--route",
-        choices=index_mod.ROUTES,
-        default=index_mod.ROUTE_PENALIZED,
-    )
+    _add_route_flag(ev)
     ev.add_argument("--out", required=True, help="output directory")
 
     conv = subs.add_parser("convergence", help="gamma-per-iteration traces")

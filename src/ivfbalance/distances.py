@@ -57,26 +57,37 @@ def _check_dims(x: np.ndarray, c: np.ndarray) -> None:
         )
 
 
-def sqdist_to_centroids(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+def sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared L2 norm of each row of a float64 matrix."""
+    return np.einsum("ij,ij->i", a, a)
+
+
+def sqdist_to_centroids(
+    x: np.ndarray, c: np.ndarray, x_sq: np.ndarray | None = None
+) -> np.ndarray:
     """Squared L2 distances from each row of ``x`` to each row of ``c``.
 
     Returns an (n, k) float64 matrix, clipped at zero (the expansion
     ``|x|^2 + |c|^2 - 2 x.c`` can go slightly negative for near-identical
-    pairs).
+    pairs). A caller that reuses one ``x`` against many ``c`` passes it
+    widened to float64 and its ``x_sq = sq_norms(x)`` once; the result is
+    the same bits as without them.
     """
     x = _as_f64_matrix(x, "x")
     c = _as_f64_matrix(c, "c")
     _check_dims(x, c)
     n, d = x.shape
     k = c.shape[0]
-    c_sq = np.einsum("ij,ij->i", c, c)
+    if x_sq is not None and (x_sq.shape != (n,) or x_sq.dtype != np.float64):
+        raise ValueError(f"x_sq must be float64 of shape ({n},)")
+    c_sq = sq_norms(c)
     out = np.empty((n, k), dtype=np.float64)
     rows = max(1, _CHUNK_ELEMS // max(1, k * d))
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         xb = x[start:stop]
-        x_sq = np.einsum("ij,ij->i", xb, xb)
-        block = x_sq[:, None] + c_sq[None, :]
+        xb_sq = sq_norms(xb) if x_sq is None else x_sq[start:stop]
+        block = xb_sq[:, None] + c_sq[None, :]
         block -= 2.0 * (xb @ c.T)
         np.clip(block, 0.0, None, out=block)
         out[start:stop] = block
@@ -126,7 +137,7 @@ def error_bounds(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
     c = _as_f64_matrix(c, "c")
     _check_dims(x, c)
     d = x.shape[1]
-    x_norm = np.sqrt(np.einsum("ij,ij->i", x, x))
-    c_norm = np.sqrt(np.einsum("ij,ij->i", c, c).max(initial=0.0))
+    x_norm = np.sqrt(sq_norms(x))
+    c_norm = np.sqrt(sq_norms(c).max(initial=0.0))
     return 2.0 * _gamma(d + 4) * (x_norm + c_norm) ** 2, _gamma(d + 2)
 

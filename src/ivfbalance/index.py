@@ -151,7 +151,8 @@ def build(data: VectorSet, codebook: Codebook) -> InvertedFile:
     """Quantize the data into k posting lists under the codebook's penalties."""
     if data.count == 0:
         raise ValueError("cannot index an empty dataset")
-    assignment = assign_balanced(data, codebook)
+    plain = sqdist_to_centroids(data.data, codebook.centroids.points)
+    assignment = assign_balanced(plain, codebook.penalties)
     ids = np.argsort(assignment.cell_of, kind="stable")
     offsets = np.concatenate(([0], np.cumsum(assignment.counts)))
     return InvertedFile(codebook, offsets, ids, data)

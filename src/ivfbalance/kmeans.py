@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import VectorSet
-from .distances import sqdist_to_centroids
+from .distances import sq_norms, sqdist_to_centroids
 
 DEFAULT_REL_TOL = 1e-4
 DEFAULT_MAX_ITERS = 100
@@ -99,9 +99,12 @@ def init_centroids(
     if method != INIT_KMEANS_PP:
         raise ValueError(f"unknown init method: {method!r}")
 
+    # Widen once and keep |x|^2 across the k draws.
+    x = data.data.astype(np.float64)
+    x_sq = sq_norms(x)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(data.count)
-    best = sqdist_to_centroids(data.data, data.data[chosen[0]][None, :])[:, 0]
+    best = sqdist_to_centroids(x, x[chosen[0]][None, :], x_sq)[:, 0]
     for i in range(1, k):
         total = best.sum()
         if total <= 0.0:
@@ -110,7 +113,7 @@ def init_centroids(
             chosen[i] = remaining[0]
         else:
             chosen[i] = rng.choice(data.count, p=best / total)
-        new_d = sqdist_to_centroids(data.data, data.data[chosen[i]][None, :])[:, 0]
+        new_d = sqdist_to_centroids(x, x[chosen[i]][None, :], x_sq)[:, 0]
         np.minimum(best, new_d, out=best)
     return Centroids(data.data[chosen].astype(np.float32))
 

@@ -4,11 +4,18 @@ They restate the paper's definitions one pair of vectors at a time: the
 penalized squared distance, and the (d+1)-space embedding in which that
 distance is a plain squared L2 distance. The library computes neither
 directly; it works on whole distance matrices.
+
+Two more restate loops the library computes with less work, as they were
+first written: k-means++ with one full distance call per draw, and the
+balancing loop with one full penalized distance matrix per iteration.
+The library must match both bit for bit.
 """
 
 import numpy as np
 
-from ivfbalance import Centroids, Codebook
+from ivfbalance import Centroids, Codebook, imbalance_factor, update_penalties
+from ivfbalance.balancer import _stop_satisfied
+from ivfbalance.distances import sqdist_to_centroids
 
 
 def sqdist_vector(x: np.ndarray, y: np.ndarray) -> float:
@@ -48,3 +55,52 @@ def embed_points(vectors: np.ndarray) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError("expected a 2-d array of vectors")
     return np.hstack([arr, np.zeros((arr.shape[0], 1))])
+
+
+def kmeans_pp_per_draw(data, k: int, seed: int) -> np.ndarray:
+    """k-means++ seeding that widens the data and recomputes every |x|^2 on
+    each draw. Returns the chosen rows (float32)."""
+    rng = np.random.default_rng(seed)
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = rng.integers(data.count)
+    best = sqdist_to_centroids(data.data, data.data[chosen[0]][None, :])[:, 0]
+    for i in range(1, k):
+        total = best.sum()
+        if total <= 0.0:
+            chosen[i] = np.setdiff1d(np.arange(data.count), chosen[:i])[0]
+        else:
+            chosen[i] = rng.choice(data.count, p=best / total)
+        new_d = sqdist_to_centroids(data.data, data.data[chosen[i]][None, :])[:, 0]
+        np.minimum(best, new_d, out=best)
+    return data.data[chosen].astype(np.float32)
+
+
+def balance_recomputing(data, codebook: Codebook, config):
+    """The balancing loop recomputing the distance matrix on every iteration.
+
+    Each iteration adds the penalties to a fresh ``sqdist_to_centroids``
+    matrix in place and takes the argmin over the whole of it; one more
+    pass gives ``scale_ratio``. Returns ``(codebook, records, scale_ratio)``
+    with records as ``(iteration, gamma, counts, penalties)`` tuples.
+    """
+    points = codebook.centroids.points
+    n_opt = data.count / codebook.k
+    records = []
+    gamma0 = float("nan")
+    iteration = 0
+    while True:
+        d2 = sqdist_to_centroids(data.data, points)
+        d2 += codebook.penalties[None, :]
+        counts = np.bincount(np.argmin(d2, axis=1), minlength=codebook.k)
+        gamma = imbalance_factor(counts)
+        if iteration == 0:
+            gamma0 = gamma
+        records.append((iteration, gamma, counts, codebook.penalties.copy()))
+        if _stop_satisfied(config.stop, iteration, gamma, gamma0):
+            break
+        if iteration >= config.max_iters_cap:
+            break
+        codebook = update_penalties(codebook, counts, n_opt, config.alpha)
+        iteration += 1
+    scale_ratio = float(sqdist_to_centroids(data.data, points).min(axis=1).mean())
+    return codebook, records, scale_ratio

@@ -34,6 +34,7 @@ from ivfbalance import (
     save_index,
     search,
 )
+from ivfbalance.distances import sqdist_to_centroids
 from ivfbalance.index import route_cells_batch
 from ivfbalance.metrics import scan_costs
 
@@ -113,7 +114,8 @@ def test_criterion_01_uniform_penalty_invariance():
         )
         beta = float(rng.uniform(0.0, 10.0))
         uniform = Codebook(cents, np.full(32, beta))
-        balanced = assign_balanced(data, uniform)
+        plain_d2 = sqdist_to_centroids(data.data, cents.points)
+        balanced = assign_balanced(plain_d2, uniform.penalties)
         plain = assign_plain(data, cents)
         worst = max(worst, int((balanced.cell_of != plain.cell_of).sum()))
     report(

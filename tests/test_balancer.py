@@ -12,16 +12,29 @@ from ivfbalance import (
     balance,
     update_penalties,
 )
+import ivfbalance.balancer as balancer_mod
 from ivfbalance.balancer import B_FLOOR
-from ivfbalance.index import load_codebook, save_codebook
+from ivfbalance.distances import sqdist_to_centroids
+from ivfbalance.index import build, load_codebook, save_codebook
 
 from conftest import random_vectors
-from oracles import embed_augmented, embed_points, penalized_distance_sq
+from oracles import (
+    balance_recomputing,
+    embed_augmented,
+    embed_points,
+    penalized_distance_sq,
+)
 
 
 def codebook_1d(centroid_values, penalties):
     cents = Centroids(np.array(centroid_values, dtype=np.float32).reshape(-1, 1))
     return Codebook(cents, np.array(penalties, dtype=np.float64))
+
+
+def assign_under(data, codebook):
+    """``assign_balanced`` over the plain matrix of ``data`` to the codebook."""
+    plain = sqdist_to_centroids(data.data, codebook.centroids.points)
+    return assign_balanced(plain, codebook.penalties)
 
 
 class TestPenalizedDistance:
@@ -59,7 +72,7 @@ class TestAssignBalanced:
         cents = Centroids(data.data[:16].copy())
         for beta in (0.0, 1.0, 7.5):
             cb = Codebook(cents, np.full(16, beta))
-            balanced = assign_balanced(data, cb)
+            balanced = assign_under(data, cb)
             plain = assign_plain(data, cents)
             assert np.array_equal(balanced.cell_of, plain.cell_of)
 
@@ -67,18 +80,18 @@ class TestAssignBalanced:
         cb = codebook_1d([0.0, 10.0], [50.0, 1.0])
         data = VectorSet.from_array([[4.0]])
         # 16+50=66 > 36+1=37
-        assert assign_balanced(data, cb).cell_of[0] == 1
+        assert assign_under(data, cb).cell_of[0] == 1
 
     def test_penalized_tie_breaks_low(self):
         cb = codebook_1d([0.0, 10.0], [100.0, 0.0])
         data = VectorSet.from_array([[0.0]])
         # 0+100 == 100+0 -> lowest index
-        assert assign_balanced(data, cb).cell_of[0] == 0
+        assert assign_under(data, cb).cell_of[0] == 0
 
     def test_dimension_mismatch(self, small_set):
-        cb = Codebook.fresh(Centroids(np.zeros((3, 9), dtype=np.float32)))
+        plain = sqdist_to_centroids(small_set.data, small_set.data[:3])
         with pytest.raises(ValueError, match="dimension"):
-            assign_balanced(small_set, cb)
+            assign_balanced(plain, np.ones(4))
 
 
 class TestUpdatePenalties:
@@ -232,6 +245,98 @@ class TestBalance:
         final, trace = balance(data, cb, config)
         assert len(trace) <= 8
         assert final.iteration <= 7
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+def integer_tie_fixture():
+    """Integer data and centroids, so every distance is exact whatever the
+    summation order; cells 3-5 duplicate cells 0-2, so every point of those
+    cells ties exactly under equal penalties."""
+    rng = np.random.default_rng(7)
+    data = VectorSet.from_array(rng.integers(-3, 4, size=(300, 4)))
+    points = np.array(
+        [[0, 0, 0, 0], [2, 2, 0, 0], [0, -2, 2, 0], [0, 0, 0, 0], [2, 2, 0, 0],
+         [0, -2, 2, 0], [-2, 0, 0, 2]], dtype=np.float32,
+    )
+    return data, Codebook.fresh(Centroids(points))
+
+
+class TestBalanceOneMatrix:
+    """``balance`` computes the plain matrix once and argmins it in row
+    blocks; it must match the loop that recomputes it on every iteration."""
+
+    def assert_matches_recomputing(self, data, cb, config):
+        final, trace = balance(data, cb, config)
+        want_cb, want_records, want_scale = balance_recomputing(data, cb, config)
+        assert same_bits(final.penalties, want_cb.penalties)
+        assert final.iteration == want_cb.iteration
+        assert same_bits(trace.scale_ratio, want_scale)
+        assert len(trace.records) == len(want_records)
+        for rec, (iteration, gamma, counts, penalties) in zip(trace.records, want_records):
+            assert rec.iteration == iteration
+            assert same_bits(rec.gamma, gamma)
+            assert np.array_equal(rec.counts, counts)
+            assert same_bits(rec.penalties, penalties)
+        return trace
+
+    def test_one_row_past_a_block_multiple(self, rng):
+        k = 16
+        rows = balancer_mod._ARGMIN_BLOCK_ELEMS // k
+        data = random_vectors(rng, 2 * rows + 1, 8)
+        cb = Codebook.fresh(Centroids(data.data[:k].copy()))
+        config = BalanceConfig(stop=StopRule.fixed_iters(6), alpha=0.1)
+        trace = self.assert_matches_recomputing(data, cb, config)
+        assert len({tuple(r.counts) for r in trace.records}) > 1
+
+    def test_many_small_blocks(self, rng, monkeypatch):
+        monkeypatch.setattr(balancer_mod, "_ARGMIN_BLOCK_ELEMS", 10 * 8)
+        data = random_vectors(rng, 10 * 10 + 1, 3)
+        cb = Codebook.fresh(Centroids(data.data[:8].copy()))
+        config = BalanceConfig(stop=StopRule.target_fraction(0.3), alpha=0.2)
+        trace = self.assert_matches_recomputing(data, cb, config)
+        assert len({tuple(r.counts) for r in trace.records}) > 1
+
+    def test_exact_ties_go_to_the_lowest_id(self, monkeypatch):
+        monkeypatch.setattr(balancer_mod, "_ARGMIN_BLOCK_ELEMS", 7 * 7)
+        data, cb = integer_tie_fixture()
+        config = BalanceConfig(stop=StopRule.fixed_iters(10), alpha=0.2)
+        trace = self.assert_matches_recomputing(data, cb, config)
+        first = trace.records[0].counts
+        assert first[:3].min() > 0 and first[3:6].sum() == 0
+
+    def test_one_cell(self, rng):
+        data = random_vectors(rng, 50, 3)
+        cb = Codebook.fresh(Centroids(data.data[:1].copy()))
+        config = BalanceConfig(stop=StopRule.fixed_iters(3))
+        trace = self.assert_matches_recomputing(data, cb, config)
+        assert all(r.counts.tolist() == [50] for r in trace.records)
+
+    @pytest.mark.parametrize(
+        "stop", [StopRule.fixed_iters(0), StopRule.fixed_iters(9), StopRule.target_gamma(1.0)]
+    )
+    def test_one_distance_call_per_balance(self, rng, monkeypatch, stop):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return sqdist_to_centroids(*args)
+
+        monkeypatch.setattr(balancer_mod, "sqdist_to_centroids", counting)
+        data = random_vectors(rng, 300, 4)
+        cb = Codebook.fresh(Centroids(data.data[:10].copy()))
+        config = BalanceConfig(stop=stop, alpha=0.1, max_iters_cap=40)
+        balance(data, cb, config)
+        assert len(calls) == 1
+
+    def test_build_agrees_with_the_last_record(self, rng):
+        data = random_vectors(rng, 500, 4)
+        cb = Codebook.fresh(Centroids(data.data[:12].copy()))
+        config = BalanceConfig(stop=StopRule.fixed_iters(15), alpha=0.1)
+        final, trace = balance(data, cb, config)
+        assert np.array_equal(build(data, final).list_sizes(), trace.records[-1].counts)
 
 
 class TestEmbedding:

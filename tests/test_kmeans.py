@@ -4,7 +4,10 @@ import pytest
 from ivfbalance import Centroids, VectorSet, assign_plain, init_centroids, lloyd_full
 from ivfbalance.kmeans import Assignment, INIT_KMEANS_PP, INIT_RANDOM_POINTS
 
+import ivfbalance.distances as distances
+
 from conftest import random_vectors
+from oracles import kmeans_pp_per_draw
 
 
 class TestInitCentroids:
@@ -23,6 +26,24 @@ class TestInitCentroids:
         a = init_centroids(data, 10, seed=5, method=INIT_KMEANS_PP)
         b = init_centroids(data, 10, seed=5, method=INIT_KMEANS_PP)
         assert np.array_equal(a.points, b.points)
+
+    @pytest.mark.parametrize("chunk_elems", [None, 8 * 7])
+    def test_kmeans_pp_matches_per_draw_oracle(self, rng, monkeypatch, chunk_elems):
+        if chunk_elems is not None:
+            monkeypatch.setattr(distances, "_CHUNK_ELEMS", chunk_elems)
+        data = random_vectors(rng, 300, 8)
+        for seed in (0, 1, 7):
+            got = init_centroids(data, 20, seed=seed, method=INIT_KMEANS_PP)
+            assert got.points.tobytes() == kmeans_pp_per_draw(data, 20, seed).tobytes()
+
+    @pytest.mark.parametrize("distinct", [1, 3])
+    def test_kmeans_pp_zero_mass_fallback_matches_oracle(self, distinct):
+        # Once every distinct row is chosen all mass is zero; sampling with
+        # p = best / 0 would raise, so only the fallback can pass here.
+        rows = np.array([[1.5, -2.0, 0.25], [0.0, 1.0, 3.0], [-4.0, 0.5, 2.0]])
+        data = VectorSet.from_array(np.tile(rows[:distinct], (15, 1)))
+        got = init_centroids(data, 6, seed=3, method=INIT_KMEANS_PP)
+        assert got.points.tobytes() == kmeans_pp_per_draw(data, 6, 3).tobytes()
 
     def test_k_out_of_range(self, small_set):
         with pytest.raises(ValueError):
