@@ -12,7 +12,7 @@ neighbors, driving populations toward ``n_opt``. Centroid positions are
 never re-estimated during balancing; only the penalties move. So balancing
 holds one plain (n, k) float64 distance matrix for the whole loop (8·N·k
 bytes, 205 MB at N=100k, k=256, what one recomputation would allocate)
-and each iteration argmins it plus the penalties in row blocks.
+and each iteration assigns by ``nearest_cells`` over it plus the penalties.
 
 Geometrically, the penalized distance equals the plain squared L2 distance
 in a (d+1)-space where point x becomes (x, 0) and centroid i becomes
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import VectorSet
-from .distances import sqdist_to_centroids
+from .distances import nearest_cells, sqdist_to_centroids
 from .kmeans import Assignment, Centroids
 from .metrics import imbalance_factor
 
@@ -37,8 +37,6 @@ DEFAULT_ALPHA = 0.01
 B_FLOOR = 1e-9
 DEFAULT_MAX_ITERS_CAP = 1000
 COUNT_FLOOR = 1
-# Row blocks of the penalized argmin hold about this many float64 entries.
-_ARGMIN_BLOCK_ELEMS = 64 * 1024
 
 STOP_FIXED_ITERS = "fixed_iters"
 STOP_TARGET_GAMMA = "target_gamma"
@@ -178,18 +176,8 @@ class BalanceTrace:
 
 def assign_balanced(plain: np.ndarray, penalties: np.ndarray) -> Assignment:
     """Assign each row of a plain (n, k) squared-distance matrix to the cell
-    minimizing ``plain + penalties`` (lowest-index tie-break), in cache-sized
-    row blocks: each entry is the same float64 sum as a whole-matrix add."""
-    n, k = plain.shape
-    if penalties.shape != (k,):
-        raise ValueError(f"dimension mismatch: {k} cells, {penalties.size} penalties")
-    rows = max(1, _ARGMIN_BLOCK_ELEMS // k)
-    buf = np.empty((min(rows, n), k))
-    cell_of = np.empty(n, dtype=np.int64)
-    for start in range(0, n, rows):
-        block = np.add(plain[start : start + rows], penalties, out=buf[: min(rows, n - start)])
-        np.argmin(block, axis=1, out=cell_of[start : start + rows])
-    return Assignment(cell_of, k)
+    minimizing ``plain + penalties``, lowest index on ties (``nearest_cells``)."""
+    return Assignment(nearest_cells(plain, penalties)[:, 0], plain.shape[1])
 
 
 def update_penalties(
@@ -235,10 +223,6 @@ def balance(
     """
     if data.count == 0:
         raise ValueError("cannot balance an empty dataset")
-    if data.dim != codebook.dim:
-        raise ValueError(
-            f"dimension mismatch: data dim {data.dim}, codebook dim {codebook.dim}"
-        )
     n_opt = data.count / codebook.k
     plain = sqdist_to_centroids(data.data, codebook.centroids.points)
     trace = BalanceTrace(scale_ratio=float(plain.min(axis=1).mean()))

@@ -256,9 +256,7 @@ def _cmd_eval(args: argparse.Namespace) -> None:
     truth = harness.ground_truth_cached(data, queries, 1, out / "gt_cache")
     params = index_mod.SearchParams(ma=args.ma, route=args.route)
     report = metrics.evaluate(inverted, queries, params, truth)
-    row = metrics.report_row(
-        report, inverted.k, args.ma, inverted.codebook.iteration, alpha=""
-    )
+    row = (inverted.k, args.ma, inverted.codebook.iteration, "", report)
     metrics.write_report_csv(out / "report.csv", [row])
     metrics.write_histogram_csv(out / "histogram.csv", report)
     print(

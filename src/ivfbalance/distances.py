@@ -3,8 +3,8 @@
 Two kernels with different determinism/speed trade-offs:
 
 * :func:`sqdist_to_centroids` uses the BLAS expansion trick. It is fast and
-  deterministic for identical inputs, which is all that assignment and query
-  routing need (the callers that must agree always pass identical arrays).
+  deterministic for identical inputs. Assignment and query routing both pick
+  cells from it with :func:`nearest_cells`: same sums, same tie rule.
   Its bits for one row can depend on the other rows in the call (1- and
   2-row calls have been seen to differ from the same rows in a larger
   batch), so it does not decide ground-truth ranks on its own.
@@ -31,6 +31,9 @@ import numpy as np
 
 # Chunk row count so a temporary (rows, k, dim) float64 block stays ~128 MiB.
 _CHUNK_ELEMS = 16 * 1024 * 1024
+
+# Row blocks of nearest_cells hold about this many float64 entries.
+_ARGMIN_BLOCK_ELEMS = 64 * 1024
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
@@ -91,6 +94,31 @@ def sqdist_to_centroids(
         block -= 2.0 * (xb @ c.T)
         np.clip(block, 0.0, None, out=block)
         out[start:stop] = block
+    return out
+
+
+def nearest_cells(
+    d2: np.ndarray, penalties: np.ndarray | None = None, m: int = 1
+) -> np.ndarray:
+    """The (n, m) ids of the m cells with the smallest ``d2 + penalties`` in
+    each row of an (n, k) distance matrix, nearest first, lowest id on ties.
+    Cache-sized row blocks give each entry the float64 add of a whole-matrix
+    one. m = 1 takes an argmin, m > 1 a stable argsort; they differ only on
+    a row mixing NaN with numbers (a query with an infinite coordinate)."""
+    n, k = d2.shape
+    if penalties is not None and penalties.shape != (k,):
+        raise ValueError(f"dimension mismatch: {k} cells, {penalties.size} penalties")
+    rows = max(1, _ARGMIN_BLOCK_ELEMS // k)
+    buf = np.empty((min(rows, n), k))
+    out = np.empty((n, m), dtype=np.int64)
+    for start in range(0, n, rows):
+        block = d2[start : start + rows]
+        if penalties is not None:
+            block = np.add(block, penalties, out=buf[: len(block)])
+        if m == 1:
+            np.argmin(block, axis=1, out=out[start : start + rows, 0])
+        else:
+            out[start : start + rows] = np.argsort(block, axis=1, kind="stable")[:, :m]
     return out
 
 

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .balancer import (
+    DEFAULT_ALPHA,
     BalanceConfig,
     BalanceTrace,
     Codebook,
@@ -48,7 +49,6 @@ from .metrics import (
     GroundTruth,
     brute_force_nn,
     evaluate,
-    report_row,
     scan_costs,
     write_histogram_csv,
     write_report_csv,
@@ -75,7 +75,7 @@ class ExperimentSpec:
     iters: tuple[int, ...] = DEFAULT_ITER_PRESETS
     queries: str | os.PathLike | None = None
     learning: str | os.PathLike | None = None
-    alpha: float = 0.01
+    alpha: float = DEFAULT_ALPHA
     seed: int = 0
     mode: str = MODE_CLOSED
     route: str = ROUTE_PENALIZED
@@ -236,7 +236,7 @@ def run_tradeoff(spec: ExperimentSpec) -> Path:
         for ma in spec.mas:
             params = SearchParams(ma=ma, route=spec.route)
             report = evaluate(index, queries, params, truth)
-            rows.append(report_row(report, k, ma, r, spec.alpha))
+            rows.append((k, ma, r, spec.alpha, report))
     path = out / "tradeoff.csv"
     write_report_csv(path, rows)
     return path

@@ -5,7 +5,7 @@ uses penalized distances too by default: routing with plain distances would
 probe cells inconsistent with what is stored in them. Candidates are always
 re-ranked by true (unpenalized) squared L2; penalties only steer which
 cells get scanned. The ``plain`` route is available for measuring the
-difference.
+difference. Build and routing both pick cells with ``nearest_cells``.
 
 The index is immutable after build; concurrent searches over a shared
 index are safe.
@@ -25,7 +25,7 @@ import numpy as np
 
 from .balancer import Codebook, assign_balanced
 from .dataset import VectorSet, decode_fvecs, encode_fvecs
-from .distances import sqdist_exact, sqdist_to_centroids
+from .distances import nearest_cells, sqdist_exact, sqdist_to_centroids
 from .kmeans import Centroids
 
 CENTROIDS_FILE = "centroids.fvecs"
@@ -163,17 +163,16 @@ def route_cells_batch(
 ) -> np.ndarray:
     """Per query, the ma nearest cells (ascending, lowest-index tie-break).
 
-    Returns a (Q, ma) int array. Uses the same distance path as assignment,
-    so routing a stored point with ma=1 lands on its own cell.
+    Returns a (Q, ma) int array, picked by ``nearest_cells`` as in build, so
+    routing all stored points in one batch at ma=1 lands each in its cell.
     """
     if not 1 <= ma <= codebook.k:
         raise ValueError(f"ma={ma} out of range [1, {codebook.k}]")
     if route not in ROUTES:
         raise ValueError(f"unknown route: {route!r}")
     d2 = sqdist_to_centroids(queries, codebook.centroids.points)
-    if route == ROUTE_PENALIZED:
-        d2 += codebook.penalties[None, :]
-    return np.argsort(d2, axis=1, kind="stable")[:, :ma]
+    penalties = codebook.penalties if route == ROUTE_PENALIZED else None
+    return nearest_cells(d2, penalties, ma)
 
 
 def select_cells(
@@ -183,11 +182,6 @@ def select_cells(
     query = np.asarray(query)
     if query.ndim != 1:
         raise ValueError("query must be a 1-d vector")
-    if query.shape[0] != codebook.dim:
-        raise ValueError(
-            f"dimension mismatch: query dim {query.shape[0]}, "
-            f"codebook dim {codebook.dim}"
-        )
     return route_cells_batch(query[None, :], codebook, ma, route)[0]
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import VectorSet
-from .distances import sq_norms, sqdist_to_centroids
+from .distances import nearest_cells, sq_norms, sqdist_to_centroids
 
 DEFAULT_REL_TOL = 1e-4
 DEFAULT_MAX_ITERS = 100
@@ -121,12 +121,8 @@ def init_centroids(
 def assign_plain(data: VectorSet, centroids: Centroids) -> Assignment:
     """Assign each point to its nearest centroid (squared L2, lowest-index
     tie-break)."""
-    if data.dim != centroids.dim:
-        raise ValueError(
-            f"dimension mismatch: data dim {data.dim}, centroids dim {centroids.dim}"
-        )
     d2 = sqdist_to_centroids(data.data, centroids.points)
-    return Assignment(np.argmin(d2, axis=1), centroids.k)
+    return Assignment(nearest_cells(d2)[:, 0], centroids.k)
 
 
 def _update_means(
@@ -178,7 +174,6 @@ def lloyd_full(
     """
     if data.count == 0:
         raise ValueError("cannot cluster an empty dataset")
-    _check_k(k, data.count)
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
 

@@ -167,6 +167,8 @@ def _probe_hits(
     true top-r neighbor's cell is among its query's probed cells."""
     from .index import route_cells_batch  # deferred: metrics <-> index cycle
 
+    if queries.count == 0:
+        raise ValueError("the query set is empty")
     if truth.num_queries != queries.count:
         raise ValueError(
             f"truth covers {truth.num_queries} queries, got {queries.count}"
@@ -218,26 +220,15 @@ def recall_at_r(
     return float(found.mean())
 
 
-def report_row(
-    report: EvalReport, k: int, ma: int, iters: int, alpha: float | str
-) -> dict:
-    """One :func:`write_report_csv` row; ``alpha`` is ``""`` where unknown."""
-    return dict(
-        k=k, ma=ma, iters=iters, alpha=alpha, gamma=report.gamma,
-        variance=report.variance, selectivity=report.selectivity,
-        recall_at_1=report.recall_at_1,
-    )
-
-
-def write_report_csv(path: str | os.PathLike, rows: list[dict]) -> None:
-    """Write evaluation rows: k,ma,iters,alpha,gamma,variance,selectivity,recall_at_1."""
+def write_report_csv(path: str | os.PathLike, rows: list[tuple]) -> None:
+    """Write one line per ``(k, ma, iters, alpha, report)`` row under
+    REPORT_CSV_HEADER; ``alpha`` is ``""`` where unknown."""
     lines = [REPORT_CSV_HEADER]
-    for row in rows:
+    for k, ma, iters, alpha, report in rows:
         lines.append(
             # str of a float is its repr, and an unknown alpha ("") stays empty.
-            f"{row['k']},{row['ma']},{row['iters']},{row['alpha']},"
-            f"{row['gamma']!r},{row['variance']!r},"
-            f"{row['selectivity']!r},{row['recall_at_1']!r}"
+            f"{k},{ma},{iters},{alpha},{report.gamma!r},{report.variance!r},"
+            f"{report.selectivity!r},{report.recall_at_1!r}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
 

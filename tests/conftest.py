@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ivfbalance import VectorSet
+from ivfbalance import Centroids, Codebook, VectorSet
 
 
 @pytest.fixture
@@ -17,3 +17,16 @@ def random_vectors(rng, n, dim, scale=1.0):
 @pytest.fixture
 def small_set(rng):
     return random_vectors(rng, 100, 4)
+
+
+def integer_tie_fixture():
+    """Integer data and centroids, so every distance is exact whatever the
+    summation order; cells 3-5 duplicate cells 0-2, so every point of those
+    cells ties exactly under equal penalties."""
+    rng = np.random.default_rng(7)
+    data = VectorSet.from_array(rng.integers(-3, 4, size=(300, 4)))
+    points = np.array(
+        [[0, 0, 0, 0], [2, 2, 0, 0], [0, -2, 2, 0], [0, 0, 0, 0], [2, 2, 0, 0],
+         [0, -2, 2, 0], [-2, 0, 0, 2]], dtype=np.float32,
+    )
+    return data, Codebook.fresh(Centroids(points))

@@ -8,7 +8,9 @@ directly; it works on whole distance matrices.
 Two more restate loops the library computes with less work, as they were
 first written: k-means++ with one full distance call per draw, and the
 balancing loop with one full penalized distance matrix per iteration.
-The library must match both bit for bit.
+The last two restate cell picking over one whole distance matrix: plain
+assignment by argmin, and routing by a penalty add and a full stable
+argsort. The library must match all four bit for bit.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ import numpy as np
 from ivfbalance import Centroids, Codebook, imbalance_factor, update_penalties
 from ivfbalance.balancer import _stop_satisfied
 from ivfbalance.distances import sqdist_to_centroids
+from ivfbalance.index import ROUTE_PENALIZED
 
 
 def sqdist_vector(x: np.ndarray, y: np.ndarray) -> float:
@@ -104,3 +107,19 @@ def balance_recomputing(data, codebook: Codebook, config):
         iteration += 1
     scale_ratio = float(sqdist_to_centroids(data.data, points).min(axis=1).mean())
     return codebook, records, scale_ratio
+
+
+def assign_plain_whole_argmin(data, centroids: Centroids) -> np.ndarray:
+    """Each point's cell as one argmin over the whole distance matrix."""
+    return np.argmin(sqdist_to_centroids(data.data, centroids.points), axis=1)
+
+
+def route_cells_whole_sort(
+    queries: np.ndarray, codebook: Codebook, ma: int, route: str
+) -> np.ndarray:
+    """The (Q, ma) probed cells: the penalties added to the whole distance
+    matrix in place, then the first ma columns of a full stable argsort."""
+    d2 = sqdist_to_centroids(queries, codebook.centroids.points)
+    if route == ROUTE_PENALIZED:
+        d2 += codebook.penalties[None, :]
+    return np.argsort(d2, axis=1, kind="stable")[:, :ma]

@@ -13,11 +13,12 @@ from ivfbalance import (
     update_penalties,
 )
 import ivfbalance.balancer as balancer_mod
+import ivfbalance.distances as distances_mod
 from ivfbalance.balancer import B_FLOOR
 from ivfbalance.distances import sqdist_to_centroids
 from ivfbalance.index import build, load_codebook, save_codebook
 
-from conftest import random_vectors
+from conftest import integer_tie_fixture, random_vectors
 from oracles import (
     balance_recomputing,
     embed_augmented,
@@ -251,19 +252,6 @@ def same_bits(a, b) -> bool:
     return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
 
 
-def integer_tie_fixture():
-    """Integer data and centroids, so every distance is exact whatever the
-    summation order; cells 3-5 duplicate cells 0-2, so every point of those
-    cells ties exactly under equal penalties."""
-    rng = np.random.default_rng(7)
-    data = VectorSet.from_array(rng.integers(-3, 4, size=(300, 4)))
-    points = np.array(
-        [[0, 0, 0, 0], [2, 2, 0, 0], [0, -2, 2, 0], [0, 0, 0, 0], [2, 2, 0, 0],
-         [0, -2, 2, 0], [-2, 0, 0, 2]], dtype=np.float32,
-    )
-    return data, Codebook.fresh(Centroids(points))
-
-
 class TestBalanceOneMatrix:
     """``balance`` computes the plain matrix once and argmins it in row
     blocks; it must match the loop that recomputes it on every iteration."""
@@ -284,7 +272,7 @@ class TestBalanceOneMatrix:
 
     def test_one_row_past_a_block_multiple(self, rng):
         k = 16
-        rows = balancer_mod._ARGMIN_BLOCK_ELEMS // k
+        rows = distances_mod._ARGMIN_BLOCK_ELEMS // k
         data = random_vectors(rng, 2 * rows + 1, 8)
         cb = Codebook.fresh(Centroids(data.data[:k].copy()))
         config = BalanceConfig(stop=StopRule.fixed_iters(6), alpha=0.1)
@@ -292,7 +280,7 @@ class TestBalanceOneMatrix:
         assert len({tuple(r.counts) for r in trace.records}) > 1
 
     def test_many_small_blocks(self, rng, monkeypatch):
-        monkeypatch.setattr(balancer_mod, "_ARGMIN_BLOCK_ELEMS", 10 * 8)
+        monkeypatch.setattr(distances_mod, "_ARGMIN_BLOCK_ELEMS", 10 * 8)
         data = random_vectors(rng, 10 * 10 + 1, 3)
         cb = Codebook.fresh(Centroids(data.data[:8].copy()))
         config = BalanceConfig(stop=StopRule.target_fraction(0.3), alpha=0.2)
@@ -300,7 +288,7 @@ class TestBalanceOneMatrix:
         assert len({tuple(r.counts) for r in trace.records}) > 1
 
     def test_exact_ties_go_to_the_lowest_id(self, monkeypatch):
-        monkeypatch.setattr(balancer_mod, "_ARGMIN_BLOCK_ELEMS", 7 * 7)
+        monkeypatch.setattr(distances_mod, "_ARGMIN_BLOCK_ELEMS", 7 * 7)
         data, cb = integer_tie_fixture()
         config = BalanceConfig(stop=StopRule.fixed_iters(10), alpha=0.2)
         trace = self.assert_matches_recomputing(data, cb, config)

@@ -195,6 +195,30 @@ def tie_indexes(tmp_path_factory):
     return index, load_index(directory, data)
 
 
+@pytest.fixture(scope="module")
+def balanced_indexes(tmp_path_factory):
+    """A built and a loaded index over random data, under the unequal
+    penalties of ten balancing iterations."""
+    data = random_vectors(np.random.default_rng(11), 600, 4)
+    centroids = lloyd_full(data, 12, seed=3).centroids
+    config = BalanceConfig(stop=StopRule.fixed_iters(10), alpha=0.1)
+    codebook, _ = balance(data, Codebook.fresh(centroids), config)
+    assert np.unique(codebook.penalties).size > 1
+    index = build(data, codebook)
+    directory = tmp_path_factory.mktemp("balanced_index")
+    save_index(index, directory)
+    return index, load_index(directory, data)
+
+
+@pytest.mark.parametrize("indexes", ["tie_indexes", "balanced_indexes"])
+def test_stored_points_route_to_their_own_cell(request, indexes):
+    """Routing every stored point as one batch with ma=1 lands each in the
+    cell that stores it, in a built index and a loaded one."""
+    for index in request.getfixturevalue(indexes):
+        routed = route_cells_batch(index.source.data, index.codebook, 1)[:, 0]
+        assert np.array_equal(routed, index.cell_of_points())
+
+
 class TestSearch:
     def test_matches_gather_and_full_sort_on_ties(self, tie_indexes):
         queries = [(x, y) for x in range(-1, 6) for y in range(-1, 6)]

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from ivfbalance import (
     Centroids,
     Codebook,
+    EvalReport,
+    GroundTruth,
     SearchParams,
     VectorSet,
     brute_force_nn,
@@ -272,6 +274,15 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="truth"):
             evaluate(index, short, SearchParams(ma=1), truth)
 
+    def test_empty_query_set_rejected(self, eval_fixture):
+        data, _, index, truth = eval_fixture
+        none = VectorSet.from_array(np.empty((0, data.dim)))
+        no_truth = GroundTruth(truth.ids[:0], truth.dists[:0])
+        with pytest.raises(ValueError, match="empty"):
+            evaluate(index, none, SearchParams(ma=1), no_truth)
+        with pytest.raises(ValueError, match="empty"):
+            recall_at_r(index, none, SearchParams(ma=1), no_truth, 1)
+
     def test_expected_cost_identity(self, rng):
         # mean single-probe scan cost over the database itself = gamma*N/k
         data = random_vectors(rng, 500, 8)
@@ -325,21 +336,11 @@ class TestHistogram:
 
     def test_report_csv_header(self, tmp_path):
         path = tmp_path / "report.csv"
-        write_report_csv(
-            path,
-            [
-                {
-                    "k": 4,
-                    "ma": 1,
-                    "iters": 0,
-                    "alpha": 0.01,
-                    "gamma": 1.5,
-                    "variance": 2.0,
-                    "selectivity": 0.25,
-                    "recall_at_1": 0.9,
-                }
-            ],
+        report = EvalReport(
+            scanned=np.array([3]), bucket_width=1.0, gamma=1.5, variance=2.0,
+            selectivity=0.25, recall_at_1=0.9,
         )
+        write_report_csv(path, [(4, 1, 0, 0.01, report)])
         lines = path.read_text().splitlines()
         assert lines[0] == "k,ma,iters,alpha,gamma,variance,selectivity,recall_at_1"
         assert lines[1] == "4,1,0,0.01,1.5,2.0,0.25,0.9"
