@@ -10,9 +10,10 @@ with ``n_opt = N / k``. Reassigning under the penalized distance
 ``d(x, c_i)^2 + b_i`` then drains points from crowded cells into their
 neighbors, driving populations toward ``n_opt``. Centroid positions are
 never re-estimated during balancing; only the penalties move. So balancing
-holds one plain (n, k) float64 distance matrix for the whole loop (8·N·k
-bytes, 205 MB at N=100k, k=256, what one recomputation would allocate)
-and each iteration assigns by ``nearest_cells`` over it plus the penalties.
+computes the plain (n, k) matrix once, block by block, into a float32 screen
+(4·N·k bytes, 102 MB at N=100k, k=256). Each iteration picks cells by
+``nearest_cells`` over it plus the penalties and recomputes in float64 the
+blocks of rows it cannot decide: the counts of a float64 matrix, bit for bit.
 
 Geometrically, the penalized distance equals the plain squared L2 distance
 in a (d+1)-space where point x becomes (x, 0) and centroid i becomes
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import VectorSet
-from .distances import nearest_cells, sqdist_to_centroids
+from .distances import blockwise, nearest_cells, sqdist_to_centroids
 from .kmeans import Assignment, Centroids
 from .metrics import imbalance_factor
 
@@ -174,10 +175,20 @@ class BalanceTrace:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def assign_balanced(plain: np.ndarray, penalties: np.ndarray) -> Assignment:
+def assign_balanced(plain, penalties, x=None, centroids=None) -> Assignment:
     """Assign each row of a plain (n, k) squared-distance matrix to the cell
-    minimizing ``plain + penalties``, lowest index on ties (``nearest_cells``)."""
-    return Assignment(nearest_cells(plain, penalties)[:, 0], plain.shape[1])
+    minimizing ``plain + penalties``, lowest index on ties (``nearest_cells``).
+    A float32 ``plain`` screens the plain matrix of ``x`` to ``centroids``;
+    each kernel block with a row it leaves open is decided again in float64."""
+    cells = nearest_cells(plain, penalties)[:, 0]
+
+    def decide(exact: np.ndarray, rows: slice) -> np.ndarray:
+        cells[rows] = nearest_cells(exact, penalties)[:, 0]
+        return cells[rows]
+
+    if (cells < 0).any():
+        blockwise(sqdist_to_centroids, x, centroids, decide, np.flatnonzero(cells < 0))
+    return Assignment(cells, plain.shape[1])
 
 
 def update_penalties(
@@ -224,11 +235,19 @@ def balance(
     if data.count == 0:
         raise ValueError("cannot balance an empty dataset")
     n_opt = data.count / codebook.k
-    plain = sqdist_to_centroids(data.data, codebook.centroids.points)
-    trace = BalanceTrace(scale_ratio=float(plain.min(axis=1).mean()))
+    points = codebook.centroids.points
+    screen = np.empty((data.count, codebook.k), dtype=np.float32)
+
+    def fill(plain: np.ndarray, rows: slice) -> np.ndarray:
+        screen[rows] = plain  # past float32's range screens as inf
+        return plain.min(axis=1)
+
+    with np.errstate(over="ignore"):
+        minima = blockwise(sqdist_to_centroids, data.data, points, fill)
+    trace = BalanceTrace(scale_ratio=float(minima.mean()))
     iteration = 0
     while True:
-        assignment = assign_balanced(plain, codebook.penalties)
+        assignment = assign_balanced(screen, codebook.penalties, data.data, points)
         gamma = imbalance_factor(assignment.counts)
         trace.records.append(
             TraceRecord(

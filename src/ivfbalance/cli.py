@@ -237,7 +237,7 @@ def _cmd_search(args: argparse.Namespace) -> None:
     lines = ["query,rank,id,dist"]
     for q in range(queries.count):
         result = index_mod.search(inverted, queries.data[q], params)
-        for rank, (pid, dist) in enumerate(result.hits):
+        for rank, (pid, dist) in enumerate(zip(result.ids.tolist(), result.dists.tolist())):
             lines.append(f"{q},{rank},{pid},{dist!r}")
     text = "\n".join(lines) + "\n"
     if args.out:

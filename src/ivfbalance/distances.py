@@ -7,7 +7,8 @@ Two kernels with different determinism/speed trade-offs:
   cells from it with :func:`nearest_cells`: same sums, same tie rule.
   Its bits for one row can depend on the other rows in the call (1- and
   2-row calls have been seen to differ from the same rows in a larger
-  batch), so it does not decide ground-truth ranks on its own.
+  batch), so it does not decide ground-truth ranks on its own. Callers
+  walk its row blocks with :func:`blockwise`, never holding an n×k matrix.
 * :func:`sqdist_exact` computes elementwise differences, so each (row, col)
   distance is bitwise identical no matter how candidates are sliced,
   permuted, or batched. Candidate scoring and ground truth use this one:
@@ -22,7 +23,7 @@ kernel, and the exact values decide. The result is bit-identical to an
 exact scan of every pair, for any data.
 
 All arithmetic is float64 regardless of input dtype; float32 inputs widen
-exactly.
+exactly, except in the float32 screen that :func:`nearest_cells` reads.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ _ARGMIN_BLOCK_ELEMS = 64 * 1024
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
+_SCREEN_REL = np.float32(1.0 + 2.0**-21)
+_SCREEN_ABS = np.float32(2.0**-100)
+
 
 def _gamma(n: int) -> float:
     """Higham's gamma_n = n u / (1 - n u): the relative error bound of n
@@ -45,19 +49,27 @@ def _gamma(n: int) -> float:
     return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
 
 
-def _as_f64_matrix(a: np.ndarray, name: str) -> np.ndarray:
+def _as_matrix(a: np.ndarray, name: str, dtype=None) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-d, got shape {a.shape}")
-    return np.ascontiguousarray(a, dtype=np.float64)
+    return a if dtype is None else np.ascontiguousarray(a, dtype=dtype)
 
 
-def _check_dims(x: np.ndarray, c: np.ndarray) -> None:
+def _block_rows(k: int, d: int) -> int:
+    """Rows per block of :func:`sqdist_to_centroids`, counted from row 0."""
+    return max(1, _CHUNK_ELEMS // max(1, k * d))
+
+
+def _as_pair(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``c`` as float64 matrices of one dimension."""
+    x, c = _as_matrix(x, "x", np.float64), _as_matrix(c, "c", np.float64)
     if x.shape[1] != c.shape[1]:
         raise ValueError(
             f"dimension mismatch: vectors have dim {x.shape[1]}, "
             f"centroids have dim {c.shape[1]}"
         )
+    return x, c
 
 
 def sq_norms(a: np.ndarray) -> np.ndarray:
@@ -76,49 +88,80 @@ def sqdist_to_centroids(
     widened to float64 and its ``x_sq = sq_norms(x)`` once; the result is
     the same bits as without them.
     """
-    x = _as_f64_matrix(x, "x")
-    c = _as_f64_matrix(c, "c")
-    _check_dims(x, c)
+    x, c = _as_pair(x, c)
     n, d = x.shape
     k = c.shape[0]
     if x_sq is not None and (x_sq.shape != (n,) or x_sq.dtype != np.float64):
         raise ValueError(f"x_sq must be float64 of shape ({n},)")
     c_sq = sq_norms(c)
     out = np.empty((n, k), dtype=np.float64)
-    rows = max(1, _CHUNK_ELEMS // max(1, k * d))
+    rows = _block_rows(k, d)
     for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        xb = x[start:stop]
-        xb_sq = sq_norms(xb) if x_sq is None else x_sq[start:stop]
-        block = xb_sq[:, None] + c_sq[None, :]
-        block -= 2.0 * (xb @ c.T)
+        xb = x[start : start + rows]
+        xb_sq = sq_norms(xb) if x_sq is None else x_sq[start : start + rows]
+        block = np.add(xb_sq[:, None], c_sq[None, :], out=out[start : start + rows])
+        product = xb @ c.T
+        block -= np.multiply(product, 2.0, out=product)  # exact, so the bits of 2.0 * (x.c)
         np.clip(block, 0.0, None, out=block)
-        out[start:stop] = block
     return out
+
+
+def blockwise(kernel, x: np.ndarray, c: np.ndarray, fn, only=None) -> np.ndarray:
+    """``fn(kernel(x[s], c), s)`` over the row blocks ``s`` of the kernel
+    (the caller's ``sqdist_to_centroids``), concatenated: the bits of one
+    whole-matrix call, one block alive at a time. With ``only``, a non-empty
+    sorted array of row ids, just their blocks; an empty ``x`` is one block."""
+    x = _as_matrix(x, "x")
+    n = x.shape[0]
+    rows = _block_rows(np.shape(c)[0], x.shape[1])
+    starts = range(0, max(n, 1), rows) if only is None else np.unique(only // rows) * rows
+    return np.concatenate([fn(kernel(x[s : s + rows], c), slice(s, min(s + rows, n)))
+                           for s in starts])
 
 
 def nearest_cells(
     d2: np.ndarray, penalties: np.ndarray | None = None, m: int = 1
 ) -> np.ndarray:
     """The (n, m) ids of the m cells with the smallest ``d2 + penalties`` in
-    each row of an (n, k) distance matrix, nearest first, lowest id on ties.
-    Cache-sized row blocks give each entry the float64 add of a whole-matrix
-    one. m = 1 takes an argmin, m > 1 a stable argsort; they differ only on
-    a row mixing NaN with numbers (a query with an infinite coordinate)."""
+    each row of an (n, k) distance matrix, nearest first, lowest id on ties
+    and NaN last. Cache-sized row blocks give each entry the float64 add of
+    a whole-matrix one. m = 1 takes an argmin, m > 1 a stable argsort.
+
+    A float32 ``d2`` screens a float64 plain matrix P (m = 1). Its entries
+    fl(fl(P) + fl(b)) are within (1 + 2^-24)^2 of P + b, plus 2^-149 below
+    float32's normal range, so one above fl(best (1 + 2^-21) + 2^-100) is
+    above the best's P + b by over 2^-23 relative: in float64 it can neither
+    win nor tie. A row with no other entry up to that gets its cell, others -1.
+    """
     n, k = d2.shape
     if penalties is not None and penalties.shape != (k,):
         raise ValueError(f"dimension mismatch: {k} cells, {penalties.size} penalties")
+    screen = d2.dtype == np.float32
+    if screen and m != 1:
+        raise ValueError("a float32 screen picks one cell per row")
     rows = max(1, _ARGMIN_BLOCK_ELEMS // k)
-    buf = np.empty((min(rows, n), k))
+    buf = np.empty((min(rows, n), k), dtype=np.float32 if screen else np.float64)
     out = np.empty((n, m), dtype=np.int64)
-    for start in range(0, n, rows):
-        block = d2[start : start + rows]
-        if penalties is not None:
-            block = np.add(block, penalties, out=buf[: len(block)])
-        if m == 1:
-            np.argmin(block, axis=1, out=out[start : start + rows, 0])
-        else:
-            out[start : start + rows] = np.argsort(block, axis=1, kind="stable")[:, :m]
+    with np.errstate(over="ignore"):
+        if screen and penalties is not None:
+            penalties = penalties.astype(np.float32)
+        for start in range(0, n, rows):
+            block = d2[start : start + rows]
+            if penalties is not None:
+                block = np.add(block, penalties, out=buf[: len(block)])
+            if m > 1:
+                out[start : start + rows] = np.argsort(block, axis=1, kind="stable")[:, :m]
+                continue
+            cells = out[start : start + rows, 0]
+            np.argmin(block, axis=1, out=cells)
+            best = block[np.arange(len(block)), cells]
+            nan = np.isnan(best)
+            if screen:
+                close = block <= (best * _SCREEN_REL + _SCREEN_ABS)[:, None]
+                if np.count_nonzero(close) != len(block) or nan.any():
+                    cells[np.count_nonzero(close, axis=1) != 1] = -1
+            elif nan.any():
+                cells[nan] = np.argsort(block[nan], axis=1, kind="stable")[:, 0]
     return out
 
 
@@ -128,9 +171,7 @@ def sqdist_exact(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     Each entry is computed as ``sum((x_i - c_j)**2)`` over its own pair of
     rows only, so results do not depend on which other rows are present.
     """
-    x = _as_f64_matrix(x, "x")
-    c = _as_f64_matrix(c, "c")
-    _check_dims(x, c)
+    x, c = _as_pair(x, c)
     n, d = x.shape
     k = c.shape[0]
     out = np.empty((n, k), dtype=np.float64)
@@ -161,9 +202,7 @@ def error_bounds(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
     The exact kernel sums d nonnegative rounded squares of rounded
     differences, so its relative error is at most ``gamma_{d+2}``.
     """
-    x = _as_f64_matrix(x, "x")
-    c = _as_f64_matrix(c, "c")
-    _check_dims(x, c)
+    x, c = _as_pair(x, c)
     d = x.shape[1]
     x_norm = np.sqrt(sq_norms(x))
     c_norm = np.sqrt(sq_norms(c).max(initial=0.0))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .balancer import Codebook, assign_balanced
 from .dataset import VectorSet, decode_fvecs, encode_fvecs
-from .distances import nearest_cells, sqdist_exact, sqdist_to_centroids
+from .distances import blockwise, nearest_cells, sqdist_exact, sqdist_to_centroids
 from .kmeans import Centroids
 
 CENTROIDS_FILE = "centroids.fvecs"
@@ -72,10 +72,6 @@ class QueryResult:
     dists: np.ndarray
     scanned: int
     probed_cells: np.ndarray
-
-    @property
-    def hits(self) -> list[tuple[int, float]]:
-        return [(int(i), float(d)) for i, d in zip(self.ids, self.dists)]
 
 
 @dataclass(eq=False)
@@ -151,10 +147,10 @@ def build(data: VectorSet, codebook: Codebook) -> InvertedFile:
     """Quantize the data into k posting lists under the codebook's penalties."""
     if data.count == 0:
         raise ValueError("cannot index an empty dataset")
-    plain = sqdist_to_centroids(data.data, codebook.centroids.points)
-    assignment = assign_balanced(plain, codebook.penalties)
-    ids = np.argsort(assignment.cell_of, kind="stable")
-    offsets = np.concatenate(([0], np.cumsum(assignment.counts)))
+    cells = blockwise(sqdist_to_centroids, data.data, codebook.centroids.points,
+                      lambda plain, _: assign_balanced(plain, codebook.penalties).cell_of)
+    ids = np.argsort(cells, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(cells, minlength=codebook.k))))
     return InvertedFile(codebook, offsets, ids, data)
 
 
@@ -163,16 +159,17 @@ def route_cells_batch(
 ) -> np.ndarray:
     """Per query, the ma nearest cells (ascending, lowest-index tie-break).
 
-    Returns a (Q, ma) int array, picked by ``nearest_cells`` as in build, so
-    routing all stored points in one batch at ma=1 lands each in its cell.
+    Returns a (Q, ma) int array, picked by ``nearest_cells`` in build's
+    blocks, so routing all stored points in one batch at ma=1 lands each in
+    its cell.
     """
     if not 1 <= ma <= codebook.k:
         raise ValueError(f"ma={ma} out of range [1, {codebook.k}]")
     if route not in ROUTES:
         raise ValueError(f"unknown route: {route!r}")
-    d2 = sqdist_to_centroids(queries, codebook.centroids.points)
     penalties = codebook.penalties if route == ROUTE_PENALIZED else None
-    return nearest_cells(d2, penalties, ma)
+    return blockwise(sqdist_to_centroids, queries, codebook.centroids.points,
+                     lambda d2, _: nearest_cells(d2, penalties, ma))
 
 
 def select_cells(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import VectorSet
-from .distances import nearest_cells, sq_norms, sqdist_to_centroids
+from .distances import blockwise, nearest_cells, sq_norms, sqdist_to_centroids
 
 DEFAULT_REL_TOL = 1e-4
 DEFAULT_MAX_ITERS = 100
@@ -76,13 +76,6 @@ class LloydResult:
         return self.distortions[-1]
 
 
-def _check_k(k: int, count: int) -> None:
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    if k > count:
-        raise ValueError(f"k={k} exceeds number of points {count}")
-
-
 def init_centroids(
     data: VectorSet, k: int, seed: int, method: str = INIT_KMEANS_PP
 ) -> Centroids:
@@ -91,7 +84,8 @@ def init_centroids(
     ``random-points`` selects k distinct rows; ``kmeans-plus-plus`` samples
     by the standard D^2 weighting.
     """
-    _check_k(k, data.count)
+    if not 0 < k <= data.count:
+        raise ValueError(f"k={k} must be in [1, {data.count}], the number of points")
     rng = np.random.default_rng(seed)
     if method == INIT_RANDOM_POINTS:
         idx = rng.choice(data.count, size=k, replace=False)
@@ -120,9 +114,10 @@ def init_centroids(
 
 def assign_plain(data: VectorSet, centroids: Centroids) -> Assignment:
     """Assign each point to its nearest centroid (squared L2, lowest-index
-    tie-break)."""
-    d2 = sqdist_to_centroids(data.data, centroids.points)
-    return Assignment(nearest_cells(d2)[:, 0], centroids.k)
+    tie-break), one kernel row block at a time."""
+    cells = blockwise(sqdist_to_centroids, data.data, centroids.points,
+                      lambda d2, _: nearest_cells(d2)[:, 0])
+    return Assignment(cells, centroids.k)
 
 
 def _update_means(
@@ -134,10 +129,10 @@ def _update_means(
     current centroid; repeated empties take successively farther points so
     two empty clusters never grab the same row.
     """
-    k = previous.k
-    cells = assignment.cell_of
-    sums = np.zeros((k, data.dim), dtype=np.float64)
-    np.add.at(sums, cells, data.data.astype(np.float64))
+    k, dim = previous.k, data.dim
+    # Float64 sums over (cell, dim) keys, added in row order as np.add.at does.
+    keys = (assignment.cell_of[:, None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(keys, data.data.ravel(), k * dim).reshape(k, dim)
     counts = assignment.counts
     new_points = previous.points.astype(np.float64).copy()
     filled = counts > 0
@@ -147,9 +142,7 @@ def _update_means(
     if empty.size:
         taken: set[int] = set()
         for cell in empty:
-            d2 = sqdist_to_centroids(
-                data.data, previous.points[cell][None, :].astype(np.float64)
-            )[:, 0]
+            d2 = sqdist_to_centroids(data.data, previous.points[cell][None, :])[:, 0]
             order = np.argsort(-d2, kind="stable")
             pick = next(int(p) for p in order if int(p) not in taken)
             taken.add(pick)
@@ -200,5 +193,6 @@ def _distortion(
     data: VectorSet, centroids: Centroids, assignment: Assignment
 ) -> float:
     """Total squared distance from each point to its assigned centroid."""
-    d2 = sqdist_to_centroids(data.data, centroids.points)
-    return float(d2[np.arange(data.count), assignment.cell_of].sum())
+    chosen = blockwise(sqdist_to_centroids, data.data, centroids.points,
+                       lambda d2, s: d2[np.arange(len(d2)), assignment.cell_of[s]])
+    return float(chosen.sum())

@@ -106,8 +106,8 @@ def brute_force_nn(data: VectorSet, queries: VectorSet, r: int) -> GroundTruth:
     dists = np.empty((queries.count, r), dtype=np.float64)
     points = data.data.astype(np.float64)  # widened once for both kernels
     bound, g = error_bounds(queries.data, points)
-    # Chunk queries so the (q, N) screened block stays modest.
-    chunk = max(1, (8 << 20) // max(1, data.count))
+    # Chunk queries so the (q, N) float64 screened block stays about 8 MB.
+    chunk = max(1, (1 << 20) // max(1, data.count))
     for start in range(0, queries.count, chunk):
         stop = min(start + chunk, queries.count)
         screened = sqdist_to_centroids(queries.data[start:stop], points)

@@ -5,19 +5,24 @@ penalized squared distance, and the (d+1)-space embedding in which that
 distance is a plain squared L2 distance. The library computes neither
 directly; it works on whole distance matrices.
 
-Two more restate loops the library computes with less work, as they were
-first written: k-means++ with one full distance call per draw, and the
-balancing loop with one full penalized distance matrix per iteration.
-The last two restate cell picking over one whole distance matrix: plain
-assignment by argmin, and routing by a penalty add and a full stable
-argsort. The library must match all four bit for bit.
+The rest restate what the library computes with less work or memory, as
+it was first written, and the library must match each bit for bit:
+
+* the BLAS kernel with a temporary per operation;
+* k-means++ with one full distance call per draw;
+* the Lloyd mean update with ``np.add.at``;
+* the balancing loop with one full penalized distance matrix per iteration;
+* cell picking and the Lloyd distortion over one whole distance matrix:
+  plain assignment by argmin, routing by a penalty add and a full stable
+  argsort.
 """
 
 import numpy as np
 
+import ivfbalance.distances as distances
 from ivfbalance import Centroids, Codebook, imbalance_factor, update_penalties
 from ivfbalance.balancer import _stop_satisfied
-from ivfbalance.distances import sqdist_to_centroids
+from ivfbalance.distances import sq_norms, sqdist_to_centroids
 from ivfbalance.index import ROUTE_PENALIZED
 
 
@@ -58,6 +63,42 @@ def embed_points(vectors: np.ndarray) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError("expected a 2-d array of vectors")
     return np.hstack([arr, np.zeros((arr.shape[0], 1))])
+
+
+def sqdist_expansion(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``|x|^2 + |c|^2 - 2 x.c`` clipped at zero, one new array per step,
+    in the kernel's row blocks."""
+    x = np.asarray(x, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    n, k = x.shape[0], c.shape[0]
+    out = np.empty((n, k))
+    rows = max(1, distances._CHUNK_ELEMS // max(1, k * x.shape[1]))
+    for start in range(0, n, rows):
+        xb = x[start : start + rows]
+        block = sq_norms(xb)[:, None] + sq_norms(c)[None, :]
+        block -= 2.0 * (xb @ c.T)
+        out[start : start + rows] = np.clip(block, 0.0, None)
+    return out
+
+
+def update_means_add_at(data, cells: np.ndarray, previous: Centroids) -> Centroids:
+    """The Lloyd mean update summing rows with ``np.add.at``, then the
+    farthest-point repair of empty cells."""
+    k = previous.k
+    sums = np.zeros((k, data.dim))
+    np.add.at(sums, cells, data.data.astype(np.float64))
+    counts = np.bincount(cells, minlength=k)
+    new_points = previous.points.astype(np.float64).copy()
+    filled = counts > 0
+    new_points[filled] = sums[filled] / counts[filled, None]
+    taken: set[int] = set()
+    for cell in np.flatnonzero(~filled):
+        d2 = sqdist_to_centroids(data.data, previous.points[cell][None, :])[:, 0]
+        order = np.argsort(-d2, kind="stable")
+        pick = next(int(p) for p in order if int(p) not in taken)
+        taken.add(pick)
+        new_points[cell] = data.data[pick]
+    return Centroids(new_points.astype(np.float32))
 
 
 def kmeans_pp_per_draw(data, k: int, seed: int) -> np.ndarray:
@@ -112,6 +153,13 @@ def balance_recomputing(data, codebook: Codebook, config):
 def assign_plain_whole_argmin(data, centroids: Centroids) -> np.ndarray:
     """Each point's cell as one argmin over the whole distance matrix."""
     return np.argmin(sqdist_to_centroids(data.data, centroids.points), axis=1)
+
+
+def distortion_whole(data, centroids: Centroids, cells: np.ndarray) -> float:
+    """The summed distance of each point to its cell, gathered from the
+    whole distance matrix."""
+    d2 = sqdist_to_centroids(data.data, centroids.points)
+    return float(d2[np.arange(data.count), cells].sum())
 
 
 def route_cells_whole_sort(

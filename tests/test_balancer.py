@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -253,8 +255,9 @@ def same_bits(a, b) -> bool:
 
 
 class TestBalanceOneMatrix:
-    """``balance`` computes the plain matrix once and argmins it in row
-    blocks; it must match the loop that recomputes it on every iteration."""
+    """``balance`` computes the plain matrix once, keeps a float32 screen of
+    it and decides the rows the screen cannot on recomputed float64 blocks;
+    it must match the loop that recomputes it on every iteration."""
 
     def assert_matches_recomputing(self, data, cb, config):
         final, trace = balance(data, cb, config)
@@ -318,6 +321,44 @@ class TestBalanceOneMatrix:
         config = BalanceConfig(stop=stop, alpha=0.1, max_iters_cap=40)
         balance(data, cb, config)
         assert len(calls) == 1
+
+    @staticmethod
+    def permutation_tie_fixture(rng):
+        """Constant points and centroids whose coordinates permute each
+        other: every point ties exactly between the two cells of a pair,
+        and the BLAS values of the two may differ in their last bits."""
+        base = rng.standard_normal((3, 32)).astype(np.float32)
+        points = np.concatenate([base, base[:, ::-1], base[:, np.roll(np.arange(32), 5)]])
+        consts = rng.standard_normal(200)[:, None] * np.ones(32)
+        data = VectorSet.from_array(np.concatenate([consts, rng.standard_normal((100, 32))]))
+        return data, Codebook.fresh(Centroids(points))
+
+    @pytest.mark.parametrize("case", ["offset", "huge", "tiny", "permuted"])
+    def test_screen_fixtures(self, rng, monkeypatch, case):
+        """Adversarial inputs for the float32 screen: a large offset, plain
+        values past float32's range and below its normal range, and exact
+        real ties. Rows the screen cannot decide go to their kernel block."""
+        if case == "permuted":
+            data, cb = self.permutation_tie_fixture(rng)
+        else:
+            scale, shift = {"offset": (1.0, 1e4), "huge": (1e19, 0.0), "tiny": (1e-20, 0.0)}[case]
+            data = VectorSet.from_array(rng.standard_normal((120, 5)) * scale + shift)
+            cb = Codebook.fresh(Centroids(data.data[:9].copy()))
+        blocks = []
+
+        def counting(*args):
+            blocks.append(len(args[0]))
+            return sqdist_to_centroids(*args)
+
+        monkeypatch.setattr(distances_mod, "_CHUNK_ELEMS", 16 * cb.k * cb.dim)
+        monkeypatch.setattr(balancer_mod, "sqdist_to_centroids", counting)
+        config = BalanceConfig(stop=StopRule.fixed_iters(8), alpha=0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_matches_recomputing(data, cb, config)
+        assert sum(blocks[: -(-data.count // 16)]) == data.count
+        if case != "offset":
+            assert len(blocks) > -(-data.count // 16)  # some rows fell back
 
     def test_build_agrees_with_the_last_record(self, rng):
         data = random_vectors(rng, 500, 4)

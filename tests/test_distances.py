@@ -1,15 +1,22 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 import ivfbalance.distances as distances
-from ivfbalance import Centroids, Codebook, VectorSet, assign_plain
-from ivfbalance.distances import sq_norms, sqdist_to_centroids
-from ivfbalance.index import ROUTES, route_cells_batch
+import ivfbalance.kmeans as kmeans
+from ivfbalance import Centroids, Codebook, VectorSet, assign_plain, build, lloyd_full
+from ivfbalance.distances import nearest_cells, sq_norms, sqdist_to_centroids
+from ivfbalance.index import ROUTE_PENALIZED, ROUTES, route_cells_batch
 
-from conftest import integer_tie_fixture
-from oracles import assign_plain_whole_argmin, route_cells_whole_sort
+from conftest import integer_tie_fixture, random_vectors
+from oracles import (
+    assign_plain_whole_argmin,
+    distortion_whole,
+    route_cells_whole_sort,
+    sqdist_expansion,
+)
 
 
 class TestCachedNorms:
@@ -30,6 +37,18 @@ class TestCachedNorms:
             sqdist_to_centroids(x, x[:2], np.zeros(5))
         with pytest.raises(ValueError, match="x_sq"):
             sqdist_to_centroids(x, x[:2], sq_norms(x).astype(np.float32))
+
+
+class TestKernel:
+    @pytest.mark.parametrize("chunk_rows", [None, 5])
+    def test_matches_one_array_per_step(self, rng, monkeypatch, chunk_rows):
+        k, d = 13, 6
+        if chunk_rows is not None:
+            monkeypatch.setattr(distances, "_CHUNK_ELEMS", chunk_rows * k * d)
+        x = (rng.standard_normal((41, d)) + 100.0).astype(np.float32)
+        c = (x[:k] + rng.standard_normal((k, d)) * 1e-3).astype(np.float32)
+        got = sqdist_to_centroids(x, c)
+        assert got.tobytes() == sqdist_expansion(x, c).tobytes()
 
 
 @pytest.fixture(params=["random", "integer-ties", "nan-query"])
@@ -69,3 +88,128 @@ class TestNearestCells:
         rank = np.argsort(route_cells_batch(data.data, cb, cb.k), axis=1)
         assert (rank[:, :3] < rank[:, 3:6]).all()
         assert not np.isin(assign_plain(data, cb.centroids).cell_of, [3, 4, 5]).any()
+
+    def test_nan_ranks_last_at_every_ma(self, rng):
+        # (inf, 0, ..., 0) gives a row of NaN (c_0 = 0 or inf - inf) and inf.
+        cb = Codebook(Centroids(rng.standard_normal((9, 4)).astype(np.float32)), rng.random(9))
+        cb.centroids.points[[0, 4], 0] = 0.0
+        query = np.zeros((1, 4), dtype=np.float32)
+        query[0, 0] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            d2 = sqdist_to_centroids(query, cb.centroids.points)
+            assert np.isnan(d2).any() and np.isinf(d2).any()
+            for route in ROUTES:
+                first = route_cells_batch(query, cb, 1, route)[0, 0]
+                assert first == route_cells_batch(query, cb, 2, route)[0, 0]
+                assert not np.isnan(d2[0, first])
+
+
+class TestScreen:
+    """On a float32 screen of a plain matrix, ``nearest_cells`` either picks
+    the float64 matrix's cell or marks the row -1."""
+
+    def test_certified_rows_agree_and_near_ties_are_marked(self, rng):
+        plain = sqdist_to_centroids(rng.standard_normal((300, 4)), rng.standard_normal((12, 4)))
+        penalties = rng.random(12)
+        penalties[11] = 1e39  # past float32's range
+        plain[0, 1] = plain[0, 0] * (1 + 1e-9)  # near-tie in float64 ...
+        plain[0, 2:] = plain[0, 0] + 10.0
+        penalties[:3] = penalties[0]
+        plain[1] = np.nan
+        plain[2, 5] = 1e39  # a plain value past float32's range
+        plain[3] = 1e40  # every plain value past it
+        plain[4] = plain[4, 7]  # exact ties
+        with np.errstate(over="ignore"):
+            screen = plain.astype(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nearest_cells(screen, penalties)[:, 0]
+        want = nearest_cells(plain, penalties)[:, 0]
+        sure = got >= 0
+        assert np.array_equal(got[sure], want[sure])
+        assert not sure[[0, 1, 3, 4]].any()
+        assert sure[2] and sure.sum() > 280
+
+    def test_gaps_near_the_bound(self, rng):
+        # Runner-ups 2^-26 to 2^-16 above the best, relative, in every
+        # order of ids and on both sides of float32's normal range.
+        plain = rng.random((4000, 6)) + 1.0
+        gaps = 2.0 ** rng.uniform(-26, -16, 4000)
+        plain[:, 1] = plain[:, 0] * (1 + gaps)
+        plain[::2] = plain[::2, ::-1]
+        plain[1::4] *= 1e-40
+        penalties = np.full(6, 1e-3)
+        penalties[[2, 4]] = rng.random(2) * 1e-40
+        got = nearest_cells(plain.astype(np.float32), penalties)[:, 0]
+        want = nearest_cells(plain, penalties)[:, 0]
+        sure = got >= 0
+        assert np.array_equal(got[sure], want[sure])
+        assert 0.2 < sure.mean() < 0.9
+
+    def test_worst_case_roundings(self, rng):
+        # Cell 0's plain value and penalty round down to float32 by almost
+        # half an ulp, cell 1's round up, and cell 1 is a few ulps away.
+        def rounding_to(v, side):
+            nxt = np.nextafter(v, np.float32(side * np.inf)).astype(np.float64)
+            return np.nextafter((v.astype(np.float64) + nxt) / 2, -side * np.inf)
+
+        low = rng.uniform(0.25, 1, (2, 3000)).astype(np.float32)
+        steps = rng.integers(-4, 5, low.shape, dtype=np.int32)
+        high = (low.view(np.int32) + steps).view(np.float32)
+        plain = np.stack([rounding_to(low[0], 1), rounding_to(high[0], -1)], axis=1)
+        penalties = np.stack([rounding_to(low[1], 1), rounding_to(high[1], -1)], axis=1)
+        for row, b in zip(plain[:, None], penalties):
+            assert nearest_cells(row.astype(np.float32), b)[0, 0] in (-1, nearest_cells(row, b)[0, 0])
+
+    def test_one_cell_per_row_only(self, rng):
+        screen = rng.random((5, 3)).astype(np.float32)
+        with pytest.raises(ValueError, match="one cell"):
+            nearest_cells(screen, None, 2)
+
+
+class TestRowBlocks:
+    """Assignment, the distortion trace, build and routing walk the kernel's
+    row blocks one at a time; at each block edge they must give the bits of
+    one whole-matrix call."""
+
+    K, D, ROWS = 7, 3, 5
+
+    @pytest.fixture(params=[-1, 0, 1])
+    def data(self, request, rng, monkeypatch):
+        monkeypatch.setattr(distances, "_CHUNK_ELEMS", self.ROWS * self.K * self.D)
+        return random_vectors(rng, 4 * self.ROWS + request.param, self.D)
+
+    def test_assign_plain_and_the_distortion_trace(self, data, monkeypatch):
+        seen = []
+        for name in ("init_centroids", "_update_means"):
+            orig = getattr(kmeans, name)
+
+            def recording(*args, orig=orig, **kwargs):
+                seen.append(orig(*args, **kwargs))
+                return seen[-1]
+
+            monkeypatch.setattr(kmeans, name, recording)
+        result = lloyd_full(data, self.K, seed=3, max_iters=4, rel_tol=0.0)
+        assert len(seen) == len(result.distortions)
+        for cents, distortion in zip(seen, result.distortions):
+            cells = assign_plain_whole_argmin(data, cents)
+            assert np.array_equal(assign_plain(data, cents).cell_of, cells)
+            assert distortion == distortion_whole(data, cents, cells)
+
+    def test_build_and_routing(self, data, rng):
+        cb = Codebook(Centroids(data.data[: self.K].copy()), rng.random(self.K))
+        want = route_cells_whole_sort(data.data, cb, 1, ROUTE_PENALIZED)[:, 0]
+        index = build(data, cb)
+        assert np.array_equal(index.cell_of_points(), want)
+        assert np.array_equal(index.ids, np.argsort(want, kind="stable"))
+        for ma, route in itertools.product((1, 3), ROUTES):
+            got = route_cells_batch(data.data, cb, ma, route)
+            assert np.array_equal(got, route_cells_whole_sort(data.data, cb, ma, route))
+
+    def test_empty_input_is_still_shape_checked(self, rng):
+        cb = Codebook.fresh(Centroids(rng.standard_normal((4, 3)).astype(np.float32)))
+        assert route_cells_batch(np.zeros((0, 3)), cb, 2).shape == (0, 2)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            route_cells_batch(np.zeros((0, 5)), cb, 2)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            assign_plain(VectorSet.from_array(np.zeros((0, 5))), cb.centroids)

@@ -7,7 +7,7 @@ from ivfbalance.kmeans import Assignment, INIT_KMEANS_PP, INIT_RANDOM_POINTS
 import ivfbalance.distances as distances
 
 from conftest import random_vectors
-from oracles import kmeans_pp_per_draw
+from oracles import kmeans_pp_per_draw, update_means_add_at
 
 
 class TestInitCentroids:
@@ -151,3 +151,16 @@ class TestLloyd:
         updated = _update_means(data, assignment, cents)
         # farthest point from the empty cell's centroid (-100) is 50
         assert updated.points[2, 0] == 50.0
+
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_mean_update_matches_add_at(self, rng, empty):
+        from ivfbalance.kmeans import _update_means
+
+        data = random_vectors(rng, 500, 6, scale=1e3)
+        cents = init_centroids(data, 9, seed=2)
+        cells = assign_plain(data, cents).cell_of
+        if empty:
+            cells[np.isin(cells, [2, 5])] = 0  # cells 2 and 5 get repaired
+        want = update_means_add_at(data, cells, cents)
+        got = _update_means(data, Assignment(cells, 9), cents)
+        assert got.points.tobytes() == want.points.tobytes()

@@ -1,0 +1,52 @@
+"""No stage of the write path or of routing holds an n×k float64 matrix.
+
+``tracemalloc`` sees numpy's buffers, so the peak it reports is the live
+memory a stage allocates, apart from where the allocator places it. The
+shape has k ≫ d and small kernel row blocks, so an n×k matrix would
+dominate every other allocation.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import ivfbalance.distances as distances
+from ivfbalance import BalanceConfig, Codebook, StopRule, balance, build, lloyd_full
+from ivfbalance.index import route_cells_batch
+
+from conftest import random_vectors
+
+N, D, K = 4000, 4, 256
+MATRIX = 8 * N * K  # bytes of one n×k float64 matrix
+SCREEN = 4 * N * K  # bytes of balancing's float32 screen
+
+
+def peak_bytes(fn):
+    """(result, peak bytes that ``fn()`` allocated on top of what was live)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def data(monkeypatch):
+    monkeypatch.setattr(distances, "_CHUNK_ELEMS", 64 * K * D)  # 64-row blocks
+    return random_vectors(np.random.default_rng(5), N, D)
+
+
+def test_each_stage_stays_far_below_one_matrix(data):
+    result, peak = peak_bytes(lambda: lloyd_full(data, K, seed=1, max_iters=2))
+    assert peak < MATRIX / 8
+    codebook = Codebook.fresh(result.centroids)
+    config = BalanceConfig(stop=StopRule.fixed_iters(4), alpha=0.1)
+    (codebook, _), peak = peak_bytes(lambda: balance(data, codebook, config))
+    assert peak < SCREEN + MATRIX / 8
+    _, peak = peak_bytes(lambda: build(data, codebook))
+    assert peak < MATRIX / 8
+    _, peak = peak_bytes(lambda: route_cells_batch(data.data, codebook, 1))
+    assert peak < MATRIX / 8
