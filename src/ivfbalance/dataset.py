@@ -20,6 +20,9 @@ import numpy as np
 
 PathLike = str | os.PathLike
 
+# Row blocks of gen_gaussian_mixture hold about this many float64 entries.
+_GEN_BLOCK_ELEMS = 64 * 1024
+
 
 @dataclass(frozen=True, eq=False)
 class VectorSet:
@@ -133,7 +136,8 @@ def decode_fvecs(raw: bytes, path: PathLike) -> VectorSet:
     if is_bvecs:
         mat = np.ascontiguousarray(body, dtype=np.float32)
     else:
-        mat = np.ascontiguousarray(body).view("<f4").astype(np.float32)
+        # One copy; a no-op cast where float32 is little-endian.
+        mat = np.ascontiguousarray(body).view("<f4").astype(np.float32, copy=False)
     if mat.size and not np.isfinite(mat).all():
         bad_record = int(np.argwhere(~np.isfinite(mat))[0][0])
         raise ValueError(f"{file_path}: non-finite value in record {bad_record}")
@@ -142,18 +146,21 @@ def decode_fvecs(raw: bytes, path: PathLike) -> VectorSet:
 
 def save_fvecs(vectors: VectorSet, path: PathLike) -> None:
     """Write a VectorSet as fvecs. load_fvecs(save_fvecs(s)) is bit-exact."""
-    Path(path).write_bytes(encode_fvecs(vectors))
+    Path(path).write_bytes(_fvecs_records(vectors).view(np.uint8))
 
 
 def encode_fvecs(vectors: VectorSet) -> bytes:
     """The fvecs bytes of a VectorSet; the empty set encodes as no bytes."""
-    n, d = vectors.count, vectors.dim
-    if n == 0:
-        return b""
-    record = np.empty(n, dtype=np.dtype([("dim", "<i4"), ("vec", "<f4", (d,))]))
+    return _fvecs_records(vectors).tobytes()
+
+
+def _fvecs_records(vectors: VectorSet) -> np.ndarray:
+    """The fvecs records of a VectorSet as one structured array."""
+    d = vectors.dim
+    record = np.empty(vectors.count, dtype=np.dtype([("dim", "<i4"), ("vec", "<f4", (d,))]))
     record["dim"] = d
     record["vec"] = vectors.data
-    return record.tobytes()
+    return record
 
 
 def mixture_centers(seed: int, dim: int, modes: int) -> np.ndarray:
@@ -214,5 +221,12 @@ def gen_gaussian_mixture(
     if centers_from_seed is not None:
         centers = mixture_centers(centers_from_seed, dim, modes)
     labels = rng.choice(modes, size=n, p=weights)
-    points = centers[labels] + rng.normal(0.0, spread, size=(n, dim))
-    return VectorSet.from_array(points)
+    # Row blocks draw the normal stream in the order of one (n, dim) draw
+    # and round each point to float32 as a whole-array cast would.
+    points = np.empty((n, dim), dtype=np.float32)
+    rows = max(1, _GEN_BLOCK_ELEMS // dim)
+    for start in range(0, n, rows):
+        block = labels[start : start + rows]
+        noise = rng.normal(0.0, spread, size=(len(block), dim))
+        points[start : start + rows] = centers[block] + noise
+    return VectorSet(points)

@@ -15,15 +15,18 @@ Two kernels with different determinism/speed trade-offs:
   an exhaustive multi-probe search must reproduce the brute-force ranking
   exactly, ties included.
 
-Ground truth combines the two (screen and certify). :func:`error_bounds`
-bounds how far each kernel can be from the real squared distance of its
-float64 inputs. The BLAS kernel screens all pairs; every pair whose exact
-value could still reach the r-th smallest is re-scored with the exact
-kernel, and the exact values decide. The result is bit-identical to an
-exact scan of every pair, for any data.
+Ground truth and search combine the two (screen and certify).
+:func:`error_bounds` bounds how far each kernel can be from the real
+squared distance of its float64 inputs, and :func:`screen_float32` does
+the same for a float32 product of one query against float32 rows. The
+screen covers all pairs; :func:`certified` keeps every pair whose exact
+value could still reach the r-th smallest, those are re-scored with the
+exact kernel, and the exact values decide. The result is bit-identical to
+an exact scan of every pair, for any data.
 
 All arithmetic is float64 regardless of input dtype; float32 inputs widen
-exactly, except in the float32 screen that :func:`nearest_cells` reads.
+exactly, except in :func:`screen_float32` and in the float32 screen that
+:func:`nearest_cells` reads.
 """
 
 from __future__ import annotations
@@ -37,16 +40,17 @@ _CHUNK_ELEMS = 16 * 1024 * 1024
 _ARGMIN_BLOCK_ELEMS = 64 * 1024
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_UNIT_ROUNDOFF32 = 2.0**-24
 
 _SCREEN_REL = np.float32(1.0 + 2.0**-21)
 _SCREEN_ABS = np.float32(2.0**-100)
 
 
-def _gamma(n: int) -> float:
+def _gamma(n: int, u: float = _UNIT_ROUNDOFF) -> float:
     """Higham's gamma_n = n u / (1 - n u): the relative error bound of n
-    chained float64 roundings (*Accuracy and Stability of Numerical
-    Algorithms*, ch. 3)."""
-    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    chained roundings at unit roundoff u, float64's by default (*Accuracy
+    and Stability of Numerical Algorithms*, ch. 3)."""
+    return n * u / (1.0 - n * u)
 
 
 def _as_matrix(a: np.ndarray, name: str, dtype=None) -> np.ndarray:
@@ -77,23 +81,32 @@ def sq_norms(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, a)
 
 
+def _check_norms(a_sq: np.ndarray | None, n: int, name: str) -> None:
+    if a_sq is not None and (a_sq.shape != (n,) or a_sq.dtype != np.float64):
+        raise ValueError(f"{name} must be float64 of shape ({n},)")
+
+
 def sqdist_to_centroids(
-    x: np.ndarray, c: np.ndarray, x_sq: np.ndarray | None = None
+    x: np.ndarray,
+    c: np.ndarray,
+    x_sq: np.ndarray | None = None,
+    c_sq: np.ndarray | None = None,
 ) -> np.ndarray:
     """Squared L2 distances from each row of ``x`` to each row of ``c``.
 
     Returns an (n, k) float64 matrix, clipped at zero (the expansion
     ``|x|^2 + |c|^2 - 2 x.c`` can go slightly negative for near-identical
-    pairs). A caller that reuses one ``x`` against many ``c`` passes it
-    widened to float64 and its ``x_sq = sq_norms(x)`` once; the result is
-    the same bits as without them.
+    pairs). A caller that reuses one ``x`` (or ``c``) across calls passes
+    it widened to float64 and its ``x_sq = sq_norms(x)`` (``c_sq``) once;
+    the result is the same bits as without them.
     """
     x, c = _as_pair(x, c)
     n, d = x.shape
     k = c.shape[0]
-    if x_sq is not None and (x_sq.shape != (n,) or x_sq.dtype != np.float64):
-        raise ValueError(f"x_sq must be float64 of shape ({n},)")
-    c_sq = sq_norms(c)
+    _check_norms(x_sq, n, "x_sq")
+    _check_norms(c_sq, k, "c_sq")
+    if c_sq is None:
+        c_sq = sq_norms(c)
     out = np.empty((n, k), dtype=np.float64)
     rows = _block_rows(k, d)
     for start in range(0, n, rows):
@@ -183,9 +196,11 @@ def sqdist_exact(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def error_bounds(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
+def error_bounds(
+    x: np.ndarray, c: np.ndarray, c_sq: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
     """Rounding-error bounds of the two kernels for the rows of ``x``
-    against the rows of ``c``.
+    against the rows of ``c`` (``c_sq`` as for :func:`sqdist_to_centroids`).
 
     Returns ``(b, g)``. With ``D`` the real squared distance of a pair of
     (float64-widened) rows, for every row i of ``x`` and every row j of
@@ -204,7 +219,90 @@ def error_bounds(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
     """
     x, c = _as_pair(x, c)
     d = x.shape[1]
+    _check_norms(c_sq, c.shape[0], "c_sq")
     x_norm = np.sqrt(sq_norms(x))
-    c_norm = np.sqrt(sq_norms(c).max(initial=0.0))
+    c_norm = np.sqrt((sq_norms(c) if c_sq is None else c_sq).max(initial=0.0))
     return 2.0 * _gamma(d + 4) * (x_norm + c_norm) ** 2, _gamma(d + 2)
+
+
+def screen_float32(
+    query: np.ndarray, vectors: np.ndarray, v_sq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Squared L2 distances from one float64 ``query`` to the rows of a
+    float32 matrix, screened with one float32 BLAS product, and their
+    rounding-error bounds.
+
+    ``v_sq`` holds the rows' squared norms, summed in float64 (exact
+    products, so within ``gamma_d |v|^2``). Returns ``(screened, b, g)``.
+    With ``D`` the real squared distance of the query and row j, for every
+    j whose ``screened[j]`` is finite::
+
+        |screened[j] - D| <= b[j]
+        |sqdist_exact(query, vectors)[j] - D| <= g * D
+
+    With ``p = fl32(query)``, ``screened = |q|^2 + v_sq - 2 fl32(v.p)``
+    in float64, where the float32 dot is the one float32 sum. In any
+    summation order, fused or not, it is within ``gamma32_d |v| |p|`` of
+    ``v.p`` while its terms stay in float32's normal range (Higham ch. 3;
+    ``gamma32`` is ``gamma`` at float32's unit roundoff 2^-24). Below that
+    range a product rounds by at most 2^-150 more and a sum is exact, so
+    the dot gains at most ``d 2^-150`` absolute (IEEE gradual underflow,
+    numpy's default). ``p.v`` differs from ``q.v`` by at most
+    ``|q - p| |v|``. The float64 norms and two sums are bounded as in
+    :func:`error_bounds`. So, per row::
+
+        b = 2 gamma32_{d+2} |v| |p| + 2 |v| |q - p|
+            + 2 gamma_{d+4} (|q| + |v|)^2 + d 2^-140
+
+    The first term doubles the dot's bound (the dot is doubled), with
+    ``d + 2`` for the roundings of ``|v|`` and ``|p|``; the third is
+    :func:`error_bounds`' term with ``|v|`` for the largest row, whose
+    slack also covers the rounding of ``b`` and of a test built on it; the
+    last is 2^9 times the doubled underflow term. A float32 product that
+    overflows gives a non-finite ``screened[j]``, for which nothing is
+    claimed. ``g`` is the exact kernel's bound, as in :func:`error_bounds`.
+    """
+    d = vectors.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = query.astype(np.float32)
+        q_sq = np.dot(query, query)
+        # -2 fl32(v.p), exact in float64, plus (|q|^2 + |v|^2)
+        screened = np.multiply(vectors @ p, -2.0, dtype=np.float64)
+        screened += v_sq + q_sq
+        p64 = p.astype(np.float64)
+        qn, pn = np.sqrt(q_sq), np.sqrt(np.dot(p64, p64))
+        qp = np.sqrt(np.dot(query - p64, query - p64))
+        # The terms of b, with (|q| + |v|)^2 expanded: one pass per term.
+        g64 = 2.0 * _gamma(d + 4)
+        b = np.sqrt(v_sq)
+        b *= 2.0 * _gamma(d + 2, _UNIT_ROUNDOFF32) * pn + 2.0 * qp + 2.0 * g64 * qn
+        b += g64 * v_sq
+        b += g64 * q_sq + d * 2.0**-140
+    return screened, b, _gamma(d + 2)
+
+
+def certified(screened: np.ndarray, b, g: float, r: int) -> np.ndarray:
+    """Indices of the entries whose exact value can still be among the r
+    smallest (ties included), for screened values within ``b`` of the
+    real ones and an exact kernel within relative ``g`` of them (from
+    :func:`error_bounds` or :func:`screen_float32`), 1 <= r <= len.
+
+    Each entry's real value is at most ``screened + b`` (+inf where the
+    screened value is not finite), so r exact values are at most ``hi``,
+    the r-th smallest such bound times ``1 + g``, and so is the r-th
+    smallest exact value. An entry with ``(screened - b) (1 - g) > hi``
+    has an exact value above it and is dropped; every other one is kept,
+    a non-finite screened value always. ``~(>)`` keeps NaN comparisons.
+    One temporary of the screened row's size serves both tests.
+    """
+    bad = ~np.isfinite(screened)
+    with np.errstate(invalid="ignore"):  # inf - inf where b is infinite
+        bound = np.add(screened, b)
+        if bad.any():
+            bound[bad] = np.inf
+        bound.partition(r - 1)
+        hi = bound[r - 1] * (1.0 + g)
+        np.subtract(screened, b, out=bound)
+        bound *= 1.0 - g
+    return np.flatnonzero(~(bound > hi) | bad)
 

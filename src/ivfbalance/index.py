@@ -25,7 +25,8 @@ import numpy as np
 
 from .balancer import Codebook, assign_balanced
 from .dataset import VectorSet, decode_fvecs, encode_fvecs
-from .distances import blockwise, nearest_cells, sqdist_exact, sqdist_to_centroids
+from .distances import (blockwise, certified, nearest_cells, screen_float32, sqdist_exact,
+                        sqdist_to_centroids)
 from .kmeans import Centroids
 
 CENTROIDS_FILE = "centroids.fvecs"
@@ -82,13 +83,16 @@ class InvertedFile:
     list i is ``ids[offsets[i]:offsets[i + 1]]`` and holds exactly the
     points the penalized assignment maps to cell i. Construction checks
     this for a built and a loaded index alike, derives the point-to-cell
-    map and ``vectors`` from the same arrays, and makes all four read-only.
+    map, ``vectors`` and ``vectors_sq`` from the same arrays, and makes all
+    five read-only.
 
     ``vectors`` is ``source.data[ids]``: the float32 vectors in list order,
     so cell i's vectors are the contiguous rows ``offsets[i]:offsets[i + 1]``
     and search scans slices instead of gathering rows from the whole
-    dataset. The copy costs N * d * 4 bytes (12.8 MB at N=100k, d=32); it
-    is derived at construction and never persisted.
+    dataset. The copy costs N * d * 4 bytes (12.8 MB at N=100k, d=32).
+    ``vectors_sq`` holds their squared norms in the same order, summed in
+    float64, for the search screen: N * 8 bytes (0.8 MB at N=100k). Both
+    are derived at construction and never persisted.
     """
 
     codebook: Codebook
@@ -96,6 +100,7 @@ class InvertedFile:
     ids: np.ndarray
     source: VectorSet
     vectors: np.ndarray = field(init=False, repr=False)
+    vectors_sq: np.ndarray = field(init=False, repr=False)
     _cell_of: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -119,7 +124,10 @@ class InvertedFile:
             raise ValueError("posting lists repeat a point id")
         self._cell_of = cell_of
         self.vectors = self.source.data[self.ids]
-        for array in (self.offsets, self.ids, cell_of, self.vectors):
+        # float32 products widen exactly; no float64 N x d temporary.
+        self.vectors_sq = np.einsum("ij,ij->i", self.vectors, self.vectors,
+                                    dtype=np.float64)
+        for array in (self.offsets, self.ids, cell_of, self.vectors, self.vectors_sq):
             array.flags.writeable = False
 
     @property
@@ -189,21 +197,31 @@ def search(index: InvertedFile, query: np.ndarray, params: SearchParams) -> Quer
     whose spread across queries measures response-time variability.
 
     Each probed cell is one contiguous slice of ``index.vectors``. With more
-    than r candidates, ``np.partition`` finds the r-th smallest distance and
-    only the candidates at or below it are ranked by ``(distance, id)``. Every
-    candidate the full sort ranks within the first r is at or below that
-    value, boundary ties included, and ``(distance, id)`` is a total order,
-    so the result is exactly the full sort's first r.
+    than r candidates, one float32 product screens them all
+    (``distances.screen_float32``, with a proven error bound per
+    candidate), and ``distances.certified`` keeps only those whose exact
+    distance can still reach the r-th smallest: about r on data without
+    near-ties, every one for a NaN query. Only the kept candidates are
+    scored with ``sqdist_exact``, in one call, and the exact values decide.
+    ``np.partition`` finds the r-th smallest exact distance and only the
+    candidates at or below it are ranked by ``(distance, id)``. Every
+    candidate the full sort ranks within the first r is kept and at or
+    below that value, boundary ties included, and ``(distance, id)`` is a
+    total order, so the result is exactly the full sort's first r.
     """
     cells = select_cells(query, index.codebook, params.ma, params.route)
     rows = [slice(index.offsets[c], index.offsets[c + 1]) for c in cells]
     candidates = np.concatenate([index.ids[s] for s in rows])
     vectors = np.concatenate([index.vectors[s] for s in rows])
     query64 = np.asarray(query, dtype=np.float64)
-    d2 = sqdist_exact(query64[None, :], vectors)[0]
     scanned = int(candidates.size)
     r = params.r_results
     if scanned > r:
+        v_sq = np.concatenate([index.vectors_sq[s] for s in rows])
+        keep = certified(*screen_float32(query64, vectors, v_sq), r)
+        candidates, vectors = candidates[keep], vectors[keep]
+    d2 = sqdist_exact(query64[None, :], vectors)[0]
+    if d2.size > r:
         # Not ``d2 <= kth``: a NaN kth (NaN query) must keep every row.
         keep = np.flatnonzero(~(d2 > np.partition(d2, r - 1)[r - 1]))
         candidates, d2 = candidates[keep], d2[keep]

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dataset import VectorSet
-from .distances import error_bounds, sqdist_exact, sqdist_to_centroids
+from .distances import certified, error_bounds, sq_norms, sqdist_exact, sqdist_to_centroids
 
 if TYPE_CHECKING:  # pragma: no cover
     from .index import InvertedFile, SearchParams
@@ -91,10 +91,13 @@ def brute_force_nn(data: VectorSet, queries: VectorSet, r: int) -> GroundTruth:
     at most ``b`` (see :func:`~ivfbalance.distances.error_bounds`). The r
     smallest screened values give ``hi``, an upper bound on the exact r-th
     distance, so every point of the exact top r, ties included, satisfies
-    ``(screened - b) * (1 - g) <= hi``. Only those points are re-scored
+    ``(screened - b) * (1 - g) <= hi`` (:func:`~ivfbalance.distances.certified`,
+    the rule ``search`` uses too). Only those points are re-scored
     with the exact kernel, one call per query, and the exact values
     decide. On data without near-ties that is about r points per query;
     where the bound cannot separate the points, the whole row is re-scored.
+    The points' squared norms are computed once per call, for the screen
+    and the bound.
     """
     if data.dim != queries.dim:
         raise ValueError(
@@ -105,15 +108,15 @@ def brute_force_nn(data: VectorSet, queries: VectorSet, r: int) -> GroundTruth:
     ids = np.empty((queries.count, r), dtype=np.int64)
     dists = np.empty((queries.count, r), dtype=np.float64)
     points = data.data.astype(np.float64)  # widened once for both kernels
-    bound, g = error_bounds(queries.data, points)
+    points_sq = sq_norms(points)
+    bound, g = error_bounds(queries.data, points, points_sq)
     # Chunk queries so the (q, N) float64 screened block stays about 8 MB.
     chunk = max(1, (1 << 20) // max(1, data.count))
     for start in range(0, queries.count, chunk):
         stop = min(start + chunk, queries.count)
-        screened = sqdist_to_centroids(queries.data[start:stop], points)
+        screened = sqdist_to_centroids(queries.data[start:stop], points, c_sq=points_sq)
         for i, row in enumerate(screened, start):
-            hi = (np.partition(row, r - 1)[r - 1] + bound[i]) * (1.0 + g)
-            cand = np.flatnonzero((row - bound[i]) * (1.0 - g) <= hi)
+            cand = certified(row, bound[i], g, r)
             exact = sqdist_exact(queries.data[i : i + 1], points[cand])[0]
             order = np.lexsort((cand, exact))[:r]
             ids[i] = cand[order]

@@ -14,7 +14,8 @@ it was first written, and the library must match each bit for bit:
 * the balancing loop with one full penalized distance matrix per iteration;
 * cell picking and the Lloyd distortion over one whole distance matrix:
   plain assignment by argmin, routing by a penalty add and a full stable
-  argsort.
+  argsort;
+* the Gaussian mixture drawn as whole (n, dim) float64 arrays.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ import numpy as np
 import ivfbalance.distances as distances
 from ivfbalance import Centroids, Codebook, imbalance_factor, update_penalties
 from ivfbalance.balancer import _stop_satisfied
+from ivfbalance.dataset import VectorSet, _draw_centers, mixture_centers
 from ivfbalance.distances import sq_norms, sqdist_to_centroids
 from ivfbalance.index import ROUTE_PENALIZED
 
@@ -171,3 +173,19 @@ def route_cells_whole_sort(
     if route == ROUTE_PENALIZED:
         d2 += codebook.penalties[None, :]
     return np.argsort(d2, axis=1, kind="stable")[:, :ma]
+
+
+def gaussian_mixture_one_shot(
+    seed, n, dim, modes, mode_weights, spread, centers_from_seed=None
+) -> VectorSet:
+    """``gen_gaussian_mixture`` as one expression: the labels, then all
+    n x dim normals in one draw, added to the centers in float64 and cast
+    to float32 at once."""
+    weights = np.asarray(mode_weights, dtype=np.float64)
+    weights = weights / weights.sum()
+    rng = np.random.default_rng(seed)
+    centers = _draw_centers(rng, dim, modes)
+    if centers_from_seed is not None:
+        centers = mixture_centers(centers_from_seed, dim, modes)
+    labels = rng.choice(modes, size=n, p=weights)
+    return VectorSet.from_array(centers[labels] + rng.normal(0.0, spread, size=(n, dim)))

@@ -3,7 +3,11 @@ import struct
 import numpy as np
 import pytest
 
+import ivfbalance.dataset as dataset
 from ivfbalance import VectorSet, gen_gaussian_mixture, load_fvecs, mixture_centers, save_fvecs
+from ivfbalance.dataset import encode_fvecs
+
+from oracles import gaussian_mixture_one_shot
 
 
 def write_records(path, records, fmt="f"):
@@ -86,6 +90,13 @@ class TestSaveFvecs:
         save_fvecs(reloaded, path)
         assert path.read_bytes() == first
 
+    def test_file_holds_the_encoded_bytes(self, tmp_path, rng):
+        vs = VectorSet.from_array(rng.standard_normal((9, 3)))
+        save_fvecs(vs, tmp_path / "a.fvecs")
+        assert (tmp_path / "a.fvecs").read_bytes() == encode_fvecs(vs)
+        loaded = load_fvecs(tmp_path / "a.fvecs")
+        assert loaded.data.dtype == np.float32 and loaded.data.flags.c_contiguous
+
     def test_empty_set_writes_zero_bytes(self, tmp_path):
         path = tmp_path / "none.fvecs"
         save_fvecs(VectorSet.empty(), path)
@@ -107,6 +118,23 @@ class TestGenGaussianMixture:
         a = gen_gaussian_mixture(7, 200, 3, 2, [0.5, 0.5], 1.0)
         b = gen_gaussian_mixture(7, 200, 3, 2, [0.5, 0.5], 1.0)
         assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (12, 100_000, 32, 5, (0.5, 0.2, 0.15, 0.1, 0.05), 0.1, 42),
+            (3, 1001, 5, 2, (1.0, 2.0), 0.5, None),
+            (1, 1, 1, 1, (1.0,), 1.0, None),
+        ],
+    )
+    @pytest.mark.parametrize("block_elems", [None, 6 * 5])  # 6 rows at dim 5: 1001 = 166·6 + 5
+    def test_row_blocks_match_one_shot_draw(self, args, block_elems, monkeypatch):
+        if block_elems is not None:
+            monkeypatch.setattr(dataset, "_GEN_BLOCK_ELEMS", block_elems)
+        *head, centers_from_seed = args
+        got = gen_gaussian_mixture(*head, centers_from_seed=centers_from_seed)
+        want = gaussian_mixture_one_shot(*args)
+        assert got.data.tobytes() == want.data.tobytes()
 
     def test_sample_mean_near_mode_center(self):
         vs = gen_gaussian_mixture(7, 1000, 2, 1, [1.0], 1.0)

@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,15 @@ import pytest
 import ivfbalance.distances as distances
 import ivfbalance.kmeans as kmeans
 from ivfbalance import Centroids, Codebook, VectorSet, assign_plain, build, lloyd_full
-from ivfbalance.distances import nearest_cells, sq_norms, sqdist_to_centroids
+from ivfbalance.distances import (
+    certified,
+    error_bounds,
+    nearest_cells,
+    screen_float32,
+    sq_norms,
+    sqdist_exact,
+    sqdist_to_centroids,
+)
 from ivfbalance.index import ROUTE_PENALIZED, ROUTES, route_cells_batch
 
 from conftest import integer_tie_fixture, random_vectors
@@ -37,6 +46,20 @@ class TestCachedNorms:
             sqdist_to_centroids(x, x[:2], np.zeros(5))
         with pytest.raises(ValueError, match="x_sq"):
             sqdist_to_centroids(x, x[:2], sq_norms(x).astype(np.float32))
+
+    def test_c_sq_gives_the_same_bits_and_is_checked(self, rng, monkeypatch):
+        monkeypatch.setattr(distances, "_CHUNK_ELEMS", 5 * 9 * 6)  # 5-row chunks
+        x = rng.standard_normal((23, 6)).astype(np.float32)
+        c = rng.standard_normal((9, 6))
+        c_sq = sq_norms(c)
+        assert sqdist_to_centroids(x, c, c_sq=c_sq).tobytes() == sqdist_to_centroids(x, c).tobytes()
+        (b, g), (b_cached, g_cached) = error_bounds(x, c), error_bounds(x, c, c_sq)
+        assert b.tobytes() == b_cached.tobytes() and g == g_cached
+        for bad in (c_sq[:5], c_sq.astype(np.float32)):
+            with pytest.raises(ValueError, match="c_sq"):
+                sqdist_to_centroids(x, c, c_sq=bad)
+            with pytest.raises(ValueError, match="c_sq"):
+                error_bounds(x, c, bad)
 
 
 class TestKernel:
@@ -213,3 +236,81 @@ class TestRowBlocks:
             route_cells_batch(np.zeros((0, 5)), cb, 2)
         with pytest.raises(ValueError, match="dimension mismatch"):
             assign_plain(VectorSet.from_array(np.zeros((0, 5))), cb.centroids)
+
+
+def float32_screen(query, vectors):
+    """``screen_float32`` with the squared norms an index derives."""
+    v_sq = np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64)
+    return screen_float32(np.asarray(query, dtype=np.float64), vectors, v_sq)
+
+
+def rounding_down_sums(d, side):
+    """float32 terms near 1 whose running float32 sum, taken in order,
+    rounds by almost half an ulp towards ``-side`` at every step."""
+    steps = 1.0 + np.arange(4096) * 2.0**-23  # float32 values in [1, 1 + 2^-11)
+    terms, total = [], np.float32(0.0)
+    for _ in range(d):
+        exact = float(total) + steps
+        error = side * (exact - exact.astype(np.float32).astype(np.float64))
+        terms.append(steps[np.argmax(error)])
+        total = np.float32(float(total) + terms[-1])
+    return np.array(terms, dtype=np.float32)
+
+
+def screen_cases(rng):
+    """(name, float64 query, float32 rows) for the bound test."""
+    for d in (1, 3, 8, 32):
+        v = rng.standard_normal((12, d)).astype(np.float32)
+        yield "random", rng.standard_normal(d), v
+        yield "near a row", v[3].astype(np.float64) + 1e-9 * rng.standard_normal(d), v
+        yield "offset 1e4", 1e4 + rng.standard_normal(d) * 1e-2, (1e4 + v * 1e-2).astype(np.float32)
+        for scale in (1e-22, 1e-19, 1e19):
+            yield f"scale {scale}", rng.standard_normal(d) * scale, (v * scale).astype(np.float32)
+        # Each query coordinate just short of the float32 midpoint, on the
+        # side of its row's sign, so fl32(q) - q lines up with every row.
+        p = rng.uniform(1, 2, d).astype(np.float32)
+        signs = rng.choice([-1.0, 1.0], d)
+        ulp = np.spacing(p).astype(np.float64)
+        query = p + signs * ulp / 2 * (1 - 2.0**-20)
+        assert np.array_equal(query.astype(np.float32), p)
+        yield "cast against the rows", query, (signs * np.ones((4, d))).astype(np.float32)
+        yield "tiny float64 query", rng.standard_normal(d) * 1e-50, v
+        for side in (1, -1):
+            yield "running sum rounds", np.ones(d), rounding_down_sums(d, side)[None, :]
+
+
+class TestFloat32Screen:
+    """``screen_float32`` is within its bound of the real squared distance,
+    and the exact kernel within ``g`` relative, checked in rationals."""
+
+    def test_bound_holds_in_exact_arithmetic(self, rng):
+        for name, query, vectors in screen_cases(rng):
+            screened, b, g = float32_screen(query, vectors)
+            exact = sqdist_exact(query[None, :], vectors)[0]
+            fq = [Fraction(float(x)) for x in query]
+            for j, row in enumerate(vectors):
+                real = sum((a - Fraction(float(x))) ** 2 for a, x in zip(fq, row))
+                assert abs(Fraction(float(exact[j])) - real) <= Fraction(g) * real, name
+                if np.isfinite(screened[j]):
+                    assert abs(Fraction(float(screened[j])) - real) <= Fraction(float(b[j])), name
+                else:
+                    assert name == "scale 1e+19", name
+
+    def test_bound_is_close_on_plain_data(self, rng):
+        # Loose bounds cost speed, not correctness: pin their size.
+        vectors = rng.standard_normal((50, 32)).astype(np.float32)
+        screened, b, _ = float32_screen(rng.standard_normal(32), vectors)
+        assert (b < 1e-4 * screened).all()
+
+
+class TestCertified:
+    def test_keeps_what_can_reach_rank_r(self):
+        screened = np.array([5.0, 1.0, 3.0, 3.0 + 1e-12, 9.0, 2.0])
+        assert np.array_equal(certified(screened, 0.0, 0.0, 2), [1, 5])
+        assert np.array_equal(certified(screened, 1e-9, 0.0, 3), [1, 2, 3, 5])
+        assert np.array_equal(certified(screened, 0.0, 0.0, 6), np.arange(6))
+
+    def test_keeps_every_non_finite_screened_value(self):
+        screened = np.array([4.0, np.inf, 1.0, -np.inf, np.nan, 7.0, 2.0])
+        assert np.array_equal(certified(screened, 0.25, 1e-15, 1), [1, 2, 3, 4])
+        assert np.array_equal(certified(np.full(4, np.nan), 1.0, 0.0, 2), np.arange(4))

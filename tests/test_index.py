@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
+import ivfbalance.index as index_mod
 from ivfbalance import (
     BalanceConfig,
     Centroids,
@@ -17,6 +19,7 @@ from ivfbalance import (
     brute_force_nn,
     build,
     evaluate,
+    gen_gaussian_mixture,
     load_codebook,
     load_index,
     lloyd_full,
@@ -97,7 +100,9 @@ class TestBuild:
 
     def test_arrays_are_read_only(self, indexed):
         _, index = indexed
-        for array in (index.cell_of_points(), index.ids, index.offsets, index.vectors):
+        arrays = (index.cell_of_points(), index.ids, index.offsets, index.vectors,
+                  index.vectors_sq)
+        for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
 
@@ -108,6 +113,10 @@ class TestBuild:
         save_index(index, tmp_path / "idx")
         loaded = load_index(tmp_path / "idx", data)
         assert loaded.vectors.tobytes() == index.vectors.tobytes()
+        assert loaded.vectors_sq.tobytes() == index.vectors_sq.tobytes()
+        want = (index.vectors.astype(np.float64) ** 2).sum(axis=1)
+        assert index.vectors_sq.dtype == np.float64
+        assert np.allclose(index.vectors_sq, want, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize(
         "offsets, ids, match",
@@ -219,22 +228,50 @@ def test_stored_points_route_to_their_own_cell(request, indexes):
         assert np.array_equal(routed, index.cell_of_points())
 
 
+def assert_search_matches_oracle(index, query, params):
+    """``search`` against the gather-and-full-sort oracle, bit for bit;
+    returns the oracle's sorted ids and distances and the probed cells."""
+    result = search(index, query, params)
+    ids, d2, cells = gather_and_sort_search(index, query, params)
+    r = params.r_results
+    assert np.array_equal(result.ids, ids[:r])
+    assert result.dists.tobytes() == d2[:r].tobytes()
+    assert result.scanned == ids.size
+    assert np.array_equal(result.probed_cells, cells)
+    return ids, d2, cells
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """The row count of each ``sqdist_exact`` call that ``search`` makes."""
+    calls = []
+
+    def counting(x, c):
+        calls.append(len(c))
+        return sqdist_exact(x, c)
+
+    monkeypatch.setattr(index_mod, "sqdist_exact", counting)
+    return calls
+
+
 class TestSearch:
-    def test_matches_gather_and_full_sort_on_ties(self, tie_indexes):
+    def test_matches_gather_and_full_sort_on_ties(self, tie_indexes, exact_calls):
         queries = [(x, y) for x in range(-1, 6) for y in range(-1, 6)]
         queries += [(2.5, 1.5), (np.nan, 0.0)]  # NaN: the r-th value is NaN too
+        queries = list(np.array(queries, dtype=np.float32))
+        # float64 queries that float32 cannot hold, next to exact ties
+        queries += [np.array([x + 1e-9, y - 3e-10]) for x, y in ((2, 1), (0, 4), (2.5, 2))]
         k = tie_indexes[0].k
         seen = set()
         for index in tie_indexes:
-            for query in np.array(queries, dtype=np.float32):
+            for query in queries:
                 for ma, r, route in itertools.product((1, 2, 3, k), (1, 2, 5, 9, 500), ROUTES):
                     params = SearchParams(ma, r, route)
-                    result = search(index, query, params)
-                    ids, d2, cells = gather_and_sort_search(index, query, params)
-                    assert np.array_equal(result.ids, ids[:r])
-                    assert result.dists.tobytes() == d2[:r].tobytes()
-                    assert result.scanned == ids.size
-                    assert np.array_equal(result.probed_cells, cells)
+                    exact_calls.clear()
+                    ids, d2, cells = assert_search_matches_oracle(index, query, params)
+                    assert len(exact_calls) == 1
+                    if query.dtype == np.float64:
+                        seen.add("float64 query")
                     if r < ids.size and d2[r - 1] == d2[r]:
                         seen.add("ties straddle rank r")
                     if r >= ids.size:
@@ -245,7 +282,52 @@ class TestSearch:
                         seen.add("r = 1")
                     if ma == k:
                         seen.add("ma = k")
-        assert len(seen) == 5, seen
+        assert len(seen) == 6, seen
+
+    @pytest.mark.parametrize(
+        "scale, offset",
+        [(1.0, 0.0), (1e-22, 0.0), (1e19, 0.0), (1.0, 1e4), (1e-3, 1e4)],
+        ids=["plain", "subnormal products", "overflowing dot", "offset", "offset fine"],
+    )
+    def test_screen_matches_gather_and_full_sort(self, scale, offset, exact_calls):
+        """Adversarial scales for the float32 screen: at 1e-22 its products
+        fall below float32's normal range, at 1e19 its dot overflows, and a
+        far offset rounds the float32 rows onto a coarse grid. Ties come
+        from repeated rows; float64 queries sit between float32 values."""
+        rng = np.random.default_rng(40)
+        base = rng.standard_normal((60, 8))
+        points = base[rng.integers(0, 60, 300)] * scale + offset
+        data = VectorSet.from_array(points)
+        k = 6
+        index = build(data, Codebook.fresh(Centroids(data.data[:k])))
+        near = data.data[rng.integers(0, 300, 12)].astype(np.float64)
+        queries = list(data.data[:6]) + list(near + scale * 1e-7 * rng.standard_normal(near.shape))
+        queries += [np.full(8, np.nan), np.full(8, 1e39)]  # 1e39: past float32's range
+        truth = brute_force_nn(data, VectorSet.from_array(np.array(queries[:6])), 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for q, query in enumerate(queries):
+                for ma, r in itertools.product((1, 2, k), (1, 3, 10, 1000)):
+                    exact_calls.clear()
+                    assert_search_matches_oracle(index, query, SearchParams(ma, r))
+                    assert len(exact_calls) == 1
+                if q < 6:
+                    result = search(index, query, SearchParams(k, 10))
+                    assert np.array_equal(result.ids, truth.ids[q])
+                    assert result.dists.tobytes() == truth.dists[q].tobytes()
+
+    def test_few_candidates_reach_the_exact_kernel(self, exact_calls):
+        """On mixture data the screen leaves at most 2r candidates per query
+        for ``sqdist_exact``: a loose bound fails here, not only in speed."""
+        weights = (0.5, 0.2, 0.15, 0.1, 0.05)
+        data = gen_gaussian_mixture(3, 20_000, 16, 5, weights, 0.1)
+        queries = gen_gaussian_mixture(4, 100, 16, 5, weights, 0.1, centers_from_seed=3)
+        index = build(data, Codebook.fresh(lloyd_full(data, 64, seed=1, max_iters=2).centroids))
+        params = SearchParams(ma=4, r_results=10)
+        scanned = [search(index, q, params).scanned for q in queries.data]
+        assert len(exact_calls) == queries.count
+        assert min(scanned) > 10 * params.r_results
+        assert max(exact_calls) <= 2 * params.r_results
 
     def test_exhaustive_probe_equals_brute_force(self, indexed):
         data, index = indexed

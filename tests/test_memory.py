@@ -1,4 +1,5 @@
-"""No stage of the write path or of routing holds an n×k float64 matrix.
+"""No stage of the write path or of routing holds an n×k float64 matrix,
+and the set-up path holds one copy of the vectors.
 
 ``tracemalloc`` sees numpy's buffers, so the peak it reports is the live
 memory a stage allocates, apart from where the allocator places it. The
@@ -12,7 +13,17 @@ import numpy as np
 import pytest
 
 import ivfbalance.distances as distances
-from ivfbalance import BalanceConfig, Codebook, StopRule, balance, build, lloyd_full
+from ivfbalance import (
+    BalanceConfig,
+    Codebook,
+    StopRule,
+    balance,
+    build,
+    gen_gaussian_mixture,
+    load_fvecs,
+    lloyd_full,
+    save_fvecs,
+)
 from ivfbalance.index import route_cells_batch
 
 from conftest import random_vectors
@@ -50,3 +61,18 @@ def test_each_stage_stays_far_below_one_matrix(data):
     assert peak < MATRIX / 8
     _, peak = peak_bytes(lambda: route_cells_batch(data.data, codebook, 1))
     assert peak < MATRIX / 8
+
+
+def test_set_up_path_holds_one_copy_of_the_vectors(tmp_path):
+    n, d = 100_000, 8
+    vectors = n * d * 4  # bytes of the float32 output
+    # The labels (8n bytes) plus float64 row blocks, not three n×d float64 arrays.
+    data, peak = peak_bytes(lambda: gen_gaussian_mixture(1, n, d, 3, [1, 1, 1], 0.5))
+    assert peak < vectors + 8 * n + vectors / 2
+    path = tmp_path / "x.fvecs"
+    record = vectors + 4 * n
+    _, peak = peak_bytes(lambda: save_fvecs(data, path))
+    assert peak < record * 1.25
+    # The file's bytes, one float32 copy and the finiteness mask.
+    _, peak = peak_bytes(lambda: load_fvecs(path))
+    assert peak < record + vectors + n * d + vectors / 4

@@ -20,7 +20,7 @@ from ivfbalance import (
     search,
     select_cells,
 )
-from ivfbalance import metrics
+from ivfbalance import distances, metrics
 from ivfbalance.distances import sqdist_exact
 from ivfbalance.metrics import ScanHistogram, write_histogram_csv, write_report_csv
 
@@ -194,6 +194,25 @@ class TestCertifiedGroundTruth:
         ]
         assert np.array_equal(whole.ids, np.concatenate([p.ids for p in parts]))
         assert np.array_equal(whole.dists, np.concatenate([p.dists for p in parts]))
+
+    def test_point_norms_are_computed_once(self, rng, monkeypatch):
+        # 2^17 points: the screen runs in 8-query chunks, three here.
+        data = random_vectors(rng, 1 << 17, 3)
+        queries = random_vectors(rng, 20, 3)
+        rows, sq_norms = [], distances.sq_norms
+
+        def recording(a):
+            rows.append(len(a))
+            return sq_norms(a)
+
+        monkeypatch.setattr(metrics, "sq_norms", recording)
+        monkeypatch.setattr(distances, "sq_norms", recording)
+        truth = brute_force_nn(data, queries, 5)
+        monkeypatch.undo()
+        assert rows.count(data.count) == 1
+        ids, dists = exact_scan_nn(data, queries, 5)
+        assert np.array_equal(truth.ids, ids)
+        assert truth.dists.tobytes() == dists.tobytes()
 
     def test_rescores_few_pairs(self, rng, monkeypatch):
         data = random_vectors(rng, 5000, 16)
