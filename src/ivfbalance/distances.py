@@ -7,22 +7,21 @@ Two kernels with different determinism/speed trade-offs:
   cells from it with :func:`nearest_cells`: same sums, same tie rule.
   Its bits for one row can depend on the other rows in the call (1- and
   2-row calls have been seen to differ from the same rows in a larger
-  batch), so it does not decide ground-truth ranks on its own. Callers
-  walk its row blocks with :func:`blockwise`, never holding an n×k matrix.
+  batch), so it decides no result rank. Callers walk its row blocks with
+  :func:`blockwise`, never holding an n×k matrix.
 * :func:`sqdist_exact` computes elementwise differences, so each (row, col)
   distance is bitwise identical no matter how candidates are sliced,
   permuted, or batched. Candidate scoring and ground truth use this one:
   an exhaustive multi-probe search must reproduce the brute-force ranking
   exactly, ties included.
 
-Ground truth and search combine the two (screen and certify).
-:func:`error_bounds` bounds how far each kernel can be from the real
-squared distance of its float64 inputs, and :func:`screen_float32` does
-the same for a float32 product of one query against float32 rows. The
-screen covers all pairs; :func:`certified` keeps every pair whose exact
-value could still reach the r-th smallest, those are re-scored with the
-exact kernel, and the exact values decide. The result is bit-identical to
-an exact scan of every pair, for any data.
+Ground truth and search rank with one screen: :func:`screen_float32`
+scores one query against float32 rows with one float32 product and bounds
+how far each value can be from the real squared distance. :func:`certified`
+keeps every row whose exact value could still reach the r-th smallest,
+those are re-scored with the exact kernel, and :func:`top_r` ranks the
+exact values. The result is bit-identical to an exact scan of every row,
+for any data.
 
 All arithmetic is float64 regardless of input dtype; float32 inputs widen
 exactly, except in :func:`screen_float32` and in the float32 screen that
@@ -33,7 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Chunk row count so a temporary (rows, k, dim) float64 block stays ~128 MiB.
+# Rows per kernel block: rows * k * dim stays near this, so the float64
+# (rows, k, dim) difference block of sqdist_exact is ~128 MiB.
 _CHUNK_ELEMS = 16 * 1024 * 1024
 
 # Row blocks of nearest_cells hold about this many float64 entries.
@@ -61,7 +61,7 @@ def _as_matrix(a: np.ndarray, name: str, dtype=None) -> np.ndarray:
 
 
 def _block_rows(k: int, d: int) -> int:
-    """Rows per block of :func:`sqdist_to_centroids`, counted from row 0."""
+    """Rows per block of either kernel, counted from row 0."""
     return max(1, _CHUNK_ELEMS // max(1, k * d))
 
 
@@ -77,36 +77,28 @@ def _as_pair(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sq_norms(a: np.ndarray) -> np.ndarray:
-    """Squared L2 norm of each row of a float64 matrix."""
-    return np.einsum("ij,ij->i", a, a)
-
-
-def _check_norms(a_sq: np.ndarray | None, n: int, name: str) -> None:
-    if a_sq is not None and (a_sq.shape != (n,) or a_sq.dtype != np.float64):
-        raise ValueError(f"{name} must be float64 of shape ({n},)")
+    """Squared L2 norm of each row, summed in float64. Float32 products
+    widen exactly, so float32 rows need no float64 copy."""
+    return np.einsum("ij,ij->i", a, a, dtype=np.float64)
 
 
 def sqdist_to_centroids(
-    x: np.ndarray,
-    c: np.ndarray,
-    x_sq: np.ndarray | None = None,
-    c_sq: np.ndarray | None = None,
+    x: np.ndarray, c: np.ndarray, x_sq: np.ndarray | None = None
 ) -> np.ndarray:
     """Squared L2 distances from each row of ``x`` to each row of ``c``.
 
     Returns an (n, k) float64 matrix, clipped at zero (the expansion
     ``|x|^2 + |c|^2 - 2 x.c`` can go slightly negative for near-identical
-    pairs). A caller that reuses one ``x`` (or ``c``) across calls passes
-    it widened to float64 and its ``x_sq = sq_norms(x)`` (``c_sq``) once;
-    the result is the same bits as without them.
+    pairs). A caller that reuses one ``x`` across calls passes it widened
+    to float64 and its ``x_sq = sq_norms(x)`` once; the result is the same
+    bits as without it.
     """
     x, c = _as_pair(x, c)
     n, d = x.shape
     k = c.shape[0]
-    _check_norms(x_sq, n, "x_sq")
-    _check_norms(c_sq, k, "c_sq")
-    if c_sq is None:
-        c_sq = sq_norms(c)
+    if x_sq is not None and (x_sq.shape != (n,) or x_sq.dtype != np.float64):
+        raise ValueError(f"x_sq must be float64 of shape ({n},)")
+    c_sq = sq_norms(c)
     out = np.empty((n, k), dtype=np.float64)
     rows = _block_rows(k, d)
     for start in range(0, n, rows):
@@ -188,41 +180,12 @@ def sqdist_exact(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     n, d = x.shape
     k = c.shape[0]
     out = np.empty((n, k), dtype=np.float64)
-    rows = max(1, _CHUNK_ELEMS // max(1, k * max(1, d)))
+    rows = _block_rows(k, d)  # the bits do not depend on it
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         diff = x[start:stop, None, :] - c[None, :, :]
         np.einsum("ijk,ijk->ij", diff, diff, out=out[start:stop])
     return out
-
-
-def error_bounds(
-    x: np.ndarray, c: np.ndarray, c_sq: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
-    """Rounding-error bounds of the two kernels for the rows of ``x``
-    against the rows of ``c`` (``c_sq`` as for :func:`sqdist_to_centroids`).
-
-    Returns ``(b, g)``. With ``D`` the real squared distance of a pair of
-    (float64-widened) rows, for every row i of ``x`` and every row j of
-    ``c``::
-
-        |sqdist_to_centroids(x, c)[i, j] - D| <= b[i]
-        |sqdist_exact(x, c)[i, j] - D|        <= g * D
-
-    The BLAS expansion ``|x|^2 + |c|^2 - 2 x.c`` rounds three d-term dot
-    products, each within ``gamma_d |x| |c|``, then two sums, so its error
-    is at most ``gamma_{d+2} (|x| + |c|)^2``. ``b`` doubles that with
-    ``gamma_{d+4}`` and the largest ``|c|``, which also covers the rounding
-    of the norms the bound is computed from and of a test built on it.
-    The exact kernel sums d nonnegative rounded squares of rounded
-    differences, so its relative error is at most ``gamma_{d+2}``.
-    """
-    x, c = _as_pair(x, c)
-    d = x.shape[1]
-    _check_norms(c_sq, c.shape[0], "c_sq")
-    x_norm = np.sqrt(sq_norms(x))
-    c_norm = np.sqrt((sq_norms(c) if c_sq is None else c_sq).max(initial=0.0))
-    return 2.0 * _gamma(d + 4) * (x_norm + c_norm) ** 2, _gamma(d + 2)
 
 
 def screen_float32(
@@ -232,8 +195,7 @@ def screen_float32(
     float32 matrix, screened with one float32 BLAS product, and their
     rounding-error bounds.
 
-    ``v_sq`` holds the rows' squared norms, summed in float64 (exact
-    products, so within ``gamma_d |v|^2``). Returns ``(screened, b, g)``.
+    ``v_sq`` holds the rows' :func:`sq_norms`. Returns ``(screened, b, g)``.
     With ``D`` the real squared distance of the query and row j, for every
     j whose ``screened[j]`` is finite::
 
@@ -248,19 +210,21 @@ def screen_float32(
     range a product rounds by at most 2^-150 more and a sum is exact, so
     the dot gains at most ``d 2^-150`` absolute (IEEE gradual underflow,
     numpy's default). ``p.v`` differs from ``q.v`` by at most
-    ``|q - p| |v|``. The float64 norms and two sums are bounded as in
-    :func:`error_bounds`. So, per row::
+    ``|q - p| |v|``. ``|q|^2`` and ``v_sq`` are d-term float64 sums, each
+    within ``gamma_d`` of its value, and two float64 sums follow, so they
+    add at most ``gamma_{d+2} (|q| + |v|)^2``. So, per row::
 
         b = 2 gamma32_{d+2} |v| |p| + 2 |v| |q - p|
             + 2 gamma_{d+4} (|q| + |v|)^2 + d 2^-140
 
     The first term doubles the dot's bound (the dot is doubled), with
-    ``d + 2`` for the roundings of ``|v|`` and ``|p|``; the third is
-    :func:`error_bounds`' term with ``|v|`` for the largest row, whose
-    slack also covers the rounding of ``b`` and of a test built on it; the
-    last is 2^9 times the doubled underflow term. A float32 product that
-    overflows gives a non-finite ``screened[j]``, for which nothing is
-    claimed. ``g`` is the exact kernel's bound, as in :func:`error_bounds`.
+    ``d + 2`` for the roundings of ``|v|`` and ``|p|``; the third doubles
+    the float64 term with ``gamma_{d+4}``, whose slack also covers the
+    rounding of the norms ``b`` is computed from, of ``b`` and of a test
+    built on it; the last is 2^9 times the doubled underflow term. A
+    float32 product that overflows gives a non-finite ``screened[j]``, for
+    which nothing is claimed. The exact kernel sums d nonnegative rounded
+    squares of rounded differences, so ``g = gamma_{d+2}``.
     """
     d = vectors.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -285,7 +249,7 @@ def certified(screened: np.ndarray, b, g: float, r: int) -> np.ndarray:
     """Indices of the entries whose exact value can still be among the r
     smallest (ties included), for screened values within ``b`` of the
     real ones and an exact kernel within relative ``g`` of them (from
-    :func:`error_bounds` or :func:`screen_float32`), 1 <= r <= len.
+    :func:`screen_float32`), 1 <= r <= len.
 
     Each entry's real value is at most ``screened + b`` (+inf where the
     screened value is not finite), so r exact values are at most ``hi``,
@@ -306,3 +270,20 @@ def certified(screened: np.ndarray, b, g: float, r: int) -> np.ndarray:
         bound *= 1.0 - g
     return np.flatnonzero(~(bound > hi) | bad)
 
+
+def top_r(ids: np.ndarray, d2: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The r smallest of the exact distances ``d2`` and their ``ids``,
+    ranked by ``(distance, id)``, lowest id on ties and NaN last.
+
+    ``np.partition`` finds the r-th smallest value and only the entries at
+    or below it are sorted. Every entry the full sort ranks within the
+    first r is at or below that value, boundary ties included, and
+    ``(distance, id)`` is a total order, so the result is exactly the full
+    sort's first r.
+    """
+    if d2.size > r:
+        # Not ``d2 <= kth``: a NaN kth (NaN query) must keep every entry.
+        keep = np.flatnonzero(~(d2 > np.partition(d2, r - 1)[r - 1]))
+        ids, d2 = ids[keep], d2[keep]
+    order = np.lexsort((ids, d2))[:r]
+    return ids[order], d2[order]

@@ -25,8 +25,8 @@ import numpy as np
 
 from .balancer import Codebook, assign_balanced
 from .dataset import VectorSet, decode_fvecs, encode_fvecs
-from .distances import (blockwise, certified, nearest_cells, screen_float32, sqdist_exact,
-                        sqdist_to_centroids)
+from .distances import (blockwise, certified, nearest_cells, screen_float32, sq_norms,
+                        sqdist_exact, sqdist_to_centroids, top_r)
 from .kmeans import Centroids
 
 CENTROIDS_FILE = "centroids.fvecs"
@@ -124,9 +124,7 @@ class InvertedFile:
             raise ValueError("posting lists repeat a point id")
         self._cell_of = cell_of
         self.vectors = self.source.data[self.ids]
-        # float32 products widen exactly; no float64 N x d temporary.
-        self.vectors_sq = np.einsum("ij,ij->i", self.vectors, self.vectors,
-                                    dtype=np.float64)
+        self.vectors_sq = sq_norms(self.vectors)
         for array in (self.offsets, self.ids, cell_of, self.vectors, self.vectors_sq):
             array.flags.writeable = False
 
@@ -202,12 +200,9 @@ def search(index: InvertedFile, query: np.ndarray, params: SearchParams) -> Quer
     candidate), and ``distances.certified`` keeps only those whose exact
     distance can still reach the r-th smallest: about r on data without
     near-ties, every one for a NaN query. Only the kept candidates are
-    scored with ``sqdist_exact``, in one call, and the exact values decide.
-    ``np.partition`` finds the r-th smallest exact distance and only the
-    candidates at or below it are ranked by ``(distance, id)``. Every
-    candidate the full sort ranks within the first r is kept and at or
-    below that value, boundary ties included, and ``(distance, id)`` is a
-    total order, so the result is exactly the full sort's first r.
+    scored with ``sqdist_exact``, in one call, and ``distances.top_r``
+    ranks the exact values by ``(distance, id)``: exactly the first r of
+    a full sort of every candidate.
     """
     cells = select_cells(query, index.codebook, params.ma, params.route)
     rows = [slice(index.offsets[c], index.offsets[c + 1]) for c in cells]
@@ -221,17 +216,8 @@ def search(index: InvertedFile, query: np.ndarray, params: SearchParams) -> Quer
         keep = certified(*screen_float32(query64, vectors, v_sq), r)
         candidates, vectors = candidates[keep], vectors[keep]
     d2 = sqdist_exact(query64[None, :], vectors)[0]
-    if d2.size > r:
-        # Not ``d2 <= kth``: a NaN kth (NaN query) must keep every row.
-        keep = np.flatnonzero(~(d2 > np.partition(d2, r - 1)[r - 1]))
-        candidates, d2 = candidates[keep], d2[keep]
-    order = np.lexsort((candidates, d2))[:r]
-    return QueryResult(
-        ids=candidates[order],
-        dists=d2[order],
-        scanned=scanned,
-        probed_cells=cells,
-    )
+    ids, dists = top_r(candidates, d2, r)
+    return QueryResult(ids=ids, dists=dists, scanned=scanned, probed_cells=cells)
 
 
 def _sha256(payload: bytes) -> str:

@@ -130,9 +130,10 @@ def _update_means(
     two empty clusters never grab the same row.
     """
     k, dim = previous.k, data.dim
-    # Float64 sums over (cell, dim) keys, added in row order as np.add.at does.
-    keys = (assignment.cell_of[:, None] * dim + np.arange(dim)).ravel()
-    sums = np.bincount(keys, data.data.ravel(), k * dim).reshape(k, dim)
+    # Float64 sums per (cell, column), added in row order as np.add.at does.
+    sums = np.empty((k, dim))
+    for j, column in enumerate(data.data.T):
+        sums[:, j] = np.bincount(assignment.cell_of, column, k)
     counts = assignment.counts
     new_points = previous.points.astype(np.float64).copy()
     filled = counts > 0

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dataset import VectorSet
-from .distances import certified, error_bounds, sq_norms, sqdist_exact, sqdist_to_centroids
+from .distances import certified, screen_float32, sq_norms, sqdist_exact, top_r
 
 if TYPE_CHECKING:  # pragma: no cover
     from .index import InvertedFile, SearchParams
@@ -85,19 +85,16 @@ def brute_force_nn(data: VectorSet, queries: VectorSet, r: int) -> GroundTruth:
     """Exhaustive exact top-r by squared L2, ascending-id tie-break.
 
     Ids and distances are those of an exact scan: :func:`sqdist_exact` over
-    every (query, point) pair, ranked by ``(distance, id)``. They do not
-    depend on how the queries are sliced into calls. To get there cheaply,
-    every pair is screened with the BLAS kernel, whose error per query is
-    at most ``b`` (see :func:`~ivfbalance.distances.error_bounds`). The r
-    smallest screened values give ``hi``, an upper bound on the exact r-th
-    distance, so every point of the exact top r, ties included, satisfies
-    ``(screened - b) * (1 - g) <= hi`` (:func:`~ivfbalance.distances.certified`,
-    the rule ``search`` uses too). Only those points are re-scored
-    with the exact kernel, one call per query, and the exact values
-    decide. On data without near-ties that is about r points per query;
-    where the bound cannot separate the points, the whole row is re-scored.
-    The points' squared norms are computed once per call, for the screen
-    and the bound.
+    every (query, point) pair, ranked by ``(distance, id)``. Each query is
+    ranked on its own, so they do not depend on how the queries are sliced
+    into calls. Search's screen finds the candidates cheaply: one float32
+    product per query (:func:`~ivfbalance.distances.screen_float32`, with
+    the points' squared norms computed once per call) and the keep rule
+    :func:`~ivfbalance.distances.certified`. Only the kept points are
+    re-scored with the exact kernel, one call per query, and
+    :func:`~ivfbalance.distances.top_r` ranks the exact values. On data
+    without near-ties that is about r points per query; where the bound
+    cannot separate the points, the whole row is re-scored.
     """
     if data.dim != queries.dim:
         raise ValueError(
@@ -107,20 +104,11 @@ def brute_force_nn(data: VectorSet, queries: VectorSet, r: int) -> GroundTruth:
         raise ValueError(f"r={r} out of range [1, {data.count}]")
     ids = np.empty((queries.count, r), dtype=np.int64)
     dists = np.empty((queries.count, r), dtype=np.float64)
-    points = data.data.astype(np.float64)  # widened once for both kernels
-    points_sq = sq_norms(points)
-    bound, g = error_bounds(queries.data, points, points_sq)
-    # Chunk queries so the (q, N) float64 screened block stays about 8 MB.
-    chunk = max(1, (1 << 20) // max(1, data.count))
-    for start in range(0, queries.count, chunk):
-        stop = min(start + chunk, queries.count)
-        screened = sqdist_to_centroids(queries.data[start:stop], points, c_sq=points_sq)
-        for i, row in enumerate(screened, start):
-            cand = certified(row, bound[i], g, r)
-            exact = sqdist_exact(queries.data[i : i + 1], points[cand])[0]
-            order = np.lexsort((cand, exact))[:r]
-            ids[i] = cand[order]
-            dists[i] = exact[order]
+    points_sq = sq_norms(data.data)
+    for i, query in enumerate(queries.data.astype(np.float64)):
+        cand = certified(*screen_float32(query, data.data, points_sq), r)
+        exact = sqdist_exact(query[None, :], data.data[cand])[0]
+        ids[i], dists[i] = top_r(cand, exact, r)
     return GroundTruth(ids, dists)
 
 

@@ -10,7 +10,6 @@ import ivfbalance.kmeans as kmeans
 from ivfbalance import Centroids, Codebook, VectorSet, assign_plain, build, lloyd_full
 from ivfbalance.distances import (
     certified,
-    error_bounds,
     nearest_cells,
     screen_float32,
     sq_norms,
@@ -40,26 +39,17 @@ class TestCachedNorms:
         got = sqdist_to_centroids(x64, c, sq_norms(x64))
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("shape", [(1000, 32), (37, 8), (7, 1), (4, 0)])
+    def test_float32_rows_give_the_bits_of_their_widened_copy(self, rng, shape):
+        x = rng.standard_normal(shape).astype(np.float32)
+        assert sq_norms(x).tobytes() == sq_norms(x.astype(np.float64)).tobytes()
+
     def test_x_sq_is_shape_and_dtype_checked(self, rng):
         x = rng.standard_normal((6, 3))
         with pytest.raises(ValueError, match="x_sq"):
             sqdist_to_centroids(x, x[:2], np.zeros(5))
         with pytest.raises(ValueError, match="x_sq"):
             sqdist_to_centroids(x, x[:2], sq_norms(x).astype(np.float32))
-
-    def test_c_sq_gives_the_same_bits_and_is_checked(self, rng, monkeypatch):
-        monkeypatch.setattr(distances, "_CHUNK_ELEMS", 5 * 9 * 6)  # 5-row chunks
-        x = rng.standard_normal((23, 6)).astype(np.float32)
-        c = rng.standard_normal((9, 6))
-        c_sq = sq_norms(c)
-        assert sqdist_to_centroids(x, c, c_sq=c_sq).tobytes() == sqdist_to_centroids(x, c).tobytes()
-        (b, g), (b_cached, g_cached) = error_bounds(x, c), error_bounds(x, c, c_sq)
-        assert b.tobytes() == b_cached.tobytes() and g == g_cached
-        for bad in (c_sq[:5], c_sq.astype(np.float32)):
-            with pytest.raises(ValueError, match="c_sq"):
-                sqdist_to_centroids(x, c, c_sq=bad)
-            with pytest.raises(ValueError, match="c_sq"):
-                error_bounds(x, c, bad)
 
 
 class TestKernel:
@@ -240,8 +230,7 @@ class TestRowBlocks:
 
 def float32_screen(query, vectors):
     """``screen_float32`` with the squared norms an index derives."""
-    v_sq = np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64)
-    return screen_float32(np.asarray(query, dtype=np.float64), vectors, v_sq)
+    return screen_float32(np.asarray(query, dtype=np.float64), vectors, sq_norms(vectors))
 
 
 def rounding_down_sums(d, side):

@@ -1,5 +1,6 @@
 """No stage of the write path or of routing holds an n×k float64 matrix,
-and the set-up path holds one copy of the vectors.
+the set-up path holds one copy of the vectors, and neither ground truth nor
+the Lloyd mean update makes an n×d float64 copy of the data.
 
 ``tracemalloc`` sees numpy's buffers, so the peak it reports is the live
 memory a stage allocates, apart from where the allocator places it. The
@@ -14,10 +15,13 @@ import pytest
 
 import ivfbalance.distances as distances
 from ivfbalance import (
+    Assignment,
     BalanceConfig,
+    Centroids,
     Codebook,
     StopRule,
     balance,
+    brute_force_nn,
     build,
     gen_gaussian_mixture,
     load_fvecs,
@@ -25,6 +29,7 @@ from ivfbalance import (
     save_fvecs,
 )
 from ivfbalance.index import route_cells_batch
+from ivfbalance.kmeans import _update_means
 
 from conftest import random_vectors
 
@@ -76,3 +81,17 @@ def test_set_up_path_holds_one_copy_of_the_vectors(tmp_path):
     # The file's bytes, one float32 copy and the finiteness mask.
     _, peak = peak_bytes(lambda: load_fvecs(path))
     assert peak < record + vectors + n * d + vectors / 4
+
+
+def test_ground_truth_and_mean_update_hold_no_widened_copy():
+    n, d, k = 50_000, 16, 256
+    rng = np.random.default_rng(3)
+    data = random_vectors(rng, n, d)
+    widened = 8 * n * d  # bytes of one n×d float64 array
+    # Per query: the screen, its bound and the keep step, each n entries.
+    _, peak = peak_bytes(lambda: brute_force_nn(data, random_vectors(rng, 20, d), 10))
+    assert peak < widened / 2
+    cells = Assignment(rng.integers(0, k, n), k)
+    previous = random_vectors(rng, k, d)
+    _, peak = peak_bytes(lambda: _update_means(data, cells, Centroids(previous.data)))
+    assert peak < widened / 2

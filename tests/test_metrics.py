@@ -135,7 +135,8 @@ def tie_fixtures(draw):
     kind = draw(st.sampled_from(("duplicates", "permuted")))
     n = draw(st.integers(2, 60))
     dim = draw(st.sampled_from((1, 3, 8, 32)))
-    scale = draw(st.sampled_from((1e-3, 1.0, 1e3)))
+    # 1e-22: float32 products are subnormal; 1e19: the float32 dot overflows.
+    scale = draw(st.sampled_from((1e-22, 1e-3, 1.0, 1e3, 1e19)))
     offset = draw(st.sampled_from((0.0, 1e4)))
     r = draw(st.sampled_from((1, max(1, n // 2), n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -156,9 +157,9 @@ def tie_fixtures(draw):
 
 
 class TestCertifiedGroundTruth:
-    """brute_force_nn screens with the BLAS kernel and re-scores only the
-    points its error bound cannot rule out; its output must still be the
-    exact scan's, bit for bit."""
+    """brute_force_nn screens with search's float32 product and re-scores
+    only the points its error bound cannot rule out; its output must still
+    be the exact scan's, bit for bit."""
 
     @given(tie_fixtures())
     @settings(max_examples=200, deadline=None)
@@ -183,8 +184,7 @@ class TestCertifiedGroundTruth:
             assert np.array_equal(result.dists, dists)
 
     def test_query_slices_concatenate_to_the_whole(self, rng):
-        # Enough points that one call screens its queries in several
-        # chunks, on a coarse lattice so that every top 10 holds ties.
+        # On a coarse lattice, so that every top 10 holds ties.
         data = VectorSet.from_array(rng.integers(-3, 4, (100_000, 4)))
         queries = VectorSet.from_array(rng.integers(-3, 4, (200, 4)) + 0.5)
         whole = brute_force_nn(data, queries, 10)
@@ -196,7 +196,7 @@ class TestCertifiedGroundTruth:
         assert np.array_equal(whole.dists, np.concatenate([p.dists for p in parts]))
 
     def test_point_norms_are_computed_once(self, rng, monkeypatch):
-        # 2^17 points: the screen runs in 8-query chunks, three here.
+        # Every query's screen reuses the one norm pass over the points.
         data = random_vectors(rng, 1 << 17, 3)
         queries = random_vectors(rng, 20, 3)
         rows, sq_norms = [], distances.sq_norms
