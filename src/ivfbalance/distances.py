@@ -15,13 +15,11 @@ Two kernels with different determinism/speed trade-offs:
   an exhaustive multi-probe search must reproduce the brute-force ranking
   exactly, ties included.
 
-Ground truth and search rank with one screen: :func:`screen_float32`
-scores one query against float32 rows with one float32 product and bounds
-how far each value can be from the real squared distance. :func:`certified`
-keeps every row whose exact value could still reach the r-th smallest,
-those are re-scored with the exact kernel, and :func:`top_r` ranks the
-exact values. The result is bit-identical to an exact scan of every row,
-for any data.
+Search and ground truth both rank with :func:`nearest_r`, the one exact
+top-r: :func:`screen_float32` bounds one float32 product per row,
+:func:`certified` keeps the rows that can still reach the r-th smallest,
+the caller's exact kernel re-scores them and :func:`top_r` ranks them,
+bit for bit as an exact scan of every row would, for any data.
 
 All arithmetic is float64 regardless of input dtype; float32 inputs widen
 exactly, except in :func:`screen_float32` and in the float32 screen that
@@ -202,46 +200,36 @@ def screen_float32(
         |screened[j] - D| <= b[j]
         |sqdist_exact(query, vectors)[j] - D| <= g * D
 
-    With ``p = fl32(query)``, ``screened = |q|^2 + v_sq - 2 fl32(v.p)``
-    in float64, where the float32 dot is the one float32 sum. In any
-    summation order, fused or not, it is within ``gamma32_d |v| |p|`` of
-    ``v.p`` while its terms stay in float32's normal range (Higham ch. 3;
-    ``gamma32`` is ``gamma`` at float32's unit roundoff 2^-24). Below that
-    range a product rounds by at most 2^-150 more and a sum is exact, so
-    the dot gains at most ``d 2^-150`` absolute (IEEE gradual underflow,
-    numpy's default). ``p.v`` differs from ``q.v`` by at most
-    ``|q - p| |v|``. ``|q|^2`` and ``v_sq`` are d-term float64 sums, each
-    within ``gamma_d`` of its value, and two float64 sums follow, so they
-    add at most ``gamma_{d+2} (|q| + |v|)^2``. So, per row::
-
-        b = 2 gamma32_{d+2} |v| |p| + 2 |v| |q - p|
-            + 2 gamma_{d+4} (|q| + |v|)^2 + d 2^-140
-
-    The first term doubles the dot's bound (the dot is doubled), with
-    ``d + 2`` for the roundings of ``|v|`` and ``|p|``; the third doubles
-    the float64 term with ``gamma_{d+4}``, whose slack also covers the
-    rounding of the norms ``b`` is computed from, of ``b`` and of a test
-    built on it; the last is 2^9 times the doubled underflow term. A
-    float32 product that overflows gives a non-finite ``screened[j]``, for
-    which nothing is claimed. The exact kernel sums d nonnegative rounded
+    With ``p = fl32(query)`` and ``t = |q|^2 + v_sq`` in float64,
+    ``screened = t - 2 fl32(v.p)`` and ``b = gamma32_{d+2} t + d 2^-140``
+    (Higham ch. 3; ``gamma32`` is ``gamma`` at float32's u = 2^-24). In any
+    summation order, fused or not, the float32 dot is within
+    ``gamma32_d |v| |p|`` of ``v.p``, plus ``d 2^-150`` for products below
+    float32's normal range (sums there are exact: IEEE gradual underflow,
+    numpy's default), and ``v.p`` is within ``|v| |q - p|`` of ``v.q``,
+    where ``|q - p| <= u |q| + sqrt(d) 2^-150``. As ``|p| <= |q| + |q - p|``
+    and ``gamma32_d + u (1 + gamma32_d) <= gamma32_{d+1}``, the doubled
+    errors are at most ``2 gamma32_{d+1} |v| |q|``, so at most
+    ``gamma32_{d+1} (|q|^2 + |v|^2)`` (AM-GM), plus the subnormal term
+    ``2 (1 + gamma32_d) sqrt(d) 2^-150 |v|``, which AM-GM puts below
+    ``2^-60 |v|^2 + d 2^-240``; that constant and the doubled ``d 2^-150``
+    are far below ``d 2^-140``. ``d + 2`` leaves a spare ``u t`` over
+    ``d + 1`` for the ``2^-60 |v|^2``, the float64 error of ``t`` (within
+    ``gamma_{d+1}``), the add forming ``screened``, and the rounding of
+    ``b`` and of the tests :func:`certified` builds on it. A float32
+    product that overflows gives a non-finite ``screened[j]``, for which
+    nothing is claimed. The exact kernel sums d nonnegative rounded
     squares of rounded differences, so ``g = gamma_{d+2}``.
     """
     d = vectors.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         p = query.astype(np.float32)
-        q_sq = np.dot(query, query)
-        # -2 fl32(v.p), exact in float64, plus (|q|^2 + |v|^2)
+        t = v_sq + np.dot(query, query)
+        # -2 fl32(v.p), exact in float64, plus t
         screened = np.multiply(vectors @ p, -2.0, dtype=np.float64)
-        screened += v_sq + q_sq
-        p64 = p.astype(np.float64)
-        qn, pn = np.sqrt(q_sq), np.sqrt(np.dot(p64, p64))
-        qp = np.sqrt(np.dot(query - p64, query - p64))
-        # The terms of b, with (|q| + |v|)^2 expanded: one pass per term.
-        g64 = 2.0 * _gamma(d + 4)
-        b = np.sqrt(v_sq)
-        b *= 2.0 * _gamma(d + 2, _UNIT_ROUNDOFF32) * pn + 2.0 * qp + 2.0 * g64 * qn
-        b += g64 * v_sq
-        b += g64 * q_sq + d * 2.0**-140
+        screened += t
+        b = np.multiply(t, _gamma(d + 2, _UNIT_ROUNDOFF32), out=t)
+        b += d * 2.0**-140
     return screened, b, _gamma(d + 2)
 
 
@@ -287,3 +275,19 @@ def top_r(ids: np.ndarray, d2: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarr
         ids, d2 = ids[keep], d2[keep]
     order = np.lexsort((ids, d2))[:r]
     return ids[order], d2[order]
+
+
+def nearest_r(kernel, query: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray,
+              ids: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``ids`` and ``kernel`` values of the r float32 ``rows`` nearest
+    to one ``query``, ranked by :func:`top_r`: the first r of a full sort of
+    every row's value. ``kernel`` is the caller's :func:`sqdist_exact` and
+    ``rows_sq`` the rows' :func:`sq_norms`. With more than r rows, only the
+    rows :func:`certified` keeps from :func:`screen_float32` reach
+    ``kernel``, in one call: about r without near-ties, all for a NaN query.
+    """
+    query = np.asarray(query, dtype=np.float64)
+    if len(rows) > r:
+        keep = certified(*screen_float32(query, rows, rows_sq), r)
+        rows, ids = rows[keep], ids[keep]
+    return top_r(ids, kernel(query[None, :], rows)[0], r)

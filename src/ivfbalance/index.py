@@ -25,8 +25,8 @@ import numpy as np
 
 from .balancer import Codebook, assign_balanced
 from .dataset import VectorSet, decode_fvecs, encode_fvecs
-from .distances import (blockwise, certified, nearest_cells, screen_float32, sq_norms,
-                        sqdist_exact, sqdist_to_centroids, top_r)
+from .distances import (blockwise, nearest_cells, nearest_r, sq_norms, sqdist_exact,
+                        sqdist_to_centroids)
 from .kmeans import Centroids
 
 CENTROIDS_FILE = "centroids.fvecs"
@@ -194,30 +194,17 @@ def search(index: InvertedFile, query: np.ndarray, params: SearchParams) -> Quer
     ``scanned`` is the summed population of the probed cells: the quantity
     whose spread across queries measures response-time variability.
 
-    Each probed cell is one contiguous slice of ``index.vectors``. With more
-    than r candidates, one float32 product screens them all
-    (``distances.screen_float32``, with a proven error bound per
-    candidate), and ``distances.certified`` keeps only those whose exact
-    distance can still reach the r-th smallest: about r on data without
-    near-ties, every one for a NaN query. Only the kept candidates are
-    scored with ``sqdist_exact``, in one call, and ``distances.top_r``
-    ranks the exact values by ``(distance, id)``: exactly the first r of
-    a full sort of every candidate.
+    Each probed cell is one contiguous slice of ``index.vectors`` and
+    ``index.vectors_sq``; ``distances.nearest_r`` ranks the candidates with
+    one ``sqdist_exact`` call: exactly the first r of a full sort of every
+    candidate by ``(distance, id)``.
     """
     cells = select_cells(query, index.codebook, params.ma, params.route)
     rows = [slice(index.offsets[c], index.offsets[c + 1]) for c in cells]
-    candidates = np.concatenate([index.ids[s] for s in rows])
-    vectors = np.concatenate([index.vectors[s] for s in rows])
-    query64 = np.asarray(query, dtype=np.float64)
-    scanned = int(candidates.size)
-    r = params.r_results
-    if scanned > r:
-        v_sq = np.concatenate([index.vectors_sq[s] for s in rows])
-        keep = certified(*screen_float32(query64, vectors, v_sq), r)
-        candidates, vectors = candidates[keep], vectors[keep]
-    d2 = sqdist_exact(query64[None, :], vectors)[0]
-    ids, dists = top_r(candidates, d2, r)
-    return QueryResult(ids=ids, dists=dists, scanned=scanned, probed_cells=cells)
+    vectors, vectors_sq, candidates = (np.concatenate([a[s] for s in rows])
+                                       for a in (index.vectors, index.vectors_sq, index.ids))
+    ids, dists = nearest_r(sqdist_exact, query, vectors, vectors_sq, candidates, params.r_results)
+    return QueryResult(ids=ids, dists=dists, scanned=int(candidates.size), probed_cells=cells)
 
 
 def _sha256(payload: bytes) -> str:
@@ -261,14 +248,19 @@ def _write_directory(
 def _read_directory(
     directory: Path, names: tuple[str, ...]
 ) -> tuple[dict[str, str], dict[str, bytes]]:
-    """The key=value pairs of META_FILE and the bytes of each named file."""
+    """The key=value pairs of META_FILE and the bytes of each named file,
+    each checked against the sha256 that META_FILE records for it."""
     meta: dict[str, str] = {}
     for line in (directory / META_FILE).read_text().splitlines():
         line = line.strip()
         if line:
             key, _, value = line.partition("=")
             meta[key] = value
-    return meta, {name: (directory / name).read_bytes() for name in names}
+    files = {name: (directory / name).read_bytes() for name in names}
+    for name, blob in files.items():
+        if meta.get(_CHECKSUM_KEYS[name]) != _sha256(blob):
+            raise ValueError(f"checksum mismatch for {name}")
+    return meta, files
 
 
 def _encode_codebook(codebook: Codebook) -> dict[str, bytes]:
@@ -299,14 +291,18 @@ def save_codebook(
     codebook: Codebook, directory: str | os.PathLike, extra_meta: dict | None = None
 ) -> None:
     """Persist a codebook: centroids.fvecs, penalties.txt, and meta.txt with
-    k, dim, the balancing iteration and then ``extra_meta``."""
+    k, dim, the balancing iteration, ``extra_meta`` and then the sha256 of
+    both files, which every load verifies."""
+    files = _encode_codebook(codebook)
     meta = {"k": codebook.k, "dim": codebook.dim, "iteration": codebook.iteration}
     meta.update(extra_meta or {})
-    _write_directory(directory, _encode_codebook(codebook), meta)
+    meta.update({_CHECKSUM_KEYS[name]: _sha256(blob) for name, blob in files.items()})
+    _write_directory(directory, files, meta)
 
 
 def load_codebook(directory: str | os.PathLike) -> Codebook:
-    """Load a codebook persisted by :func:`save_codebook` or :func:`save_index`."""
+    """Load a codebook persisted by :func:`save_codebook` or :func:`save_index`;
+    ValueError when a file disagrees with its checksum or has none."""
     directory = Path(directory)
     meta, files = _read_directory(directory, (CENTROIDS_FILE, PENALTIES_FILE))
     return _decode_codebook(directory, meta, files)
@@ -327,7 +323,7 @@ def save_index(index: InvertedFile, directory: str | os.PathLike) -> None:
         "iteration": index.codebook.iteration,
         "n": index.source.count,
     }
-    meta.update({key: _sha256(files[name]) for name, key in _CHECKSUM_KEYS.items()})
+    meta.update({_CHECKSUM_KEYS[name]: _sha256(blob) for name, blob in files.items()})
     meta["checksum_data"] = _sha256(index.source.data.tobytes())
     _write_directory(directory, files, meta)
 
@@ -342,9 +338,6 @@ def load_index(directory: str | os.PathLike, data: VectorSet) -> InvertedFile:
     """
     directory = Path(directory)
     meta, files = _read_directory(directory, tuple(_CHECKSUM_KEYS))
-    for name, key in _CHECKSUM_KEYS.items():
-        if meta.get(key) != _sha256(files[name]):
-            raise ValueError(f"checksum mismatch for {name}")
     if meta.get("checksum_data") != _sha256(data.data.tobytes()):
         raise ValueError("supplied vectors do not match the indexed dataset")
     if (meta.get("n"), meta.get("dim")) != (str(data.count), str(data.dim)):

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dataset import VectorSet
-from .distances import certified, screen_float32, sq_norms, sqdist_exact, top_r
+from .distances import nearest_r, sq_norms, sqdist_exact
 
 if TYPE_CHECKING:  # pragma: no cover
     from .index import InvertedFile, SearchParams
@@ -86,15 +86,10 @@ def brute_force_nn(data: VectorSet, queries: VectorSet, r: int) -> GroundTruth:
 
     Ids and distances are those of an exact scan: :func:`sqdist_exact` over
     every (query, point) pair, ranked by ``(distance, id)``. Each query is
-    ranked on its own, so they do not depend on how the queries are sliced
-    into calls. Search's screen finds the candidates cheaply: one float32
-    product per query (:func:`~ivfbalance.distances.screen_float32`, with
-    the points' squared norms computed once per call) and the keep rule
-    :func:`~ivfbalance.distances.certified`. Only the kept points are
-    re-scored with the exact kernel, one call per query, and
-    :func:`~ivfbalance.distances.top_r` ranks the exact values. On data
-    without near-ties that is about r points per query; where the bound
-    cannot separate the points, the whole row is re-scored.
+    ranked on its own by :func:`~ivfbalance.distances.nearest_r`, search's
+    screened top-r with every point as a candidate, so they do not depend
+    on how the queries are sliced into calls. The points' squared norms
+    are computed once per call.
     """
     if data.dim != queries.dim:
         raise ValueError(
@@ -104,11 +99,9 @@ def brute_force_nn(data: VectorSet, queries: VectorSet, r: int) -> GroundTruth:
         raise ValueError(f"r={r} out of range [1, {data.count}]")
     ids = np.empty((queries.count, r), dtype=np.int64)
     dists = np.empty((queries.count, r), dtype=np.float64)
-    points_sq = sq_norms(data.data)
-    for i, query in enumerate(queries.data.astype(np.float64)):
-        cand = certified(*screen_float32(query, data.data, points_sq), r)
-        exact = sqdist_exact(query[None, :], data.data[cand])[0]
-        ids[i], dists[i] = top_r(cand, exact, r)
+    points_sq, point_ids = sq_norms(data.data), np.arange(data.count)
+    for i, query in enumerate(queries.data):
+        ids[i], dists[i] = nearest_r(sqdist_exact, query, data.data, points_sq, point_ids, r)
     return GroundTruth(ids, dists)
 
 

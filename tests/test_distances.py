@@ -11,6 +11,7 @@ from ivfbalance import Centroids, Codebook, VectorSet, assign_plain, build, lloy
 from ivfbalance.distances import (
     certified,
     nearest_cells,
+    nearest_r,
     screen_float32,
     sq_norms,
     sqdist_exact,
@@ -264,6 +265,16 @@ def screen_cases(rng):
         assert np.array_equal(query.astype(np.float32), p)
         yield "cast against the rows", query, (signs * np.ones((4, d))).astype(np.float32)
         yield "tiny float64 query", rng.standard_normal(d) * 1e-50, v
+        # Norms far apart (the bound's AM-GM step), and its subnormal terms.
+        yield "query norm far above the rows'", rng.standard_normal(d) * 1e8, v
+        yield "query norm far below the rows'", rng.standard_normal(d) * 1e-8, v
+        yield "all-zero row", rng.standard_normal(d), np.vstack([v, np.zeros((1, d), np.float32)])
+        subnormal = (v.astype(np.float64) * 1e-40).astype(np.float32)
+        assert (np.abs(subnormal) < np.finfo(np.float32).tiny).all()
+        yield "subnormal rows, query below float32", rng.standard_normal(d) * 1e-50, subnormal
+        mixed, query = v.copy(), rng.standard_normal(d)
+        mixed[:, ::2], query[::2] = subnormal[:, ::2], query[::2] * 1e-40
+        yield "subnormal and normal coordinates", query, mixed
         for side in (1, -1):
             yield "running sum rounds", np.ones(d), rounding_down_sums(d, side)[None, :]
 
@@ -303,3 +314,43 @@ class TestCertified:
         screened = np.array([4.0, np.inf, 1.0, -np.inf, np.nan, 7.0, 2.0])
         assert np.array_equal(certified(screened, 0.25, 1e-15, 1), [1, 2, 3, 4])
         assert np.array_equal(certified(np.full(4, np.nan), 1.0, 0.0, 2), np.arange(4))
+
+
+class TestNearestR:
+    """``nearest_r`` against the gather-and-full-sort oracle on integer
+    data, where distances tie at every rank."""
+
+    @pytest.fixture
+    def ties(self):
+        data, _ = integer_tie_fixture()
+        ids = np.random.default_rng(3).permutation(data.count) + 1000
+        queries = [np.array(q, dtype=np.float64) for q in ((0, 0, 0, 0), (1, -2, 3, 0))]
+        queries += [np.array([0.5, 1.5, -2.5, 2.0]), np.array([np.nan, 0.0, 0.0, 0.0])]
+        return data.data, sq_norms(data.data), ids, queries
+
+    def test_matches_gather_and_full_sort(self, ties, monkeypatch):
+        rows, rows_sq, ids, queries = ties
+        screens = []
+
+        def recording_screen(*args):
+            screens.append(1)
+            return screen_float32(*args)
+
+        monkeypatch.setattr(distances, "screen_float32", recording_screen)
+        n = len(rows)
+        for query, r in itertools.product(queries, (1, n - 1, n, n + 5)):
+            calls, screens[:] = [], []
+
+            def kernel(x, c):
+                calls.append(len(c))
+                return sqdist_exact(x, c)
+
+            got_ids, got_d2 = nearest_r(kernel, query, rows, rows_sq, ids, r)
+            d2 = sqdist_exact(query[None, :], rows)[0]
+            order = np.lexsort((ids, d2))[:r]
+            assert np.array_equal(got_ids, ids[order])
+            assert got_d2.tobytes() == d2[order].tobytes()
+            assert len(calls) == 1
+            assert len(screens) == (r < n)
+            if r >= n:
+                assert calls == [n]

@@ -430,8 +430,11 @@ class TestPersistence:
         ).encode()
         save_codebook(cb, tmp_path / "cb", extra_meta={"alpha": 0.03})
         assert (tmp_path / "cb" / "penalties.txt").read_bytes() == penalties
-        meta = b"k=3\ndim=1\niteration=7\nalpha=0.03\n"
-        assert (tmp_path / "cb" / "meta.txt").read_bytes() == meta
+        assert (tmp_path / "cb" / "meta.txt").read_bytes() == (
+            "k=3\ndim=1\niteration=7\nalpha=0.03\n"
+            f"checksum_centroids={sha(centroids)}\n"
+            f"checksum_penalties={sha(penalties)}\n"
+        ).encode()
 
     def test_roundtrip_bit_exact(self, indexed, tmp_path):
         data, index = indexed
@@ -476,6 +479,24 @@ class TestPersistence:
         save_codebook(index.codebook, tmp_path / "cb")
         (tmp_path / "cb" / "penalties.txt").unlink()
         with pytest.raises(FileNotFoundError, match="penalties.txt"):
+            load_codebook(tmp_path / "cb")
+
+    def test_codebook_with_another_codebooks_penalties_rejected(self, tmp_path):
+        centroids = Centroids(np.eye(4, dtype=np.float32))
+        for name, penalties in (("a", [0.0, 0.1, 0.2, 0.3]), ("b", [1.0, 0.5, 0.25, 0.0])):
+            save_codebook(Codebook(centroids, np.array(penalties), iteration=3), tmp_path / name)
+        swapped = (tmp_path / "b" / "penalties.txt").read_bytes()
+        (tmp_path / "a" / "penalties.txt").write_bytes(swapped)
+        with pytest.raises(ValueError, match="checksum mismatch for penalties.txt"):
+            load_codebook(tmp_path / "a")
+
+    def test_codebook_without_checksums_rejected(self, indexed, tmp_path):
+        _, index = indexed
+        save_codebook(index.codebook, tmp_path / "cb")
+        meta = tmp_path / "cb" / "meta.txt"
+        lines = meta.read_text().splitlines()
+        meta.write_text("".join(f"{ln}\n" for ln in lines if not ln.startswith("checksum_")))
+        with pytest.raises(ValueError, match="centroids.fvecs"):
             load_codebook(tmp_path / "cb")
 
     @pytest.mark.parametrize("key, value", [("k", 9), ("dim", 5)])
