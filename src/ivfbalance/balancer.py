@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .dataset import VectorSet
+from .dataset import VectorSet, write_csv
 from .distances import blockwise, nearest_cells, sqdist_to_centroids
 from .kmeans import Assignment, Centroids
 from .metrics import imbalance_factor
@@ -165,14 +164,10 @@ class BalanceTrace:
 
     def to_csv(self, path: str | os.PathLike) -> None:
         """Export aggregates as CSV: iter,gamma,b_min,b_max,b_mean,n_min,n_max."""
-        lines = ["iter,gamma,b_min,b_max,b_mean,n_min,n_max"]
-        for r in self.records:
-            b, n = r.penalties, r.counts
-            lines.append(
-                f"{r.iteration},{r.gamma!r},{float(b.min())!r},{float(b.max())!r},"
-                f"{float(b.mean())!r},{int(n.min())},{int(n.max())}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_csv(path, "iter,gamma,b_min,b_max,b_mean,n_min,n_max", (
+            (r.iteration, r.gamma, float(r.penalties.min()), float(r.penalties.max()),
+             float(r.penalties.mean()), int(r.counts.min()), int(r.counts.max()))
+            for r in self.records))
 
 
 def assign_balanced(plain, penalties, x=None, centroids=None) -> Assignment:
@@ -180,6 +175,8 @@ def assign_balanced(plain, penalties, x=None, centroids=None) -> Assignment:
     minimizing ``plain + penalties``, lowest index on ties (``nearest_cells``).
     A float32 ``plain`` screens the plain matrix of ``x`` to ``centroids``;
     each kernel block with a row it leaves open is decided again in float64."""
+    if plain.dtype == np.float32 and (x is None or centroids is None):
+        raise ValueError("a float32 plain screen needs x and centroids for its near-ties")
     cells = nearest_cells(plain, penalties)[:, 0]
 
     def decide(exact: np.ndarray, rows: slice) -> np.ndarray:

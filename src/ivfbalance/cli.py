@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import balancer, harness, index as index_mod, kmeans, metrics
-from .dataset import gen_gaussian_mixture, load_fvecs, save_fvecs
+from .dataset import format_csv, gen_gaussian_mixture, load_fvecs, save_fvecs, write_csv
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -234,17 +234,15 @@ def _cmd_search(args: argparse.Namespace) -> None:
     queries = load_fvecs(args.queries)
     inverted = index_mod.load_index(args.index, data)
     params = index_mod.SearchParams(ma=args.ma, r_results=args.r, route=args.route)
-    lines = ["query,rank,id,dist"]
-    for q in range(queries.count):
-        result = index_mod.search(inverted, queries.data[q], params)
-        for rank, (pid, dist) in enumerate(zip(result.ids.tolist(), result.dists.tolist())):
-            lines.append(f"{q},{rank},{pid},{dist!r}")
-    text = "\n".join(lines) + "\n"
+    header = "query,rank,id,dist"
+    results = (index_mod.search(inverted, query, params) for query in queries.data)
+    rows = ((q, rank, pid, dist) for q, result in enumerate(results)
+            for rank, (pid, dist) in enumerate(zip(result.ids.tolist(), result.dists.tolist())))
     if args.out:
-        Path(args.out).write_text(text)
+        write_csv(args.out, header, rows)
         print(f"wrote {queries.count} query results to {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_csv(header, rows))
 
 
 def _cmd_eval(args: argparse.Namespace) -> None:
@@ -252,7 +250,6 @@ def _cmd_eval(args: argparse.Namespace) -> None:
     queries = load_fvecs(args.queries)
     inverted = index_mod.load_index(args.index, data)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     truth = harness.ground_truth_cached(data, queries, 1, out / "gt_cache")
     params = index_mod.SearchParams(ma=args.ma, route=args.route)
     report = metrics.evaluate(inverted, queries, params, truth)

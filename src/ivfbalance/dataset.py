@@ -7,7 +7,8 @@ the same framing with uint8 components and are widened to float32 on load.
 Files ending in ``.bvecs`` are decoded as bvecs; everything else as fvecs.
 
 An empty file loads as the empty sentinel ``VectorSet`` with ``count == 0``
-and ``dim == 0``.
+and ``dim == 0``. The one write path, :func:`write_files`, writes every file
+to a temporary renamed into place; every CSV goes through :func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def decode_fvecs(raw: bytes, path: PathLike) -> VectorSet:
 
 def save_fvecs(vectors: VectorSet, path: PathLike) -> None:
     """Write a VectorSet as fvecs. load_fvecs(save_fvecs(s)) is bit-exact."""
-    Path(path).write_bytes(_fvecs_records(vectors).view(np.uint8))
+    write_files(Path(path).parent, {Path(path).name: _fvecs_records(vectors)})
 
 
 def encode_fvecs(vectors: VectorSet) -> bytes:
@@ -161,6 +162,41 @@ def _fvecs_records(vectors: VectorSet) -> np.ndarray:
     record["dim"] = d
     record["vec"] = vectors.data
     return record
+
+
+def write_files(directory: PathLike, files: dict[str, str | bytes | np.ndarray]) -> None:
+    """Write each payload (text, bytes or a contiguous array) to a temporary
+    ``.<name>.<random>.tmp`` beside its file, then rename each over its file
+    in order; an error before the renames removes the temporaries and leaves
+    every existing file as it was. Symlinks are followed; a name that is not
+    a regular file (a device, say) is refused. Umask's mode; no fsync."""
+    renames = []
+    try:
+        for name, payload in files.items():
+            target = Path(os.path.realpath(Path(directory) / name))
+            if target.exists() and not target.is_file():
+                raise ValueError(f"{target} exists and is not a regular file")
+            temp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+            with open(temp, "xb") as fh:
+                renames.append((temp, target))
+                fh.write(payload.encode() if isinstance(payload, str) else payload)
+        for temp, target in renames:
+            os.replace(temp, target)
+    except BaseException:
+        for temp, _ in renames:
+            temp.unlink(missing_ok=True)
+        raise
+
+
+def format_csv(header: str, rows) -> str:
+    """``header``, then per row the ``str`` of each field joined by commas.
+    Pass Python scalars: ``str`` of a Python float is its repr."""
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
+def write_csv(path: PathLike, header: str, rows) -> None:
+    """Write :func:`format_csv` of ``header`` and ``rows`` to ``path``."""
+    write_files(Path(path).parent, {Path(path).name: format_csv(header, rows)})
 
 
 def mixture_centers(seed: int, dim: int, modes: int) -> np.ndarray:

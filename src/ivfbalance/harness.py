@@ -18,8 +18,8 @@ reproduces every CSV byte-for-byte on a fixed platform.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
-import tempfile
 import zipfile
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -35,7 +35,7 @@ from .balancer import (
     StopRule,
     balance,
 )
-from .dataset import VectorSet, load_fvecs
+from .dataset import VectorSet, load_fvecs, write_csv, write_files
 from .index import (
     ROUTE_PENALIZED,
     ROUTES,
@@ -159,16 +159,15 @@ def ground_truth_cached(
 ) -> GroundTruth:
     """Brute-force ground truth, cached on disk keyed by dataset checksums.
 
-    The cache file is written to a temporary name and renamed into place,
-    so a reader never sees a partial file. A cache file that cannot be read
-    or does not hold (Q, r) ids and distances is recomputed and replaced.
+    The cache file is written through ``write_files``, so a reader never
+    sees a partial file. A cache file that cannot be read, or does not hold
+    (Q, r) ids in ``[0, N)`` and distances, is recomputed and replaced.
     The key names no code version: :func:`brute_force_nn` returns the
     exact scan's bytes however it computes them, so a cache file written
     by an earlier version stays valid.
     """
-    digest = hashlib.sha256()
-    digest.update(db.data.tobytes())
-    digest.update(queries.data.tobytes())
+    digest = hashlib.sha256(np.ascontiguousarray(db.data))  # hashed in place
+    digest.update(np.ascontiguousarray(queries.data))
     digest.update(str(r).encode())
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -176,19 +175,15 @@ def ground_truth_cached(
     try:
         with np.load(cache_file) as stored:
             truth = GroundTruth(stored["ids"], stored["dists"])
-        if truth.ids.shape == (queries.count, r):
+        ids = truth.ids
+        if ids.shape == (queries.count, r) and 0 <= ids.min() <= ids.max() < db.count:
             return truth
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
         pass  # missing, unreadable or malformed: recompute and replace it
     truth = brute_force_nn(db, queries, r)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, ids=truth.ids, dists=truth.dists)
-        os.replace(tmp, cache_file)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    archive = io.BytesIO()
+    np.savez(archive, ids=truth.ids, dists=truth.dists)
+    write_files(cache_dir, {cache_file.name: archive.getvalue()})
     return truth
 
 
@@ -247,8 +242,7 @@ def run_histogram(spec: ExperimentSpec) -> tuple[list[Path], Path]:
     queries = _load_queries(spec, "histogram")
     db, kmeans_set, balance_set = _load_sets(spec)
     out = _out_dir(spec)
-    written = []
-    summary_lines = [HISTOGRAM_SUMMARY_HEADER]
+    written, summary_rows = [], []
     for k, r, index in _indexes(spec, db, kmeans_set, balance_set):
         for ma in spec.mas:
             probed = route_cells_batch(queries.data, index.codebook, ma, spec.route)
@@ -259,7 +253,7 @@ def run_histogram(spec: ExperimentSpec) -> tuple[list[Path], Path]:
             mean = float(costs.scanned.mean())
             var = float(costs.scanned.var(ddof=1)) if costs.scanned.size > 1 else 0.0
             cv = float(np.sqrt(var) / mean) if mean > 0 else 0.0
-            summary_lines.append(f"{k},{ma},{r},{mean!r},{var!r},{cv!r}")
+            summary_rows.append((k, ma, r, mean, var, cv))
     summary = out / "histogram_summary.csv"
-    summary.write_text("\n".join(summary_lines) + "\n")
+    write_csv(summary, HISTOGRAM_SUMMARY_HEADER, summary_rows)
     return written, summary

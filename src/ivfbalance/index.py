@@ -11,7 +11,8 @@ The index is immutable after build; concurrent searches over a shared
 index are safe.
 
 This module also owns the codebook and index directory format: each file is
-written once, ``META_FILE`` last, and a load parses the bytes it checked.
+written through ``write_files``, ``META_FILE`` renamed last, and a load
+parses the bytes it checked.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .balancer import Codebook, assign_balanced
-from .dataset import VectorSet, decode_fvecs, encode_fvecs
+from .dataset import VectorSet, decode_fvecs, encode_fvecs, write_files
 from .distances import (blockwise, nearest_cells, nearest_r, sq_norms, sqdist_exact,
                         sqdist_to_centroids)
 from .kmeans import Centroids
@@ -207,14 +208,13 @@ def search(index: InvertedFile, query: np.ndarray, params: SearchParams) -> Quer
     return QueryResult(ids=ids, dists=dists, scanned=int(candidates.size), probed_cells=cells)
 
 
-def _sha256(payload: bytes) -> str:
+def _sha256(payload: bytes | np.ndarray) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _encode_lists(index: InvertedFile) -> bytes:
+def _encode_lists(index: InvertedFile) -> np.ndarray:
     """Each list as its int32 length followed by its int32 ids, in cell order."""
-    sizes = index.list_sizes()
-    return np.insert(index.ids, index.offsets[:-1], sizes).astype("<i4").tobytes()
+    return np.insert(index.ids, index.offsets[:-1], index.list_sizes()).astype("<i4")
 
 
 def _decode_lists(raw: bytes, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -233,16 +233,20 @@ def _decode_lists(raw: bytes, k: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets, np.delete(words, offsets[:-1] + np.arange(k)).astype(np.int64)
 
 
-def _write_directory(
-    directory: str | os.PathLike, files: dict[str, bytes], meta: dict
-) -> None:
-    """Write each file once, then ``meta`` as key=value lines to META_FILE."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name, blob in files.items():
-        (directory / name).write_bytes(blob)
-    lines = "".join(f"{key}={value}\n" for key, value in meta.items())
-    (directory / META_FILE).write_text(lines)
+def _save_directory(directory: str | os.PathLike, codebook: Codebook, meta: dict,
+                    files: dict, **tail) -> None:
+    """Write the codebook's files (float32 centroids as fvecs, penalties as
+    float64 reprs: both lossless), then ``files``, then META_FILE, all
+    through ``write_files``, META_FILE renamed last. It holds k, dim, the
+    balancing iteration, ``meta``, each file's sha256 and ``tail``."""
+    centroids = encode_fvecs(VectorSet.from_array(codebook.centroids.points))
+    penalties = "".join(f"{float(b)!r}\n" for b in codebook.penalties).encode()
+    files = {CENTROIDS_FILE: centroids, PENALTIES_FILE: penalties, **files}
+    checksums = {_CHECKSUM_KEYS[name]: _sha256(blob) for name, blob in files.items()}
+    meta = {"k": codebook.k, "dim": codebook.dim, "iteration": codebook.iteration,
+            **meta, **checksums, **tail}
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    write_files(directory, {**files, META_FILE: "".join(f"{k}={v}\n" for k, v in meta.items())})
 
 
 def _read_directory(
@@ -261,13 +265,6 @@ def _read_directory(
         if meta.get(_CHECKSUM_KEYS[name]) != _sha256(blob):
             raise ValueError(f"checksum mismatch for {name}")
     return meta, files
-
-
-def _encode_codebook(codebook: Codebook) -> dict[str, bytes]:
-    """Float32 centroids as fvecs and penalties as float64 reprs: both lossless."""
-    centroids = VectorSet.from_array(codebook.centroids.points)
-    penalties = "".join(f"{float(b)!r}\n" for b in codebook.penalties)
-    return {CENTROIDS_FILE: encode_fvecs(centroids), PENALTIES_FILE: penalties.encode()}
 
 
 def _decode_codebook(
@@ -293,11 +290,7 @@ def save_codebook(
     """Persist a codebook: centroids.fvecs, penalties.txt, and meta.txt with
     k, dim, the balancing iteration, ``extra_meta`` and then the sha256 of
     both files, which every load verifies."""
-    files = _encode_codebook(codebook)
-    meta = {"k": codebook.k, "dim": codebook.dim, "iteration": codebook.iteration}
-    meta.update(extra_meta or {})
-    meta.update({_CHECKSUM_KEYS[name]: _sha256(blob) for name, blob in files.items()})
-    _write_directory(directory, files, meta)
+    _save_directory(directory, codebook, extra_meta or {}, {})
 
 
 def load_codebook(directory: str | os.PathLike) -> Codebook:
@@ -315,17 +308,9 @@ def save_index(index: InvertedFile, directory: str | os.PathLike) -> None:
     checksums of every artifact plus the indexed data buffer, so load can
     verify it is being paired with the right dataset.
     """
-    files = _encode_codebook(index.codebook)
-    files[LISTS_FILE] = _encode_lists(index)
-    meta = {
-        "k": index.codebook.k,
-        "dim": index.codebook.dim,
-        "iteration": index.codebook.iteration,
-        "n": index.source.count,
-    }
-    meta.update({_CHECKSUM_KEYS[name]: _sha256(blob) for name, blob in files.items()})
-    meta["checksum_data"] = _sha256(index.source.data.tobytes())
-    _write_directory(directory, files, meta)
+    _save_directory(directory, index.codebook, {"n": index.count},
+                    {LISTS_FILE: _encode_lists(index)},
+                    checksum_data=_sha256(np.ascontiguousarray(index.source.data)))
 
 
 def load_index(directory: str | os.PathLike, data: VectorSet) -> InvertedFile:
@@ -338,7 +323,7 @@ def load_index(directory: str | os.PathLike, data: VectorSet) -> InvertedFile:
     """
     directory = Path(directory)
     meta, files = _read_directory(directory, tuple(_CHECKSUM_KEYS))
-    if meta.get("checksum_data") != _sha256(data.data.tobytes()):
+    if meta.get("checksum_data") != _sha256(np.ascontiguousarray(data.data)):
         raise ValueError("supplied vectors do not match the indexed dataset")
     if (meta.get("n"), meta.get("dim")) != (str(data.count), str(data.dim)):
         raise ValueError("dataset shape disagrees with index metadata")

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import VectorSet
+from .dataset import VectorSet, write_csv
 from .distances import nearest_r, sq_norms, sqdist_exact
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -207,28 +206,17 @@ def recall_at_r(
 def write_report_csv(path: str | os.PathLike, rows: list[tuple]) -> None:
     """Write one line per ``(k, ma, iters, alpha, report)`` row under
     REPORT_CSV_HEADER; ``alpha`` is ``""`` where unknown."""
-    lines = [REPORT_CSV_HEADER]
-    for k, ma, iters, alpha, report in rows:
-        lines.append(
-            # str of a float is its repr, and an unknown alpha ("") stays empty.
-            f"{k},{ma},{iters},{alpha},{report.gamma!r},{report.variance!r},"
-            f"{report.selectivity!r},{report.recall_at_1!r}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, REPORT_CSV_HEADER, (
+        (k, ma, iters, alpha, report.gamma, report.variance, report.selectivity,
+         report.recall_at_1) for k, ma, iters, alpha, report in rows))
 
 
-def write_histogram_csv(
-    path: str | os.PathLike, source: ScanHistogram
-) -> None:
+def write_histogram_csv(path: str | os.PathLike, source: ScanHistogram) -> None:
     """Write one histogram: bucket_lo,bucket_hi,count.
 
     ``source`` is a ``ScanHistogram`` or an ``EvalReport``; the bucket
     bounds are taken from its ``bucket_width``.
     """
-    histogram, bucket_width = source.scan_histogram, source.bucket_width
-    lines = [HISTOGRAM_CSV_HEADER]
-    for bucket in sorted(histogram):
-        lo = bucket * bucket_width
-        hi = (bucket + 1) * bucket_width
-        lines.append(f"{lo!r},{hi!r},{histogram[bucket]}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    histogram, width = source.scan_histogram, source.bucket_width
+    write_csv(path, HISTOGRAM_CSV_HEADER, (
+        (bucket * width, (bucket + 1) * width, histogram[bucket]) for bucket in sorted(histogram)))

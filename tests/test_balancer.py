@@ -91,6 +91,14 @@ class TestAssignBalanced:
         # 0+100 == 100+0 -> lowest index
         assert assign_under(data, cb).cell_of[0] == 0
 
+    @pytest.mark.parametrize("tie", [False, True])
+    def test_float32_screen_needs_the_points_and_centroids(self, tie):
+        # Row 1 ties exactly when ``tie``; the check comes before any row.
+        plain = np.array([[1.0, 2.0], [3.0, 3.0 if tie else 5.0]], dtype=np.float32)
+        for kwargs in ({}, {"x": np.zeros((2, 1))}, {"centroids": np.zeros((2, 1))}):
+            with pytest.raises(ValueError, match="needs x and centroids"):
+                assign_balanced(plain, np.zeros(2), **kwargs)
+
     def test_dimension_mismatch(self, small_set):
         plain = sqdist_to_centroids(small_set.data, small_set.data[:3])
         with pytest.raises(ValueError, match="dimension"):

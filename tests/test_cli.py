@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ivfbalance.cli import main
-from ivfbalance import load_fvecs
+from ivfbalance import Centroids, Codebook, load_fvecs, save_codebook
 
 
 def run(args):
@@ -86,6 +86,43 @@ class TestPipeline:
                     "--target-gamma", 1.5, "--out", bal_dir]) == 0
         meta = (bal_dir / "meta.txt").read_text()
         assert "stop=target_gamma(1.5)" in meta
+
+
+class TestOutputBytes:
+    """Exact bytes of each CSV, on data where every distance is exact."""
+
+    @pytest.fixture
+    def index_dir(self, two_clusters, tmp_path):
+        db, _ = two_clusters
+        centroids = Centroids(np.array([[0.5, 0.5], [10.5, 10.5]], dtype=np.float32))
+        save_codebook(Codebook.fresh(centroids), tmp_path / "cb")
+        assert run(["build", "--db", db, "--codebook", tmp_path / "cb",
+                    "--out", tmp_path / "idx"]) == 0
+        return tmp_path / "idx"
+
+    def test_search_hits_file_and_stdout(self, two_clusters, index_dir, tmp_path, capsys):
+        db, queries = two_clusters
+        # Ids 1 and 2 tie at distance 1.0 from query 0: the lower id ranks first.
+        hits = b"query,rank,id,dist\n0,0,0,0.0\n0,1,1,1.0\n1,0,6,0.0\n1,1,4,1.0\n"
+        args = ["search", "--index", index_dir, "--db", db, "--queries", queries, "--r", 2]
+        assert run(args + ["--out", tmp_path / "hits.csv"]) == 0
+        assert (tmp_path / "hits.csv").read_bytes() == hits
+        capsys.readouterr()
+        assert run(args) == 0
+        assert capsys.readouterr().out == hits.decode()
+
+    def test_eval_report_and_histogram(self, two_clusters, index_dir, tmp_path):
+        db, queries = two_clusters
+        assert run(["eval", "--index", index_dir, "--db", db, "--queries", queries,
+                    "--out", tmp_path / "eval"]) == 0
+        # Scan counts 4 and 3 in buckets of N / (10 k) = 0.35.
+        assert (tmp_path / "eval" / "histogram.csv").read_bytes() == (
+            b"bucket_lo,bucket_hi,count\n2.8,3.15,1\n3.8499999999999996,4.199999999999999,1\n"
+        )
+        assert (tmp_path / "eval" / "report.csv").read_bytes() == (
+            b"k,ma,iters,alpha,gamma,variance,selectivity,recall_at_1\n"
+            b"2,1,0,,1.020408163265306,0.24999999999999994,0.5,1.0\n"
+        )
 
 
 class TestExperimentCommands:

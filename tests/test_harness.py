@@ -287,6 +287,20 @@ class TestGroundTruthCache:
         ground_truth_cached(other, queries, 2, cache)
         assert len(list(cache.glob("gt_*.npz"))) == 2
 
+    def test_cache_with_ids_outside_the_data_is_recomputed(self, tmp_path, rng):
+        data = random_vectors(rng, 200, 3)
+        queries = random_vectors(rng, 5, 3)
+        cache = tmp_path / "cache"
+        expected = ground_truth_cached(data, queries, 2, cache)
+        (cache_file,) = cache.glob("gt_*.npz")
+        for bad in (10_000, -1):
+            np.savez(cache_file, ids=np.full((5, 2), bad), dists=expected.dists)
+            again = ground_truth_cached(data, queries, 2, cache)
+            assert np.array_equal(again.ids, expected.ids)
+            with np.load(cache_file) as stored:
+                assert np.array_equal(stored["ids"], expected.ids)
+        assert list(cache.iterdir()) == [cache_file]
+
     def test_unreadable_cache_is_recomputed(self, tmp_path, rng):
         data = random_vectors(rng, 60, 3)
         queries = random_vectors(rng, 5, 3)
@@ -300,3 +314,23 @@ class TestGroundTruthCache:
         assert list(cache.iterdir()) == [cache_file]
         with np.load(cache_file) as stored:
             assert np.array_equal(stored["ids"], expected.ids)
+
+
+def test_histogram_csv_bytes(two_clusters, tmp_path):
+    # k=2 splits the clusters at every preset: the queries scan 4 and 3 points.
+    db, queries = two_clusters
+    spec = ExperimentSpec(db=db, queries=queries, out=tmp_path / "out", ks=(1, 2), iters=(0, 8))
+    written, summary = run_histogram(spec)
+    assert summary.read_bytes() == (
+        b"k,ma,iters,scan_mean,scan_variance,scan_cv\n"
+        b"1,1,0,7.0,0.0,0.0\n1,1,8,7.0,0.0,0.0\n"
+        b"2,1,0,3.5,0.5,0.20203050891044216\n2,1,8,3.5,0.5,0.20203050891044216\n"
+    )
+    assert [path.name for path in written] == [
+        "histogram_k1_ma1_r0.csv", "histogram_k1_ma1_r8.csv",
+        "histogram_k2_ma1_r0.csv", "histogram_k2_ma1_r8.csv",
+    ]
+    assert written[0].read_bytes() == b"bucket_lo,bucket_hi,count\n7.0,7.699999999999999,2\n"
+    assert written[3].read_bytes() == (
+        b"bucket_lo,bucket_hi,count\n2.8,3.15,1\n3.8499999999999996,4.199999999999999,1\n"
+    )

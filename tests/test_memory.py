@@ -1,6 +1,7 @@
 """No stage of the write path or of routing holds an n×k float64 matrix,
-the set-up path holds one copy of the vectors, and neither ground truth nor
-the Lloyd mean update makes an n×d float64 copy of the data.
+the set-up path holds one copy of the vectors, neither ground truth nor
+the Lloyd mean update makes an n×d float64 copy of the data, and the
+checksums of the data hash its buffer in place.
 
 ``tracemalloc`` sees numpy's buffers, so the peak it reports is the live
 memory a stage allocates, apart from where the allocator places it. The
@@ -28,7 +29,8 @@ from ivfbalance import (
     lloyd_full,
     save_fvecs,
 )
-from ivfbalance.index import route_cells_batch
+from ivfbalance.harness import ground_truth_cached
+from ivfbalance.index import route_cells_batch, save_index
 from ivfbalance.kmeans import _update_means
 
 from conftest import random_vectors
@@ -95,3 +97,18 @@ def test_ground_truth_and_mean_update_hold_no_widened_copy():
     previous = random_vectors(rng, k, d)
     _, peak = peak_bytes(lambda: _update_means(data, cells, Centroids(previous.data)))
     assert peak < widened / 2
+
+
+def test_data_checksums_hash_the_buffer_in_place(tmp_path):
+    n, d = 10_000, 64
+    rng = np.random.default_rng(8)
+    data = random_vectors(rng, n, d)
+    copy = 4 * n * d  # bytes of one copy of the data
+    index = build(data, Codebook.fresh(Centroids(data.data[:16].copy())))
+    _, peak = peak_bytes(lambda: save_index(index, tmp_path / "idx"))
+    assert peak < copy / 2
+    queries = random_vectors(rng, 4, d)
+    # The cache key hashes the data and queries; a miss also runs ground truth.
+    for _ in ("miss", "hit"):
+        _, peak = peak_bytes(lambda: ground_truth_cached(data, queries, 5, tmp_path / "gt"))
+        assert peak < copy / 2

@@ -353,6 +353,14 @@ class TestHistogram:
         counts = sum(int(line.split(",")[2]) for line in lines[1:])
         assert counts == queries.count
 
+    def test_csv_bytes_keep_each_bound_as_its_repr(self, tmp_path):
+        path = tmp_path / "hist.csv"
+        write_histogram_csv(path, ScanHistogram(np.array([0, 1, 1, 2]), 0.3))
+        assert path.read_bytes() == (
+            b"bucket_lo,bucket_hi,count\n0.0,0.3,1\n"
+            b"0.8999999999999999,1.2,2\n1.7999999999999998,2.1,1\n"
+        )
+
     def test_report_csv_header(self, tmp_path):
         path = tmp_path / "report.csv"
         report = EvalReport(
