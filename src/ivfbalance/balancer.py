@@ -102,7 +102,7 @@ class StopRule:
 
     @classmethod
     def target_gamma(cls, gamma: float) -> "StopRule":
-        if gamma < 1.0:
+        if not gamma >= 1.0:
             raise ValueError(f"target gamma {gamma} is unreachable (gamma >= 1)")
         return cls(STOP_TARGET_GAMMA, float(gamma))
 
@@ -127,7 +127,7 @@ class BalanceConfig:
     max_iters_cap: int = DEFAULT_MAX_ITERS_CAP
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if self.max_iters_cap < 0:
             raise ValueError("max_iters_cap must be >= 0")
@@ -199,9 +199,9 @@ def update_penalties(
     counts = np.asarray(counts)
     if counts.shape != (codebook.k,):
         raise ValueError(f"expected {codebook.k} counts, got shape {counts.shape}")
-    if n_opt <= 0:
+    if not n_opt > 0:
         raise ValueError("n_opt must be positive")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     ratio = np.maximum(counts, COUNT_FLOOR) / float(n_opt)
     new_b = np.maximum(codebook.penalties * ratio**alpha, B_FLOOR)

@@ -70,31 +70,6 @@ class VectorSet:
         return cls(np.empty((0, 0), dtype=np.float32))
 
 
-def _scan_records(raw: bytes, component_size: int, path: Path) -> None:
-    """Walk records to pinpoint the first malformed one. Always raises."""
-    offset = 0
-    record = 0
-    first_dim = None
-    while offset < len(raw):
-        if offset + 4 > len(raw):
-            raise ValueError(f"{path}: truncated record {record}")
-        dim = int(np.frombuffer(raw, dtype="<i4", count=1, offset=offset)[0])
-        if dim <= 0:
-            raise ValueError(f"{path}: record {record} declares dim {dim} <= 0")
-        if first_dim is None:
-            first_dim = dim
-        elif dim != first_dim:
-            raise ValueError(
-                f"{path}: dimension mismatch at record {record}: "
-                f"declares d={dim} after first record declared d={first_dim}"
-            )
-        offset += 4 + dim * component_size
-        if offset > len(raw):
-            raise ValueError(f"{path}: truncated record {record}")
-        record += 1
-    raise ValueError(f"{path}: malformed file")
-
-
 def load_fvecs(path: PathLike) -> VectorSet:
     """Load an fvecs (or .bvecs) file into a VectorSet.
 
@@ -109,29 +84,38 @@ def load_fvecs(path: PathLike) -> VectorSet:
 
 def decode_fvecs(raw: bytes, path: PathLike) -> VectorSet:
     """Decode the bytes read from ``path``, which names the file in errors
-    and, by a ``.bvecs`` suffix, selects uint8 components."""
+    and, by a ``.bvecs`` suffix, selects uint8 components.
+
+    Every record must declare record 0's dim, so the first malformed record
+    is the first whole-size slot whose header differs, or else the tail the
+    file cuts short: one pass over the headers, no walk over the records."""
     file_path = Path(path)
     if len(raw) == 0:
         return VectorSet.empty()
-
-    is_bvecs = file_path.suffix == ".bvecs"
-    component_size = 1 if is_bvecs else 4
-
     if len(raw) < 4:
         raise ValueError(f"{file_path}: truncated record 0")
+    is_bvecs = file_path.suffix == ".bvecs"
     dim = int(np.frombuffer(raw, dtype="<i4", count=1)[0])
     if dim <= 0:
         raise ValueError(f"{file_path}: record 0 declares dim {dim} <= 0")
-    record_size = 4 + dim * component_size
-    if len(raw) % record_size != 0:
-        _scan_records(raw, component_size, file_path)
-    count = len(raw) // record_size
-
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(count, record_size)
-    dims = rows[:, :4].copy().view("<i4").ravel()
-    if not (dims == dim).all():
-        # Uniform record size can mask a mix of dims; rescan for the index.
-        _scan_records(raw, component_size, file_path)
+    record_size = 4 + dim * (1 if is_bvecs else 4)
+    count, tail = divmod(len(raw), record_size)
+    end = count * record_size
+    rows = np.frombuffer(raw, dtype=np.uint8)[:end].reshape(count, record_size)
+    # Each whole slot's header, then the cut-short tail's if it holds one.
+    tail_head = raw[end : end + 4] if tail >= 4 else b""
+    heads = np.frombuffer(rows[:, :4].tobytes() + tail_head, dtype="<i4")
+    bad = np.flatnonzero(heads != dim)
+    if bad.size:
+        record, declared = int(bad[0]), int(heads[bad[0]])
+        if declared <= 0:
+            raise ValueError(f"{file_path}: record {record} declares dim {declared} <= 0")
+        raise ValueError(
+            f"{file_path}: dimension mismatch at record {record}: "
+            f"declares d={declared} after first record declared d={dim}"
+        )
+    if tail:
+        raise ValueError(f"{file_path}: truncated record {count}")
 
     body = rows[:, 4:]
     if is_bvecs:
@@ -139,24 +123,20 @@ def decode_fvecs(raw: bytes, path: PathLike) -> VectorSet:
     else:
         # One copy; a no-op cast where float32 is little-endian.
         mat = np.ascontiguousarray(body).view("<f4").astype(np.float32, copy=False)
-    if mat.size and not np.isfinite(mat).all():
-        bad_record = int(np.argwhere(~np.isfinite(mat))[0][0])
-        raise ValueError(f"{file_path}: non-finite value in record {bad_record}")
-    return VectorSet(mat.reshape(count, dim))
+    try:
+        return VectorSet(mat.reshape(count, dim))
+    except ValueError as err:  # a non-finite component
+        raise ValueError(f"{file_path}: {err}") from None
 
 
 def save_fvecs(vectors: VectorSet, path: PathLike) -> None:
     """Write a VectorSet as fvecs. load_fvecs(save_fvecs(s)) is bit-exact."""
-    write_files(Path(path).parent, {Path(path).name: _fvecs_records(vectors)})
+    write_files(Path(path).parent, {Path(path).name: fvecs_records(vectors)})
 
 
-def encode_fvecs(vectors: VectorSet) -> bytes:
-    """The fvecs bytes of a VectorSet; the empty set encodes as no bytes."""
-    return _fvecs_records(vectors).tobytes()
-
-
-def _fvecs_records(vectors: VectorSet) -> np.ndarray:
-    """The fvecs records of a VectorSet as one structured array."""
+def fvecs_records(vectors: VectorSet) -> np.ndarray:
+    """The fvecs records of a VectorSet as one structured array, whose buffer
+    holds the file's bytes; the empty set has no records."""
     d = vectors.dim
     record = np.empty(vectors.count, dtype=np.dtype([("dim", "<i4"), ("vec", "<f4", (d,))]))
     record["dim"] = d
@@ -241,7 +221,7 @@ def gen_gaussian_mixture(
     """
     if n <= 0 or dim <= 0 or modes <= 0:
         raise ValueError("n, dim and modes must be positive")
-    if spread <= 0:
+    if not spread > 0:
         raise ValueError("spread must be positive")
     weights = np.asarray(mode_weights, dtype=np.float64)
     if weights.shape != (modes,):

@@ -91,7 +91,7 @@ class ExperimentSpec:
             raise ValueError("iteration preset list must not be empty")
         if any(r < 0 for r in self.iters):
             raise ValueError("iteration presets must be >= 0")
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode: {self.mode!r}")

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .balancer import Codebook, assign_balanced
-from .dataset import VectorSet, decode_fvecs, encode_fvecs, write_files
+from .dataset import VectorSet, decode_fvecs, fvecs_records, write_files
 from .distances import (blockwise, nearest_cells, nearest_r, sq_norms, sqdist_exact,
                         sqdist_to_centroids)
 from .kmeans import Centroids
@@ -239,7 +239,7 @@ def _save_directory(directory: str | os.PathLike, codebook: Codebook, meta: dict
     float64 reprs: both lossless), then ``files``, then META_FILE, all
     through ``write_files``, META_FILE renamed last. It holds k, dim, the
     balancing iteration, ``meta``, each file's sha256 and ``tail``."""
-    centroids = encode_fvecs(VectorSet.from_array(codebook.centroids.points))
+    centroids = fvecs_records(VectorSet.from_array(codebook.centroids.points))
     penalties = "".join(f"{float(b)!r}\n" for b in codebook.penalties).encode()
     files = {CENTROIDS_FILE: centroids, PENALTIES_FILE: penalties, **files}
     checksums = {_CHECKSUM_KEYS[name]: _sha256(blob) for name, blob in files.items()}

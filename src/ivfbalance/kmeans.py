@@ -23,15 +23,15 @@ INIT_KMEANS_PP = "kmeans-plus-plus"
 
 @dataclass(eq=False)
 class Centroids:
-    """k cluster centers, one per row. Values must be finite."""
+    """k >= 1 cluster centers of dim >= 1, one per row. Values must be finite."""
 
     points: np.ndarray
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points)
-        if pts.ndim != 2:
-            raise ValueError("centroids must be a 2-d matrix")
-        if pts.size and not np.isfinite(pts).all():
+        if pts.ndim != 2 or 0 in pts.shape:
+            raise ValueError(f"centroids must be k x dim with k, dim >= 1, got {pts.shape}")
+        if not np.isfinite(pts).all():
             raise ValueError("centroids contain non-finite values")
         self.points = pts
 

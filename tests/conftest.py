@@ -1,5 +1,6 @@
 import builtins
 import errno
+import hashlib
 import io
 import os
 
@@ -35,6 +36,17 @@ def integer_tie_fixture():
          [0, -2, 2, 0], [-2, 0, 0, 2]], dtype=np.float32,
     )
     return data, Codebook.fresh(Centroids(points))
+
+
+def write_codebook_without_cells(directory):
+    """A codebook directory as a k = 0 codebook would be saved: empty
+    centroids.fvecs and penalties.txt, and a meta.txt whose checksums agree."""
+    empty = hashlib.sha256(b"").hexdigest()
+    directory.mkdir()
+    (directory / "centroids.fvecs").write_bytes(b"")
+    (directory / "penalties.txt").write_bytes(b"")
+    (directory / "meta.txt").write_text(
+        f"k=0\ndim=0\niteration=0\nchecksum_centroids={empty}\nchecksum_penalties={empty}\n")
 
 
 def files_in(directory):

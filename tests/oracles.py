@@ -15,8 +15,12 @@ it was first written, and the library must match each bit for bit:
 * cell picking and the Lloyd distortion over one whole distance matrix:
   plain assignment by argmin, routing by a penalty add and a full stable
   argsort;
-* the Gaussian mixture drawn as whole (n, dim) float64 arrays.
+* the Gaussian mixture drawn as whole (n, dim) float64 arrays;
+* the fvecs decoder that walks the records one by one to name the first
+  malformed one, and checks finiteness itself.
 """
+
+from pathlib import Path
 
 import numpy as np
 
@@ -189,3 +193,65 @@ def gaussian_mixture_one_shot(
         centers = mixture_centers(centers_from_seed, dim, modes)
     labels = rng.choice(modes, size=n, p=weights)
     return VectorSet.from_array(centers[labels] + rng.normal(0.0, spread, size=(n, dim)))
+
+
+def _scan_records(raw: bytes, component_size: int, path: Path) -> None:
+    """Walk records to pinpoint the first malformed one. Always raises."""
+    offset = 0
+    record = 0
+    first_dim = None
+    while offset < len(raw):
+        if offset + 4 > len(raw):
+            raise ValueError(f"{path}: truncated record {record}")
+        dim = int(np.frombuffer(raw, dtype="<i4", count=1, offset=offset)[0])
+        if dim <= 0:
+            raise ValueError(f"{path}: record {record} declares dim {dim} <= 0")
+        if first_dim is None:
+            first_dim = dim
+        elif dim != first_dim:
+            raise ValueError(
+                f"{path}: dimension mismatch at record {record}: "
+                f"declares d={dim} after first record declared d={first_dim}"
+            )
+        offset += 4 + dim * component_size
+        if offset > len(raw):
+            raise ValueError(f"{path}: truncated record {record}")
+        record += 1
+    raise ValueError(f"{path}: malformed file")
+
+
+def decode_fvecs_walking(raw: bytes, path) -> VectorSet:
+    """``decode_fvecs`` with a Python walk over the records whenever the
+    vectorized framing check fails, and its own finiteness check."""
+    file_path = Path(path)
+    if len(raw) == 0:
+        return VectorSet.empty()
+
+    is_bvecs = file_path.suffix == ".bvecs"
+    component_size = 1 if is_bvecs else 4
+
+    if len(raw) < 4:
+        raise ValueError(f"{file_path}: truncated record 0")
+    dim = int(np.frombuffer(raw, dtype="<i4", count=1)[0])
+    if dim <= 0:
+        raise ValueError(f"{file_path}: record 0 declares dim {dim} <= 0")
+    record_size = 4 + dim * component_size
+    if len(raw) % record_size != 0:
+        _scan_records(raw, component_size, file_path)
+    count = len(raw) // record_size
+
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(count, record_size)
+    dims = rows[:, :4].copy().view("<i4").ravel()
+    if not (dims == dim).all():
+        # Uniform record size can mask a mix of dims; rescan for the index.
+        _scan_records(raw, component_size, file_path)
+
+    body = rows[:, 4:]
+    if is_bvecs:
+        mat = np.ascontiguousarray(body, dtype=np.float32)
+    else:
+        mat = np.ascontiguousarray(body).view("<f4").astype(np.float32, copy=False)
+    if mat.size and not np.isfinite(mat).all():
+        bad_record = int(np.argwhere(~np.isfinite(mat))[0][0])
+        raise ValueError(f"{file_path}: non-finite value in record {bad_record}")
+    return VectorSet(mat.reshape(count, dim))

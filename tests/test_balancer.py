@@ -128,6 +128,15 @@ class TestUpdatePenalties:
         out = update_penalties(cb, np.array([1]), n_opt=100.0, alpha=1.0)
         assert out.penalties[0] == B_FLOOR
 
+    @pytest.mark.parametrize("n_opt, alpha, match", [
+        (float("nan"), 0.5, "n_opt must be positive"),
+        (1.0, float("nan"), "alpha must be positive"),
+    ])
+    def test_nan_parameters_rejected(self, n_opt, alpha, match):
+        cb = codebook_1d([0.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match=match):
+            update_penalties(cb, np.array([1, 2]), n_opt=n_opt, alpha=alpha)
+
     def test_count_length_mismatch(self):
         cb = codebook_1d([0.0, 1.0], [1.0, 1.0])
         with pytest.raises(ValueError):
@@ -147,6 +156,14 @@ class TestStopRules:
     def test_bad_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
             BalanceConfig(stop=StopRule.fixed_iters(1), alpha=0.0)
+
+    def test_nan_target_gamma_rejected(self):
+        with pytest.raises(ValueError, match="unreachable"):
+            StopRule.target_gamma(float("nan"))
+
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            BalanceConfig(stop=StopRule.fixed_iters(1), alpha=float("nan"))
 
 
 class FourPointFixture:

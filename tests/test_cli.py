@@ -6,6 +6,8 @@ import pytest
 from ivfbalance.cli import main
 from ivfbalance import Centroids, Codebook, load_fvecs, save_codebook
 
+from conftest import write_codebook_without_cells
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -86,6 +88,18 @@ class TestPipeline:
                     "--target-gamma", 1.5, "--out", bal_dir]) == 0
         meta = (bal_dir / "meta.txt").read_text()
         assert "stop=target_gamma(1.5)" in meta
+
+    def test_balance_target_fraction(self, generated, tmp_path):
+        db, _ = generated
+        cb_dir = tmp_path / "cb"
+        bal_dir = tmp_path / "bal"
+        assert run(["kmeans", "--db", db, "--k", 8, "--seed", 1, "--out", cb_dir]) == 0
+        assert run(["balance", "--db", db, "--codebook", cb_dir,
+                    "--target-fraction", 0.5, "--out", bal_dir]) == 0
+        assert "stop=target_fraction(0.5)" in (bal_dir / "meta.txt").read_text()
+        with open(bal_dir / "trace.csv") as fh:
+            gammas = [float(row["gamma"]) for row in csv.DictReader(fh)]
+        assert gammas[-1] <= 1 + 0.5 * (gammas[0] - 1) < gammas[-2]
 
 
 class TestOutputBytes:
@@ -179,6 +193,19 @@ class TestExitCodes:
         (cb_dir / "penalties.txt").unlink()
         assert run(["build", "--db", db, "--codebook", cb_dir,
                     "--out", tmp_path / "idx"]) == 2
+
+    def test_codebook_without_cells_is_validation_error(self, generated, tmp_path):
+        db, _ = generated
+        write_codebook_without_cells(tmp_path / "cb")
+        assert run(["balance", "--db", db, "--codebook", tmp_path / "cb",
+                    "--out", tmp_path / "bal"]) == 2
+
+    def test_bad_list_exits_two(self, generated, tmp_path, capsys):
+        db, _ = generated
+        with pytest.raises(SystemExit) as exc:
+            main(["convergence", "--db", str(db), "--k", "3,x", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "expected comma-separated ints: '3,x'" in capsys.readouterr().err
 
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

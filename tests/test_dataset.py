@@ -1,22 +1,27 @@
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ivfbalance.dataset as dataset
 from ivfbalance import VectorSet, gen_gaussian_mixture, load_fvecs, mixture_centers, save_fvecs
-from ivfbalance.dataset import encode_fvecs
+from ivfbalance.dataset import decode_fvecs
 
-from oracles import gaussian_mixture_one_shot
+from oracles import decode_fvecs_walking, gaussian_mixture_one_shot
+
+
+def records_bytes(records, fmt="f"):
+    """fvecs/bvecs bytes of (declared dim, components) pairs, independent of
+    the library's encoder."""
+    return b"".join(struct.pack(f"<i{len(vec)}{fmt}", dim, *vec) for dim, vec in records)
 
 
 def write_records(path, records, fmt="f"):
     """Raw fvecs/bvecs writer independent of the library's encoder."""
-    with open(path, "wb") as f:
-        for vec in records:
-            f.write(struct.pack("<i", len(vec)))
-            for x in vec:
-                f.write(struct.pack("<" + fmt, x))
+    path.write_bytes(records_bytes([(len(vec), vec) for vec in records], fmt))
 
 
 class TestLoadFvecs:
@@ -59,6 +64,13 @@ class TestLoadFvecs:
         with pytest.raises(ValueError, match="record 1"):
             load_fvecs(path)
 
+    def test_nonfinite_error_names_file_record_and_component(self, tmp_path):
+        path = tmp_path / "inf.fvecs"
+        write_records(path, [[1.0, 2.0, 3.0], [4.0, 5.0, float("inf")], [float("nan")] * 3])
+        with pytest.raises(ValueError) as err:
+            load_fvecs(path)
+        assert str(err.value) == f"{path}: non-finite value at record 1, component 2"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_fvecs(tmp_path / "nope.fvecs")
@@ -69,6 +81,93 @@ class TestLoadFvecs:
         vs = load_fvecs(path)
         assert vs.data.dtype == np.float32
         assert vs.data.tolist() == [[0.0, 128.0, 255.0], [1.0, 2.0, 3.0]]
+
+
+def decoded(decode, raw, path):
+    """What ``decode`` makes of ``raw``: the data's shape and bytes, or the
+    error message, in which a non-finite value's component is dropped (the
+    walking decoder names only its record)."""
+    try:
+        vs = decode(raw, path)
+    except ValueError as err:
+        return re.sub(r"at record (\d+), component \d+", r"in record \1", str(err))
+    assert vs.data.dtype == np.float32
+    return vs.data.shape, vs.data.tobytes()
+
+
+NONFINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+@st.composite
+def vectors_files(draw):
+    """Up to 5 records of declared dims -2..6 (one dim for all in half the
+    cases), non-finite components among the fvecs ones, and a cut at a
+    random byte in 30% of the cases."""
+    path = draw(st.sampled_from(["x.fvecs", "x.bvecs"]))
+    component = (st.integers(0, 255) if path.endswith(".bvecs") else
+                 st.floats(width=32) | st.sampled_from(NONFINITE))
+    dims = draw(st.lists(st.integers(-2, 6), max_size=5))
+    if dims and draw(st.booleans()):
+        dims = [dims[0]] * len(dims)
+    raw = records_bytes([(d, draw(st.lists(component, min_size=max(d, 0), max_size=max(d, 0))))
+                         for d in dims], "B" if path.endswith(".bvecs") else "f")
+    if raw and draw(st.integers(0, 9)) < 3:
+        raw = raw[: draw(st.integers(0, len(raw) - 1))]
+    return raw, path
+
+
+@st.composite
+def malformed_vectors_files(draw):
+    """A well-formed file of 1-5 records with 1-3 defects, each of which
+    alone makes it malformed and which the others leave so: a header other
+    than the dim (<= 0 at record 0, whose dim sets the record size), a
+    non-finite fvecs component, or a cut inside a record."""
+    path = draw(st.sampled_from(["x.fvecs", "x.bvecs"]))
+    bvecs = path.endswith(".bvecs")
+    dim, n = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    component = st.integers(0, 255) if bvecs else st.floats(width=32, allow_nan=False,
+                                                           allow_infinity=False)
+    records = [[dim, draw(st.lists(component, min_size=dim, max_size=dim))] for _ in range(n)]
+    kinds = ["header", "cut"] if bvecs else ["header", "cut", "nonfinite"]
+    defects = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3))
+    for defect in defects:
+        j = draw(st.integers(0, n - 1))
+        if defect == "header":
+            # -2..6 but the dim; only <= 0 at record 0.
+            other = st.integers(-2, 0) if j == 0 else st.integers(-2, 5).map(lambda v: v + (v >= dim))
+            records[j][0] = draw(other)
+        elif defect == "nonfinite":
+            records[j][1][draw(st.integers(0, dim - 1))] = draw(st.sampled_from(NONFINITE))
+    raw = records_bytes(records, "B" if bvecs else "f")
+    if "cut" in defects:
+        record_size = 4 + dim * (1 if bvecs else 4)
+        j, offset = draw(st.integers(0, n - 1)), draw(st.integers(1, record_size - 1))
+        raw = raw[: j * record_size + offset]
+    return raw, path
+
+
+class TestDecodeMatchesWalkingDecoder:
+    """``decode_fvecs`` finds the first malformed record in one pass over the
+    headers; the decoder that walked the records (tests/oracles.py) is the
+    reference for which record each error names, and why."""
+
+    @given(malformed_vectors_files())
+    @settings(max_examples=1000, deadline=None)
+    @example((b"\x02\x00", "x.fvecs"))  # under 4 bytes
+    @example((records_bytes([(2, [1.0, 2.0]), (2, [3.0, 4.0])])[:14], "x.fvecs"))  # header cut
+    @example((records_bytes([(2, [1, 2]), (0, []), (2, [3, 4])], "B"), "x.bvecs"))  # dim 0 mid-file
+    @example((records_bytes([(2, [1.0, 2.0]), (1, [3.0, 4.0])]), "x.fvecs"))  # sizes fit, dims mix
+    def test_malformed_files(self, case):
+        raw, path = case
+        want = decoded(decode_fvecs_walking, raw, path)
+        assert isinstance(want, str)
+        assert decoded(decode_fvecs, raw, path) == want
+
+    @given(vectors_files())
+    @settings(max_examples=500, deadline=None)
+    def test_any_file(self, case):
+        raw, path = case
+        assert decoded(decode_fvecs, raw, path) == decoded(decode_fvecs_walking, raw, path)
 
 
 class TestSaveFvecs:
@@ -93,7 +192,8 @@ class TestSaveFvecs:
     def test_file_holds_the_encoded_bytes(self, tmp_path, rng):
         vs = VectorSet.from_array(rng.standard_normal((9, 3)))
         save_fvecs(vs, tmp_path / "a.fvecs")
-        assert (tmp_path / "a.fvecs").read_bytes() == encode_fvecs(vs)
+        write_records(tmp_path / "want.fvecs", vs.data.tolist())
+        assert (tmp_path / "a.fvecs").read_bytes() == (tmp_path / "want.fvecs").read_bytes()
         loaded = load_fvecs(tmp_path / "a.fvecs")
         assert loaded.data.dtype == np.float32 and loaded.data.flags.c_contiguous
 
@@ -173,3 +273,7 @@ class TestGenGaussianMixture:
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):
             gen_gaussian_mixture(**kwargs)
+
+    def test_nan_spread_rejected_before_drawing(self):
+        with pytest.raises(ValueError, match="spread must be positive"):
+            gen_gaussian_mixture(1, 10, 2, 1, [1.0], float("nan"))

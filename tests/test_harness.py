@@ -56,8 +56,11 @@ class TestSpecValidation:
             (dict(mas=(0,)), "ma is required"),
             (dict(ks=(32, 0)), "k is required"),
             (dict(ks=(32, 4), mas=(1, 8)), "exceeds"),
+            (dict(iters=(0, -1)), "presets must be >= 0"),
+            (dict(mode="halfopen"), "unknown mode"),
+            (dict(alpha=float("nan")), "alpha must be positive"),
         ],
-        ids=["route", "ma-zero", "k-zero", "ma-above-k"],
+        ids=["route", "ma-zero", "k-zero", "ma-above-k", "negative-preset", "mode", "nan-alpha"],
     )
     def test_bad_grid_rejected_before_training(self, mixture_files, tmp_path, bad, match):
         db, q = mixture_files

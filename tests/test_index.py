@@ -31,7 +31,7 @@ from ivfbalance import (
 from ivfbalance.distances import sqdist_exact
 from ivfbalance.index import ROUTES, InvertedFile, route_cells_batch
 
-from conftest import random_vectors
+from conftest import random_vectors, write_codebook_without_cells
 
 
 @pytest.fixture
@@ -390,10 +390,10 @@ def set_meta(directory, key, value):
     meta.write_text("\n".join(lines) + "\n")
 
 
-def rewrite_lists(directory, blob):
-    """Replace lists.bin and update its checksum so only the content is wrong."""
-    (directory / "lists.bin").write_bytes(blob)
-    set_meta(directory, "checksum_lists", hashlib.sha256(blob).hexdigest())
+def rewrite_checked(directory, name, blob):
+    """Replace a file and update its checksum so only the content is wrong."""
+    (directory / name).write_bytes(blob)
+    set_meta(directory, f"checksum_{name.split('.')[0]}", hashlib.sha256(blob).hexdigest())
 
 
 class TestPersistence:
@@ -490,6 +490,30 @@ class TestPersistence:
         with pytest.raises(ValueError, match="checksum mismatch for penalties.txt"):
             load_codebook(tmp_path / "a")
 
+    @pytest.mark.parametrize("penalties, match", [
+        (b"1.0\n1.0\n", "expected 3 penalties"),
+        (b"1.0\n1.0\n1.0\n1.0\n", "expected 3 penalties"),
+        (b"1.0\n-0.5\n1.0\n", "non-negative"),
+        (b"1.0\nnan\n1.0\n", "finite"),
+        (b"inf\n1.0\n1.0\n", "finite"),
+    ], ids=["short", "long", "negative", "nan", "inf"])
+    def test_codebook_with_bad_penalties_rejected(self, tmp_path, penalties, match):
+        save_codebook(Codebook.fresh(Centroids(np.eye(3, dtype=np.float32))), tmp_path / "cb")
+        rewrite_checked(tmp_path / "cb", "penalties.txt", penalties)
+        with pytest.raises(ValueError, match=match):
+            load_codebook(tmp_path / "cb")
+
+    def test_codebook_with_negative_iteration_rejected(self, tmp_path):
+        save_codebook(Codebook.fresh(Centroids(np.eye(3, dtype=np.float32))), tmp_path / "cb")
+        set_meta(tmp_path / "cb", "iteration", -1)
+        with pytest.raises(ValueError, match="iteration must be non-negative"):
+            load_codebook(tmp_path / "cb")
+
+    def test_codebook_without_cells_rejected(self, tmp_path):
+        write_codebook_without_cells(tmp_path / "cb")
+        with pytest.raises(ValueError, match="k, dim >= 1"):
+            load_codebook(tmp_path / "cb")
+
     def test_codebook_without_checksums_rejected(self, indexed, tmp_path):
         _, index = indexed
         save_codebook(index.codebook, tmp_path / "cb")
@@ -522,7 +546,7 @@ class TestPersistence:
         words = np.frombuffer(raw, dtype="<i4").copy()
         assert words[0] >= 2  # ids sit at words 1 and 2 of the first list
         words[2] = words[1] if match == "repeat" else data.count
-        rewrite_lists(tmp_path / "idx", words.tobytes())
+        rewrite_checked(tmp_path / "idx", "lists.bin", words.tobytes())
         with pytest.raises(ValueError, match=match):
             load_index(tmp_path / "idx", data)
 
@@ -532,7 +556,7 @@ class TestPersistence:
         save_index(index, tmp_path / "idx")
         raw = (tmp_path / "idx" / "lists.bin").read_bytes()
         blob = raw[:cut] if cut < 0 else raw + bytes(cut)
-        rewrite_lists(tmp_path / "idx", blob)
+        rewrite_checked(tmp_path / "idx", "lists.bin", blob)
         with pytest.raises(ValueError, match="truncated|trailing"):
             load_index(tmp_path / "idx", data)
 

@@ -88,6 +88,13 @@ class TestAssignPlain:
         assert assignment.counts.sum() == data.count
 
 
+class TestCentroidsType:
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+    def test_no_cells_or_no_dims_rejected(self, shape):
+        with pytest.raises(ValueError, match="k, dim >= 1"):
+            Centroids(np.empty(shape, dtype=np.float32))
+
+
 class TestAssignmentType:
     def test_out_of_range_cell(self):
         with pytest.raises(ValueError, match="range"):
