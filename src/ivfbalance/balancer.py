@@ -120,7 +120,9 @@ class StopRule:
 
 @dataclass(frozen=True)
 class BalanceConfig:
-    """Balancing parameters: speed exponent, stop rule and iteration cap."""
+    """Balancing parameters: speed exponent, stop rule and iteration cap.
+    The cap bounds the updates of ``target_gamma`` and ``target_fraction``,
+    which may never be met; ``fixed_iters(r)`` runs exactly r updates whatever the cap."""
 
     stop: StopRule
     alpha: float = DEFAULT_ALPHA
@@ -225,9 +227,9 @@ def balance(
 
     Each iteration reassigns points under the current penalties, records
     the imbalance factor and penalty/count statistics, checks the stop rule,
-    then applies one penalty update. ``max_iters_cap`` bounds the number of
-    updates regardless of the rule. Convergence is empirical, not
-    guaranteed; on pathological inputs the cap is the backstop.
+    then applies one penalty update. ``fixed_iters(r)`` runs exactly r
+    updates; ``max_iters_cap`` bounds the updates of a target rule, whose
+    target may never be met: convergence is empirical, not guaranteed.
     """
     if data.count == 0:
         raise ValueError("cannot balance an empty dataset")
@@ -253,7 +255,7 @@ def balance(
         )
         if _stop_satisfied(config.stop, iteration, gamma, trace.records[0].gamma):
             break
-        if iteration >= config.max_iters_cap:
+        if config.stop.kind != STOP_FIXED_ITERS and iteration >= config.max_iters_cap:
             break
         codebook = update_penalties(
             codebook, assignment.counts, n_opt, config.alpha

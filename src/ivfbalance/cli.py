@@ -110,11 +110,13 @@ def _build_parser() -> argparse.ArgumentParser:
     bal.add_argument("--codebook", required=True, help="codebook directory")
     bal.add_argument("--alpha", type=float, default=balancer.DEFAULT_ALPHA)
     stop = bal.add_mutually_exclusive_group()
-    stop.add_argument("--iters", type=int, help="fixed number of penalty updates")
+    stop.add_argument("--iters", type=int, help="run exactly this many penalty updates")
     stop.add_argument("--target-gamma", type=float, help="stop at this imbalance factor")
     stop.add_argument("--target-fraction", type=float,
                       help="stop when the excess imbalance shrinks to this fraction")
-    bal.add_argument("--max-iters-cap", type=int, default=balancer.DEFAULT_MAX_ITERS_CAP)
+    bal.add_argument("--max-iters-cap", type=int, default=balancer.DEFAULT_MAX_ITERS_CAP,
+                     help="most updates for --target-gamma and --target-fraction "
+                          "(default: %(default)s); --iters N always runs N")
     bal.add_argument("--out", required=True, help="balanced codebook output directory")
 
     bld = subs.add_parser("build", help="build an inverted-file index")

@@ -136,10 +136,7 @@ def codebooks_at_iterations(
     the full penalty vector per iteration, which makes the prefix snapshots
     exact.
     """
-    target = max(iteration_presets)
-    config = BalanceConfig(
-        stop=StopRule.fixed_iters(target), alpha=alpha, max_iters_cap=target
-    )
+    config = BalanceConfig(stop=StopRule.fixed_iters(max(iteration_presets)), alpha=alpha)
     _, trace = balance(balance_set, codebook, config)
     stages = {
         r: Codebook(codebook.centroids, trace.records[r].penalties.copy(), r)

@@ -126,8 +126,8 @@ def _update_means(
     """Mean update with deterministic empty-cluster repair.
 
     An empty cluster is reseeded with the data point farthest from its
-    current centroid; repeated empties take successively farther points so
-    two empty clusters never grab the same row.
+    current centroid, lowest id on ties, skipping the rows earlier empty
+    clusters took, so two empty clusters never grab the same row.
     """
     k, dim = previous.k, data.dim
     # Float64 sums per (cell, column), added in row order as np.add.at does.
@@ -139,15 +139,12 @@ def _update_means(
     filled = counts > 0
     new_points[filled] = sums[filled] / counts[filled, None]
 
-    empty = np.flatnonzero(~filled)
-    if empty.size:
-        taken: set[int] = set()
-        for cell in empty:
-            d2 = sqdist_to_centroids(data.data, previous.points[cell][None, :])[:, 0]
-            order = np.argsort(-d2, kind="stable")
-            pick = next(int(p) for p in order if int(p) not in taken)
-            taken.add(pick)
-            new_points[cell] = data.data[pick].astype(np.float64)
+    taken: list[int] = []
+    for cell in np.flatnonzero(~filled):
+        d2 = sqdist_to_centroids(data.data, previous.points[cell][None, :])[:, 0]
+        d2[taken] = -np.inf
+        taken.append(int(np.argmax(d2)))  # first occurrence: lowest id of equally far rows
+        new_points[cell] = data.data[taken[-1]].astype(np.float64)
     return Centroids(new_points.astype(np.float32))
 
 

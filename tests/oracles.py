@@ -26,7 +26,7 @@ import numpy as np
 
 import ivfbalance.distances as distances
 from ivfbalance import Centroids, Codebook, imbalance_factor, update_penalties
-from ivfbalance.balancer import _stop_satisfied
+from ivfbalance.balancer import STOP_FIXED_ITERS, _stop_satisfied
 from ivfbalance.dataset import VectorSet, _draw_centers, mixture_centers
 from ivfbalance.distances import sq_norms, sqdist_to_centroids
 from ivfbalance.index import ROUTE_PENALIZED
@@ -148,7 +148,7 @@ def balance_recomputing(data, codebook: Codebook, config):
         records.append((iteration, gamma, counts, codebook.penalties.copy()))
         if _stop_satisfied(config.stop, iteration, gamma, gamma0):
             break
-        if iteration >= config.max_iters_cap:
+        if config.stop.kind != STOP_FIXED_ITERS and iteration >= config.max_iters_cap:
             break
         codebook = update_penalties(codebook, counts, n_opt, config.alpha)
         iteration += 1

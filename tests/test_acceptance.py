@@ -92,9 +92,7 @@ def fx() -> MixtureFixture:
     )
     centroids = lloyd_full(db, K, seed=SEED).centroids
     base = Codebook.fresh(centroids)
-    config = BalanceConfig(
-        stop=StopRule.fixed_iters(FULL_ITERS), alpha=ALPHA, max_iters_cap=FULL_ITERS
-    )
+    config = BalanceConfig(stop=StopRule.fixed_iters(FULL_ITERS), alpha=ALPHA)
     _, trace = balance(db, base, config)
     return MixtureFixture(db=db, queries=queries, base=base, trace=trace)
 

@@ -331,6 +331,16 @@ class TestBalanceOneMatrix:
         assert all(r.counts.tolist() == [50] for r in trace.records)
 
     @pytest.mark.parametrize(
+        "stop, records", [(StopRule.fixed_iters(9), 10), (StopRule.target_gamma(1.0), 5)],
+        ids=["fixed", "target"],
+    )
+    def test_a_cap_below_the_rule_bounds_only_the_target(self, rng, stop, records):
+        data = random_vectors(rng, 300, 4)
+        cb = Codebook.fresh(Centroids(data.data[:10].copy()))
+        config = BalanceConfig(stop=stop, alpha=1e-3, max_iters_cap=4)
+        assert len(self.assert_matches_recomputing(data, cb, config)) == records
+
+    @pytest.mark.parametrize(
         "stop", [StopRule.fixed_iters(0), StopRule.fixed_iters(9), StopRule.target_gamma(1.0)]
     )
     def test_one_distance_call_per_balance(self, rng, monkeypatch, stop):

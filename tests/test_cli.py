@@ -89,6 +89,16 @@ class TestPipeline:
         meta = (bal_dir / "meta.txt").read_text()
         assert "stop=target_gamma(1.5)" in meta
 
+    def test_balance_iters_above_the_cap_runs_in_full(self, generated, tmp_path):
+        db, _ = generated
+        cb_dir = tmp_path / "cb"
+        bal_dir = tmp_path / "bal"
+        assert run(["kmeans", "--db", db, "--k", 8, "--seed", 1, "--out", cb_dir]) == 0
+        assert run(["balance", "--db", db, "--codebook", cb_dir, "--iters", 12,
+                    "--max-iters-cap", 5, "--out", bal_dir]) == 0
+        meta = (bal_dir / "meta.txt").read_text().splitlines()
+        assert "stop=fixed_iters(12)" in meta and "balance_iterations=12" in meta
+
     def test_balance_target_fraction(self, generated, tmp_path):
         db, _ = generated
         cb_dir = tmp_path / "cb"
@@ -206,6 +216,18 @@ class TestExitCodes:
             main(["convergence", "--db", str(db), "--k", "3,x", "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
         assert "expected comma-separated ints: '3,x'" in capsys.readouterr().err
+
+    def test_bad_float_list_exits_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--out", str(tmp_path / "g.fvecs"), "--n", "5", "--dim", "2",
+                  "--modes", "2", "--weights", "1,x"])
+        assert exc.value.code == 2
+        assert "expected comma-separated floats: '1,x'" in capsys.readouterr().err
+
+    def test_os_error_is_runtime_error(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert run(["gen", "--out", tmp_path / "file" / "g.fvecs", "--n", 5, "--dim", 2]) == 1
+        assert capsys.readouterr().err.startswith("runtime error: ")
 
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

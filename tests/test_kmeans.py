@@ -159,14 +159,23 @@ class TestLloyd:
         # farthest point from the empty cell's centroid (-100) is 50
         assert updated.points[2, 0] == 50.0
 
-    @pytest.mark.parametrize("empty", [False, True])
+    @pytest.mark.parametrize("empty", [False, True, "ties-1e-20", "ties-1", "ties-1e15"])
     def test_mean_update_matches_add_at(self, rng, empty):
+        """``empty``: no cell, cells 2 and 5, or ("ties-<scale>") every cell
+        but 0 of a coarse integer grid, so the repair picks among many
+        equally far rows."""
         from ivfbalance.kmeans import _update_means
 
-        data = random_vectors(rng, 500, 6, scale=1e3)
-        cents = init_centroids(data, 9, seed=2)
-        cells = assign_plain(data, cents).cell_of
-        if empty:
+        if isinstance(empty, str):
+            grid = rng.integers(-2, 3, size=(200, 2)) * float(empty.split("-", 1)[1])
+            data = VectorSet.from_array(grid.astype(np.float32))
+            cents = Centroids(data.data[:9] + data.data[9:18])
+            cells = np.zeros(data.count, dtype=np.int64)
+        else:
+            data = random_vectors(rng, 500, 6, scale=1e3)
+            cents = init_centroids(data, 9, seed=2)
+            cells = assign_plain(data, cents).cell_of
+        if empty is True:
             cells[np.isin(cells, [2, 5])] = 0  # cells 2 and 5 get repaired
         want = update_means_add_at(data, cells, cents)
         got = _update_means(data, Assignment(cells, 9), cents)
