@@ -94,6 +94,10 @@ class StopRule:
     kind: str
     value: float
 
+    def __post_init__(self) -> None:
+        if self.kind not in (STOP_FIXED_ITERS, STOP_TARGET_GAMMA, STOP_TARGET_FRACTION):
+            raise ValueError(f"unknown stop rule: {self.kind!r}")
+
     @classmethod
     def fixed_iters(cls, r: int) -> "StopRule":
         if r < 0:
@@ -215,9 +219,7 @@ def _stop_satisfied(stop: StopRule, iteration: int, gamma: float, gamma0: float)
         return iteration >= stop.value
     if stop.kind == STOP_TARGET_GAMMA:
         return gamma <= stop.value
-    if stop.kind == STOP_TARGET_FRACTION:
-        return gamma <= 1.0 + stop.value * (gamma0 - 1.0)
-    raise ValueError(f"unknown stop rule: {stop.kind!r}")
+    return gamma <= 1.0 + stop.value * (gamma0 - 1.0)
 
 
 def balance(

@@ -21,9 +21,16 @@ top-r: :func:`screen_float32` bounds one float32 product per row,
 the caller's exact kernel re-scores them and :func:`top_r` ranks them,
 bit for bit as an exact scan of every row would, for any data.
 
+Ground truth hands :func:`nearest_r` only the rows that :func:`block_cut`
+keeps for a block of queries: float32 GEMM tiles of :func:`shifted_keys`,
+taken relative to a center of the rows (:func:`centered_half_norms`), so
+that their bound (:func:`key_bounds`) grows with the spread of the data
+around that center and the query's distance to it, not with the distance
+from the origin.
+
 All arithmetic is float64 regardless of input dtype; float32 inputs widen
-exactly, except in :func:`screen_float32` and in the float32 screen that
-:func:`nearest_cells` reads.
+exactly, except in the float32 screens: :func:`screen_float32`, the keys of
+:func:`block_cut` and the one :func:`nearest_cells` reads.
 """
 
 from __future__ import annotations
@@ -36,6 +43,10 @@ _CHUNK_ELEMS = 16 * 1024 * 1024
 
 # Row blocks of nearest_cells hold about this many float64 entries.
 _ARGMIN_BLOCK_ELEMS = 64 * 1024
+
+# Rows per tile of block_cut: a block of 32 queries holds 32 * 4096
+# float32 keys (512 KB).
+_TILE_ROWS = 4096
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _UNIT_ROUNDOFF32 = 2.0**-24
@@ -290,3 +301,180 @@ def nearest_r(kernel, query: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray,
         keep = certified(*screen_float32(query, rows, rows_sq), r)
         rows, ids = rows[keep], ids[keep]
     return top_r(ids, kernel(query[None, :], rows)[0], r)
+
+
+def centered_half_norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A float32 ``center`` of float32 ``rows``, the mean of an evenly
+    strided sample of at least a thousand rows (all of them up to 2,047),
+    and each row's half squared distance to it,
+    ``h = fl32(fl32(|fl32(v - center)|^2) / 2)``, summed in float32 one
+    tile of rows at a time. As distances do not change under translation,
+    any center is valid for :func:`key_bounds`.
+    """
+    n, d = rows.shape
+    center = rows[:: max(1, n // 1024)].mean(axis=0, dtype=np.float64).astype(np.float32)
+    half = np.empty(n, dtype=np.float32)
+    # Tiles of 64Ki entries. A flat subtract of a repeated center runs long
+    # loops; a broadcast over the rows would loop d entries at a time.
+    step = max(1, 64 * 1024 // d)
+    repeated = np.tile(center, min(step, n))
+    buf = np.empty_like(repeated)
+    with np.errstate(over="ignore"):
+        for start in range(0, n, step):
+            tile = rows[start : start + step]
+            diff = np.subtract(tile.reshape(-1), repeated[: tile.size], out=buf[: tile.size])
+            diff = diff.reshape(tile.shape)
+            np.einsum("ij,ij->i", diff, diff, out=half[start : start + len(tile)])
+        half *= np.float32(0.5)
+    return center, half
+
+
+def key_bounds(queries: np.ndarray, center: np.ndarray, half: np.ndarray,
+               rows_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``p = fl32(q - center)`` for each float64 query of a block, and the
+    bound ``E`` of its float32 keys over float32 rows, given the rows'
+    :func:`sq_norms` and ``half`` from :func:`centered_half_norms`.
+
+    The key of a query q and a row v is :func:`shifted_keys`'
+    ``k = fl32(h - fl32(p.v))``. With ``w = q - center`` real, ``H`` the
+    real ``|v - center|^2 / 2``, and ``C = |w|^2 / 2 + w.center``, the
+    real squared distance is ``D = 2 (H - w.v + C)``, so keys rank the rows
+    as distances do. With ``X`` the :func:`sqdist_exact` value, for every
+    row, unless ``E`` is +inf::
+
+        |k - (X / 2 - C)| <= E
+
+    Then a query whose r rows have keys at most κ has an r-th smallest
+    ``X / 2 - C`` of at most ``κ + E``, so no row whose ``X`` is at or below
+    the r-th smallest has a key above ``κ + 2 E``.
+
+    Derivation, after Higham ch. 3, with ``u = 2^-24``, ``gamma_n`` at u,
+    ``(d + 4) u <= 1/5`` (so ``gamma_{d+4} <= 1/4``), ``g = gamma_{d+2}``
+    at float64's u (see :func:`screen_float32`) and ``eta = 2^-150``, the
+    largest float32 rounding below the normal range, where sums and
+    differences are exact (IEEE gradual underflow):
+
+    * ``fl64(q - center)`` and its float32 cast put each ``p_i`` within
+      ``u' |w_i| + eta`` of ``w_i``, ``u' = u + 2^-52``, so
+      ``|p - w| <= u' |w| + sqrt(d) eta``.
+    * The float32 product, in any summation order, fused or not, is
+      within ``gamma_d |p| |v| + 2 d eta`` of ``p.v``.
+    * Each rounded difference ``fl32(v_i - center_i)`` squares to within
+      ``gamma_2`` of the real square, the float32 sum adds ``gamma_d`` and
+      ``d (1 + gamma_d) eta``, and halving ``eta``: ``|h - H| <=
+      gamma_{d+2} H + (d + 2) eta``, so
+      ``H <= (max h + (d + 2) eta)(1 + 2 gamma_{d+2})``.
+    * The subtraction forming ``k`` adds ``u |h - fl32(p.v)|``.
+    * ``|X - D| <= g D`` and ``D <= 2 |w|^2 + 4 H``.
+
+    As ``gamma_n + u (1 + gamma_n) <= gamma_{n+1}``, ``H`` gathers
+    ``gamma_{d+3} + 2 g`` and ``|w| |v|`` gathers
+    ``(1 + u')(gamma_d + u (1 + gamma_d)) + u'``, which is below
+    ``gamma_{d+2}`` (it exceeds ``gamma_{d+1} + u (1 + gamma_{d+1})`` by
+    ``2^-52 (1 + gamma_{d+1})``, below their gap ``u gamma_{d+2}``). With
+    ``a = |fl64(q - center)|`` and ``V`` the largest row norm, both in
+    float64::
+
+        E = gamma_{d+4} (1 + 2 gamma_{d+2}) max h + gamma_{d+3} a V
+            + 2 g a^2 + (sqrt(d) V + 2 d + 2) 2^-149
+
+    The spare ``u (max h + a V)`` over the derived terms covers ``2 g H``
+    and the float64 roundings of ``a``, ``V``, ``E`` and of the threshold
+    ``κ + 2 E``. The ``eta`` terms, carried through the same steps, add up
+    to at most ``1.25 sqrt(d) eta V + (3.4 d + 3) eta``, below the last
+    term. ``E`` is +inf for a query whose ``p`` is not finite or where
+    ``max h + 2 a V`` exceeds ``2^125``: there a float32 product or key
+    could overflow, and nothing is claimed. Below it no key, product or
+    partial sum can.
+    """
+    d = queries.shape[1]
+    w = np.subtract(queries, center, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = w.astype(np.float32)
+        a = np.sqrt(sq_norms(w))
+        v_max = float(np.sqrt(rows_sq.max()))
+        h_max = float(half.max())
+        bound = (_gamma(d + 4, _UNIT_ROUNDOFF32) * (1 + 2 * _gamma(d + 2, _UNIT_ROUNDOFF32)) * h_max
+                 + _gamma(d + 3, _UNIT_ROUNDOFF32) * a * v_max
+                 + 2 * _gamma(d + 2) * a * a
+                 + (np.sqrt(d) * v_max + 2 * d + 2) * 2.0**-149)
+        safe = np.isfinite(p).all(axis=1) & (h_max + 2 * a * v_max <= 2.0**125)
+    bound[~safe] = np.inf
+    return p, bound
+
+
+def shifted_keys(p: np.ndarray, rows: np.ndarray, half: np.ndarray, out=None) -> np.ndarray:
+    """The (queries, rows) float32 keys ``fl32(half - fl32(p.v))`` of
+    :func:`key_bounds`' ``p``, from one float32 BLAS product, into ``out``
+    (a contiguous float32 array of that shape) when given."""
+    keys = np.matmul(p, rows.T, out=out)
+    return np.subtract(half, keys, out=keys)
+
+
+def _cut_at(kappa: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """The float32 ``κ + 2 E`` per query, rounded up; -inf where E is +inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact = kappa + 2.0 * bound
+        cut = exact.astype(np.float32)
+    cut = np.where(cut < exact, np.nextafter(cut, np.float32(np.inf)), cut)
+    cut[~np.isfinite(bound)] = -np.inf
+    return cut
+
+
+def _merge_best(best: np.ndarray, q: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The r smallest of each row of ``best`` (queries, r) together with the
+    ``keys`` at row ``q`` (ascending), one padded partition for the block."""
+    n, r = best.shape
+    counts = np.bincount(q, minlength=n)
+    pad = np.full((n, r + counts.max()), np.inf, dtype=np.float32)
+    pad[:, :r] = best
+    pad[q, r + np.arange(len(q)) - (np.cumsum(counts) - counts)[q]] = keys
+    return np.partition(pad, r - 1, axis=1)[:, :r]
+
+
+def block_cut(queries: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray,
+              center: np.ndarray, half: np.ndarray, r: int) -> list:
+    """For each float64 query of a block, the ascending ids of the float32
+    ``rows`` whose exact distance can still be among its r smallest, ties
+    included, or ``slice(None)``, every row, where :func:`key_bounds`
+    claims nothing (and for every query when r covers the rows).
+
+    The rows are walked in tiles of :func:`shifted_keys`. κ, each query's
+    r-th smallest key so far, starts at the first tile's (one partition),
+    and each tile emits the rows with keys at most ``κ + 2 E``, which then
+    update κ. κ only falls, so a final cut at the last κ keeps every row
+    that :func:`key_bounds` says can reach the top r. What is kept is a
+    superset of those rows that :func:`nearest_r` ranks exactly.
+    """
+    n = len(rows)
+    if r >= n:
+        return [slice(None)] * len(queries)
+    p, bound = key_bounds(queries, center, half, rows_sq)
+    closed = np.isfinite(bound)
+    if not closed.any():
+        return [slice(None)] * len(queries)
+    p[~closed] = 0.0  # no overflow in the product; their cut is -inf
+    tile = max(_TILE_ROWS, r)
+    buf = np.empty(len(p) * min(tile, n), dtype=np.float32)
+    mask = np.empty(buf.shape, dtype=bool)
+    best, found = None, []
+    for start in range(0, n, tile):
+        width = min(tile, n - start)
+        keys = shifted_keys(p, rows[start : start + width], half[start : start + width],
+                            buf[: len(p) * width].reshape(len(p), width))
+        if best is None:
+            best = np.partition(keys, r - 1, axis=1)[:, :r].copy()
+            cut = _cut_at(best[:, -1], bound)
+        hit = np.less_equal(keys, cut[:, None], out=mask[: keys.size].reshape(keys.shape))
+        flat = np.flatnonzero(hit)  # far faster than a 2-d nonzero
+        q, j = np.divmod(flat, width)
+        found.append((q, j + start, keys.reshape(-1)[flat]))
+        if start and (found[-1][2] < best[q, -1]).any():
+            best = _merge_best(best, q, found[-1][2])
+            cut = _cut_at(best[:, -1], bound)
+    q, j, k = (np.concatenate(parts) for parts in zip(*found))
+    keep = k <= cut[q]
+    q, j = q[keep], j[keep]
+    groups = np.split(j[np.argsort(q, kind="stable")],
+                      np.cumsum(np.bincount(q, minlength=len(p)))[:-1])
+    return [g if ok else slice(None) for g, ok in zip(groups, closed)]

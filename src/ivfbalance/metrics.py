@@ -24,13 +24,16 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dataset import VectorSet, write_csv
-from .distances import nearest_r, sq_norms, sqdist_exact
+from .distances import block_cut, centered_half_norms, nearest_r, sq_norms, sqdist_exact
 
 if TYPE_CHECKING:  # pragma: no cover
     from .index import InvertedFile, SearchParams
 
 REPORT_CSV_HEADER = "k,ma,iters,alpha,gamma,variance,selectivity,recall_at_1"
 HISTOGRAM_CSV_HEADER = "bucket_lo,bucket_hi,count"
+
+# Queries per block of brute_force_nn's float32 GEMM tiles.
+_QUERY_BLOCK = 32
 
 
 def _probabilities(counts: np.ndarray) -> tuple[np.ndarray, int]:
@@ -84,11 +87,14 @@ def brute_force_nn(data: VectorSet, queries: VectorSet, r: int) -> GroundTruth:
     """Exhaustive exact top-r by squared L2, ascending-id tie-break.
 
     Ids and distances are those of an exact scan: :func:`sqdist_exact` over
-    every (query, point) pair, ranked by ``(distance, id)``. Each query is
-    ranked on its own by :func:`~ivfbalance.distances.nearest_r`, search's
-    screened top-r with every point as a candidate, so they do not depend
-    on how the queries are sliced into calls. The points' squared norms
-    are computed once per call.
+    every (query, point) pair, ranked by ``(distance, id)``. Blocks of
+    queries go through :func:`~ivfbalance.distances.block_cut`, float32
+    GEMM tiles of keys taken relative to a center of the points, which
+    keeps the points each query's top r can hold; each query's points are
+    then ranked on their own by :func:`~ivfbalance.distances.nearest_r`,
+    so the result does not depend on how the queries are sliced into
+    blocks or calls. The points' squared norms and their centered half
+    norms are computed once per call.
     """
     if data.dim != queries.dim:
         raise ValueError(
@@ -98,9 +104,15 @@ def brute_force_nn(data: VectorSet, queries: VectorSet, r: int) -> GroundTruth:
         raise ValueError(f"r={r} out of range [1, {data.count}]")
     ids = np.empty((queries.count, r), dtype=np.int64)
     dists = np.empty((queries.count, r), dtype=np.float64)
-    points_sq, point_ids = sq_norms(data.data), np.arange(data.count)
-    for i, query in enumerate(queries.data):
-        ids[i], dists[i] = nearest_r(sqdist_exact, query, data.data, points_sq, point_ids, r)
+    points = data.data
+    points_sq, point_ids = sq_norms(points), np.arange(data.count)
+    center, half = centered_half_norms(points)
+    for start in range(0, queries.count, _QUERY_BLOCK):
+        block = queries.data[start : start + _QUERY_BLOCK].astype(np.float64)
+        kept = block_cut(block, points, points_sq, center, half, r)
+        for i, (query, keep) in enumerate(zip(block, kept), start):
+            ids[i], dists[i] = nearest_r(sqdist_exact, query, points[keep], points_sq[keep],
+                                         point_ids[keep], r)
     return GroundTruth(ids, dists)
 
 

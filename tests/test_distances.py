@@ -9,10 +9,13 @@ import ivfbalance.distances as distances
 import ivfbalance.kmeans as kmeans
 from ivfbalance import Centroids, Codebook, VectorSet, assign_plain, build, lloyd_full
 from ivfbalance.distances import (
+    centered_half_norms,
     certified,
+    key_bounds,
     nearest_cells,
     nearest_r,
     screen_float32,
+    shifted_keys,
     sq_norms,
     sqdist_exact,
     sqdist_to_centroids,
@@ -301,6 +304,55 @@ class TestFloat32Screen:
         vectors = rng.standard_normal((50, 32)).astype(np.float32)
         screened, b, _ = float32_screen(rng.standard_normal(32), vectors)
         assert (b < 1e-4 * screened).all()
+
+
+def key_cases(rng):
+    """(name, float64 queries, float32 rows) for the key bound test: the
+    screen's cases, rows around far offsets, and rows whose centered half
+    norms round three times the same way."""
+    for name, query, vectors in screen_cases(rng):
+        yield name, query[None, :], vectors
+    for d in (1, 3, 8, 32):
+        spread = rng.standard_normal((12, d))
+        for offset in (30.0, 1e3, 1e4):
+            rows = (offset + spread * 0.1).astype(np.float32)
+            yield f"offset {offset}", offset + rng.standard_normal((3, d)) * 0.1, rows
+    # The center is their mean, -2^-24. Each row's difference to it,
+    # +-(1 + 2^-12 + 2^-24), ties and rounds to even, 1 + 2^-12 in size,
+    # whose square 1 + 2^-11 + 2^-24 ties and rounds down to even again:
+    # the key of the query at the center is 1.5 u below the real value.
+    rows = np.array([[1 + 2.0**-12], [-(1 + 2.0**-12 + 2.0**-23)]], dtype=np.float32)
+    yield "centered norms round three times", np.array([[-(2.0**-24)]]), rows
+
+
+class TestShiftedKeys:
+    """``shifted_keys`` are within ``key_bounds``' E of half the exact
+    kernel's value less the query's constant, checked in rationals."""
+
+    def test_bound_holds_in_exact_arithmetic(self, rng):
+        for name, queries, rows in key_cases(rng):
+            center, half = centered_half_norms(rows)
+            p, bound = key_bounds(queries, center, half, sq_norms(rows))
+            safe = np.isfinite(bound)
+            assert safe.all() or name == "scale 1e+19", name
+            keys = shifted_keys(p[safe], rows, half)
+            exact = sqdist_exact(queries[safe], rows)
+            c = [Fraction(float(x)) for x in center]
+            for query, row_keys, row_exact, e in zip(queries[safe], keys, exact, bound[safe]):
+                w = [Fraction(float(x)) - ci for x, ci in zip(query, c)]
+                constant = sum(x * x for x in w) / 2 + sum(x * ci for x, ci in zip(w, c))
+                for key, x in zip(row_keys, row_exact):
+                    error = Fraction(float(key)) - (Fraction(float(x)) / 2 - constant)
+                    assert abs(error) <= Fraction(float(e)), name
+
+    @pytest.mark.parametrize("offset, ratio", [(0.0, 1e-5), (1e3, 0.05)])
+    def test_bound_is_close_on_plain_data(self, rng, offset, ratio):
+        # Loose bounds cost speed: pin their size against half the median
+        # distance, at the origin and far from it.
+        rows = (offset + 0.1 * rng.standard_normal((1000, 32))).astype(np.float32)
+        queries = offset + 0.1 * rng.standard_normal((4, 32))
+        _, bound = key_bounds(queries, *centered_half_norms(rows), sq_norms(rows))
+        assert (bound < ratio * np.median(sqdist_exact(queries, rows)) / 2).all()
 
 
 class TestCertified:

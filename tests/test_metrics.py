@@ -25,6 +25,7 @@ from ivfbalance.distances import sqdist_exact
 from ivfbalance.metrics import ScanHistogram, write_histogram_csv, write_report_csv
 
 from conftest import random_vectors
+from oracles import brute_force_nn_per_query
 
 
 class TestImbalanceFactor:
@@ -214,9 +215,12 @@ class TestCertifiedGroundTruth:
         assert np.array_equal(truth.ids, ids)
         assert truth.dists.tobytes() == dists.tobytes()
 
-    def test_rescores_few_pairs(self, rng, monkeypatch):
-        data = random_vectors(rng, 5000, 16)
-        queries = random_vectors(rng, 20, 16)
+    @pytest.mark.parametrize("offset", [0.0, 1e3], ids=["at-origin", "offset-1e3"])
+    def test_rescores_few_pairs(self, rng, monkeypatch, offset):
+        # Far from the origin too: the block pre-cut's keys are taken
+        # relative to a center of the points, not to the origin.
+        data = VectorSet.from_array(random_vectors(rng, 5000, 16).data + offset)
+        queries = VectorSet.from_array(random_vectors(rng, 20, 16).data + offset)
         columns = []
 
         def counting(x, c):
@@ -230,6 +234,49 @@ class TestCertifiedGroundTruth:
         ids, dists = exact_scan_nn(data, queries, 10)
         assert np.array_equal(truth.ids, ids)
         assert np.array_equal(truth.dists, dists)
+
+
+BLOCK = metrics._QUERY_BLOCK
+
+
+def assert_same_truth(got, expected):
+    assert np.array_equal(got.ids, expected.ids)
+    assert got.dists.tobytes() == expected.dists.tobytes()
+
+
+class TestBlockPreCut:
+    """brute_force_nn's query blocks and row tiles hand ``nearest_r`` a
+    subset of the points; the result must be that of ``nearest_r`` over
+    every point, whatever the block and tile edges."""
+
+    @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("r", [1, 10, 100])
+    def test_matches_the_per_query_ranking_across_edges(self, rng, monkeypatch, count, r):
+        # 64-row tiles over 333 points, and r = 100 past a tile. On a
+        # coarse lattice, so that ties sit at every rank.
+        monkeypatch.setattr(distances, "_TILE_ROWS", 64)
+        data = VectorSet.from_array(rng.integers(-3, 4, (333, 4)))
+        lattice = rng.integers(-3, 4, (count, 4))
+        queries = VectorSet.from_array(lattice + rng.choice([0, 0.5], (count, 4)))
+        expected = brute_force_nn_per_query(data, queries, r)
+        assert_same_truth(brute_force_nn(data, queries, r), expected)
+
+    def test_an_overflowing_query_leaves_its_block_alone(self, rng):
+        # A float32 product of query 5 overflows: it alone goes to every point.
+        data = random_vectors(rng, 500, 8, scale=10.0)
+        raw = rng.standard_normal((BLOCK + 1, 8)) * 10.0
+        raw[5] = 3e38
+        queries = VectorSet.from_array(raw)
+        center, half = distances.centered_half_norms(data.data)
+        _, bound = distances.key_bounds(queries.data.astype(np.float64), center, half,
+                                        distances.sq_norms(data.data))
+        assert np.flatnonzero(~np.isfinite(bound)).tolist() == [5]
+        truth = brute_force_nn(data, queries, 10)
+        assert_same_truth(truth, brute_force_nn_per_query(data, queries, 10))
+        for i in range(queries.count):
+            alone = brute_force_nn(data, VectorSet(queries.data[i : i + 1]), 10)
+            assert np.array_equal(alone.ids[0], truth.ids[i])
+            assert alone.dists[0].tobytes() == truth.dists[i].tobytes()
 
 
 @pytest.fixture

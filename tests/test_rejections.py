@@ -35,6 +35,8 @@ CASES = {
         lambda: balance(POINTS, CODEBOOK, BalanceConfig(StopRule("bogus", 1))),
         "unknown stop rule: 'bogus'",
     ),
+    # Before any balancing work: the rule itself is refused.
+    "unknown-stop-kind-alone": (lambda: StopRule("bogus", 1), "unknown stop rule: 'bogus'"),
     "vector-set-of-a-list": (lambda: VectorSet([[1.0, 2.0]]), "must be a 2-d numpy array"),
     "vector-set-of-float64": (
         lambda: VectorSet(np.zeros((2, 2))), "must be float32, got float64"
