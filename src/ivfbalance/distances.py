@@ -15,25 +15,25 @@ Two kernels with different determinism/speed trade-offs:
   an exhaustive multi-probe search must reproduce the brute-force ranking
   exactly, ties included.
 
-Search and ground truth both rank with :func:`nearest_r`, the one exact
-top-r: :func:`screen_float32` bounds one float32 product per row,
-:func:`certified` keeps the rows that can still reach the r-th smallest,
-the caller's exact kernel re-scores them and :func:`top_r` ranks them,
-bit for bit as an exact scan of every row would, for any data.
-
-Ground truth hands :func:`nearest_r` only the rows that :func:`block_cut`
-keeps for a block of queries: float32 GEMM tiles of :func:`shifted_keys`,
-taken relative to a center of the rows (:func:`centered_half_norms`), so
-that their bound (:func:`key_bounds`) grows with the spread of the data
-around that center and the query's distance to it, not with the distance
-from the origin.
+Search and ground truth rank the same way, bit for bit as an exact scan
+of every row would, for any data: float32 keys taken relative to a center
+of the rows (:func:`centered_half_norms`, :func:`shifted_keys`) rank the
+rows as distances do, up to a proven bound E (:func:`key_bounds`) that
+grows with the spread of the rows around that center and the query's
+distance to it, not with the distance from the origin. Only the rows whose
+key is at most κ + 2E, κ being the r-th smallest key, reach the caller's
+exact kernel, and :func:`top_r` ranks them. Search cuts one query's
+candidates with one float32 product (:func:`nearest_r`); ground truth
+cuts a block of queries with float32 GEMM tiles (:func:`block_cut`).
 
 All arithmetic is float64 regardless of input dtype; float32 inputs widen
-exactly, except in the float32 screens: :func:`screen_float32`, the keys of
-:func:`block_cut` and the one :func:`nearest_cells` reads.
+exactly, except in the float32 keys and the screen :func:`nearest_cells`
+reads.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -185,86 +185,16 @@ def sqdist_exact(x: np.ndarray, c: np.ndarray) -> np.ndarray:
 
     Each entry is computed as ``sum((x_i - c_j)**2)`` over its own pair of
     rows only, so results do not depend on which other rows are present.
-    The differences are one (n, k, d) float64 block: callers pass one
-    query, so it holds k·d·8 bytes, 25.6 MB when ground truth keeps all
-    100k rows at d=32.
+    It sums d nonnegative rounded squares of rounded differences, so it is
+    within ``gamma_{d+2} D`` of the real squared distance D (Higham ch. 3),
+    which :func:`key_bounds` builds on. The differences are one (n, k, d)
+    float64 block: callers pass one query and the rows the key cut keeps,
+    about r, or every row where the cut claims nothing (25.6 MB at 100k
+    rows, d=32).
     """
     x, c = _as_pair(x, c)
     diff = x[:, None, :] - c[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
-
-
-def screen_float32(
-    query: np.ndarray, vectors: np.ndarray, v_sq: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Squared L2 distances from one float64 ``query`` to the rows of a
-    float32 matrix, screened with one float32 BLAS product, and their
-    rounding-error bounds.
-
-    ``v_sq`` holds the rows' :func:`sq_norms`. Returns ``(screened, b, g)``.
-    With ``D`` the real squared distance of the query and row j, for every
-    j whose ``screened[j]`` is finite::
-
-        |screened[j] - D| <= b[j]
-        |sqdist_exact(query, vectors)[j] - D| <= g * D
-
-    With ``p = fl32(query)`` and ``t = |q|^2 + v_sq`` in float64,
-    ``screened = t - 2 fl32(v.p)`` and ``b = gamma32_{d+2} t + d 2^-140``
-    (Higham ch. 3; ``gamma32`` is ``gamma`` at float32's u = 2^-24). In any
-    summation order, fused or not, the float32 dot is within
-    ``gamma32_d |v| |p|`` of ``v.p``, plus ``d 2^-150`` for products below
-    float32's normal range (sums there are exact: IEEE gradual underflow,
-    numpy's default), and ``v.p`` is within ``|v| |q - p|`` of ``v.q``,
-    where ``|q - p| <= u |q| + sqrt(d) 2^-150``. As ``|p| <= |q| + |q - p|``
-    and ``gamma32_d + u (1 + gamma32_d) <= gamma32_{d+1}``, the doubled
-    errors are at most ``2 gamma32_{d+1} |v| |q|``, so at most
-    ``gamma32_{d+1} (|q|^2 + |v|^2)`` (AM-GM), plus the subnormal term
-    ``2 (1 + gamma32_d) sqrt(d) 2^-150 |v|``, which AM-GM puts below
-    ``2^-60 |v|^2 + d 2^-240``; that constant and the doubled ``d 2^-150``
-    are far below ``d 2^-140``. ``d + 2`` leaves a spare ``u t`` over
-    ``d + 1`` for the ``2^-60 |v|^2``, the float64 error of ``t`` (within
-    ``gamma_{d+1}``), the add forming ``screened``, and the rounding of
-    ``b`` and of the tests :func:`certified` builds on it. A float32
-    product that overflows gives a non-finite ``screened[j]``, for which
-    nothing is claimed. The exact kernel sums d nonnegative rounded
-    squares of rounded differences, so ``g = gamma_{d+2}``.
-    """
-    d = vectors.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = query.astype(np.float32)
-        t = v_sq + np.dot(query, query)
-        # -2 fl32(v.p), exact in float64, plus t
-        screened = np.multiply(vectors @ p, -2.0, dtype=np.float64)
-        screened += t
-        b = np.multiply(t, _gamma(d + 2, _UNIT_ROUNDOFF32), out=t)
-        b += d * 2.0**-140
-    return screened, b, _gamma(d + 2)
-
-
-def certified(screened: np.ndarray, b, g: float, r: int) -> np.ndarray:
-    """Indices of the entries whose exact value can still be among the r
-    smallest (ties included), for screened values within ``b`` of the
-    real ones and an exact kernel within relative ``g`` of them (from
-    :func:`screen_float32`), 1 <= r <= len.
-
-    Each entry's real value is at most ``screened + b`` (+inf where the
-    screened value is not finite), so r exact values are at most ``hi``,
-    the r-th smallest such bound times ``1 + g``, and so is the r-th
-    smallest exact value. An entry with ``(screened - b) (1 - g) > hi``
-    has an exact value above it and is dropped; every other one is kept,
-    a non-finite screened value always. ``~(>)`` keeps NaN comparisons.
-    One temporary of the screened row's size serves both tests.
-    """
-    bad = ~np.isfinite(screened)
-    with np.errstate(invalid="ignore"):  # inf - inf where b is infinite
-        bound = np.add(screened, b)
-        if bad.any():
-            bound[bad] = np.inf
-        bound.partition(r - 1)
-        hi = bound[r - 1] * (1.0 + g)
-        np.subtract(screened, b, out=bound)
-        bound *= 1.0 - g
-    return np.flatnonzero(~(bound > hi) | bad)
 
 
 def top_r(ids: np.ndarray, d2: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -275,9 +205,9 @@ def top_r(ids: np.ndarray, d2: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarr
     or below it are sorted. Every entry the full sort ranks within the
     first r is at or below that value, boundary ties included, and
     ``(distance, id)`` is a total order, so the result is exactly the full
-    sort's first r. The pre-cut bounds the ranking where :func:`certified`
-    keeps every row: data far from the origin, as the screen's bound grows
-    with ``|q|^2 + |v|^2``, not with the spread of the distances.
+    sort's first r. The pre-cut bounds the ranking where the key cut keeps
+    every row: for a query where :func:`key_bounds` claims nothing (NaN,
+    or far enough out that a float32 product could overflow).
     """
     if d2.size > r:
         # Not ``d2 <= kth``: a NaN kth (NaN query) must keep every entry.
@@ -287,31 +217,27 @@ def top_r(ids: np.ndarray, d2: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarr
     return ids[order], d2[order]
 
 
-def nearest_r(kernel, query: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray,
-              ids: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``ids`` and ``kernel`` values of the r float32 ``rows`` nearest
-    to one ``query``, ranked by :func:`top_r`: the first r of a full sort of
-    every row's value. ``kernel`` is the caller's :func:`sqdist_exact` and
-    ``rows_sq`` the rows' :func:`sq_norms`. With more than r rows, only the
-    rows :func:`certified` keeps from :func:`screen_float32` reach
-    ``kernel``, in one call: about r without near-ties, all for a NaN query.
-    """
-    query = np.asarray(query, dtype=np.float64)
-    if len(rows) > r:
-        keep = certified(*screen_float32(query, rows, rows_sq), r)
-        rows, ids = rows[keep], ids[keep]
-    return top_r(ids, kernel(query[None, :], rows)[0], r)
+class KeyFrame(NamedTuple):
+    """The row side of :func:`key_bounds`: the rows' float32 ``center``, their
+    largest half norm and a bound on their norms, valid for any subset."""
+
+    center: np.ndarray
+    h_max: float
+    v_max: float
 
 
-def centered_half_norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A float32 ``center`` of float32 ``rows``, the mean of an evenly
-    strided sample of at least a thousand rows (all of them up to 2,047),
-    and each row's half squared distance to it,
+def centered_half_norms(rows: np.ndarray) -> tuple[np.ndarray, KeyFrame]:
+    """Each float32 row's half squared distance to a float32 center,
     ``h = fl32(fl32(|fl32(v - center)|^2) / 2)``, summed in float32 one
-    tile of rows at a time. As distances do not change under translation,
-    any center is valid for :func:`key_bounds`.
+    tile of rows at a time, and the rows' :class:`KeyFrame`. The center is
+    the mean of an evenly strided sample of at least a thousand rows (all
+    of them up to 2,047). As distances do not change under translation,
+    any center is valid for :func:`key_bounds`, whose docstring derives
+    ``v_max``.
     """
     n, d = rows.shape
+    if n == 0:  # an empty index: no row to bound
+        return np.empty(0, np.float32), KeyFrame(np.zeros(d, np.float32), 0.0, 0.0)
     center = rows[:: max(1, n // 1024)].mean(axis=0, dtype=np.float64).astype(np.float32)
     half = np.empty(n, dtype=np.float32)
     # Tiles of 64Ki entries. A flat subtract of a repeated center runs long
@@ -326,14 +252,16 @@ def centered_half_norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             diff = diff.reshape(tile.shape)
             np.einsum("ij,ij->i", diff, diff, out=half[start : start + len(tile)])
         half *= np.float32(0.5)
-    return center, half
+    h_max = float(half.max())
+    spread = 2 * (h_max + (d + 2) * 2.0**-150) * (1 + 2 * _gamma(d + 2, _UNIT_ROUNDOFF32))
+    v_max = (np.sqrt(sq_norms(center[None, :])[0]) + np.sqrt(spread)) * (1 + _gamma(d + 10))
+    return half, KeyFrame(center, h_max, float(v_max))
 
 
-def key_bounds(queries: np.ndarray, center: np.ndarray, half: np.ndarray,
-               rows_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def key_bounds(queries: np.ndarray, frame: KeyFrame) -> tuple[np.ndarray, np.ndarray]:
     """``p = fl32(q - center)`` for each float64 query of a block, and the
     bound ``E`` of its float32 keys over float32 rows, given the rows'
-    :func:`sq_norms` and ``half`` from :func:`centered_half_norms`.
+    :class:`KeyFrame` from :func:`centered_half_norms`.
 
     The key of a query q and a row v is :func:`shifted_keys`'
     ``k = fl32(h - fl32(p.v))``. With ``w = q - center`` real, ``H`` the
@@ -350,7 +278,7 @@ def key_bounds(queries: np.ndarray, center: np.ndarray, half: np.ndarray,
 
     Derivation, after Higham ch. 3, with ``u = 2^-24``, ``gamma_n`` at u,
     ``(d + 4) u <= 1/5`` (so ``gamma_{d+4} <= 1/4``), ``g = gamma_{d+2}``
-    at float64's u (see :func:`screen_float32`) and ``eta = 2^-150``, the
+    at float64's u (see :func:`sqdist_exact`) and ``eta = 2^-150``, the
     largest float32 rounding below the normal range, where sums and
     differences are exact (IEEE gradual underflow):
 
@@ -363,7 +291,13 @@ def key_bounds(queries: np.ndarray, center: np.ndarray, half: np.ndarray,
       ``gamma_2`` of the real square, the float32 sum adds ``gamma_d`` and
       ``d (1 + gamma_d) eta``, and halving ``eta``: ``|h - H| <=
       gamma_{d+2} H + (d + 2) eta``, so
-      ``H <= (max h + (d + 2) eta)(1 + 2 gamma_{d+2})``.
+      ``H <= (h_max + (d + 2) eta)(1 + 2 gamma_{d+2})``.
+    * ``V = v_max`` bounds every row's norm: ``|v| <= |center| + sqrt(2 H)``
+      (triangle inequality), and the bound on ``H`` gives
+      ``|v| <= |center| + sqrt(2 (h_max + (d + 2) eta)(1 + 2 gamma_{d+2}))``.
+      In float64, at most d + 5 roundings lie on any path of that sum, so
+      the factor ``1 + gamma_{d+10}`` at float64's u, rounded too, leaves
+      ``V`` above it.
     * The subtraction forming ``k`` adds ``u |h - fl32(p.v)|``.
     * ``|X - D| <= g D`` and ``D <= 2 |w|^2 + 4 H``.
 
@@ -372,53 +306,70 @@ def key_bounds(queries: np.ndarray, center: np.ndarray, half: np.ndarray,
     ``(1 + u')(gamma_d + u (1 + gamma_d)) + u'``, which is below
     ``gamma_{d+2}`` (it exceeds ``gamma_{d+1} + u (1 + gamma_{d+1})`` by
     ``2^-52 (1 + gamma_{d+1})``, below their gap ``u gamma_{d+2}``). With
-    ``a = |fl64(q - center)|`` and ``V`` the largest row norm, both in
-    float64::
+    ``a = |fl64(q - center)|`` in float64::
 
-        E = gamma_{d+4} (1 + 2 gamma_{d+2}) max h + gamma_{d+3} a V
+        E = gamma_{d+4} (1 + 2 gamma_{d+2}) h_max + gamma_{d+3} a V
             + 2 g a^2 + (sqrt(d) V + 2 d + 2) 2^-149
 
-    The spare ``u (max h + a V)`` over the derived terms covers ``2 g H``
-    and the float64 roundings of ``a``, ``V``, ``E`` and of the threshold
+    The spare ``u (h_max + a V)`` over the derived terms covers ``2 g H``
+    and the float64 roundings of ``a`` and of ``E`` and of the threshold
     ``κ + 2 E``. The ``eta`` terms, carried through the same steps, add up
     to at most ``1.25 sqrt(d) eta V + (3.4 d + 3) eta``, below the last
-    term. ``E`` is +inf for a query whose ``p`` is not finite or where
-    ``max h + 2 a V`` exceeds ``2^125``: there a float32 product or key
-    could overflow, and nothing is claimed. Below it no key, product or
-    partial sum can.
+    term. ``E`` is +inf for a query where ``h_max + 2 a max(V, 1/4)``
+    exceeds ``2^125`` (or is NaN): there ``p``, a float32 product or a key
+    could overflow, and nothing is claimed. Below it none can, nor any
+    partial sum, as every ``|p_i| <= a (1 + u') <= 2^126 (1 + u')``. The
+    row terms are scalars, so a query costs a few operations on its own.
     """
+    center, h_max, v_max = frame
     d = queries.shape[1]
     w = np.subtract(queries, center, dtype=np.float64)
+    fixed = (_gamma(d + 4, _UNIT_ROUNDOFF32) * (1 + 2 * _gamma(d + 2, _UNIT_ROUNDOFF32)) * h_max
+             + (d**0.5 * v_max + 2 * d + 2) * 2.0**-149)
     with np.errstate(over="ignore", invalid="ignore"):
         p = w.astype(np.float32)
         a = np.sqrt(sq_norms(w))
-        v_max = float(np.sqrt(rows_sq.max()))
-        h_max = float(half.max())
-        bound = (_gamma(d + 4, _UNIT_ROUNDOFF32) * (1 + 2 * _gamma(d + 2, _UNIT_ROUNDOFF32)) * h_max
-                 + _gamma(d + 3, _UNIT_ROUNDOFF32) * a * v_max
-                 + 2 * _gamma(d + 2) * a * a
-                 + (np.sqrt(d) * v_max + 2 * d + 2) * 2.0**-149)
-        safe = np.isfinite(p).all(axis=1) & (h_max + 2 * a * v_max <= 2.0**125)
-    bound[~safe] = np.inf
-    return p, bound
+        bound = fixed + a * (_gamma(d + 3, _UNIT_ROUNDOFF32) * v_max + 2 * _gamma(d + 2) * a)
+        safe = h_max + (2 * max(v_max, 0.25)) * a <= 2.0**125
+    return p, np.where(safe, bound, np.inf)
 
 
 def shifted_keys(p: np.ndarray, rows: np.ndarray, half: np.ndarray, out=None) -> np.ndarray:
-    """The (queries, rows) float32 keys ``fl32(half - fl32(p.v))`` of
-    :func:`key_bounds`' ``p``, from one float32 BLAS product, into ``out``
-    (a contiguous float32 array of that shape) when given."""
+    """The float32 keys ``fl32(half - fl32(p.v))`` of :func:`key_bounds`'
+    ``p`` (one query, or a block of them) against float32 ``rows``, from one
+    float32 BLAS product, into ``out`` (a contiguous float32 array of the
+    result's shape) when given."""
     keys = np.matmul(p, rows.T, out=out)
     return np.subtract(half, keys, out=keys)
 
 
+def nearest_r(kernel, query: np.ndarray, rows: np.ndarray, half: np.ndarray, frame: KeyFrame,
+              ids: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``ids`` and ``kernel`` values of the r float32 ``rows`` nearest
+    to one ``query``, ranked by :func:`top_r`: the first r of a full sort of
+    every row's value. ``kernel`` is the caller's :func:`sqdist_exact`;
+    ``half`` and ``frame`` are the rows' :func:`centered_half_norms` (the
+    frame may be a superset's). With more than r rows, one float32 product
+    gives their keys, and only the rows with keys at most κ + 2E (κ the
+    r-th smallest key) reach ``kernel``, in one call: about r without
+    near-ties, every row where E is +inf (a NaN query, for one).
+    """
+    query = np.asarray(query, dtype=np.float64)
+    if len(rows) > r:
+        p, bound = key_bounds(query[None, :], frame)
+        if bound[0] < np.inf:
+            keys = shifted_keys(p[0], rows, half)
+            keep = np.flatnonzero(keys <= _cut_at(np.partition(keys, r - 1)[r - 1], bound))
+            rows, ids = rows[keep], ids[keep]
+    return top_r(ids, kernel(query[None, :], rows)[0], r)
+
+
 def _cut_at(kappa: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """The float32 ``κ + 2 E`` per query, rounded up; -inf where E is +inf."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        exact = kappa + 2.0 * bound
-        cut = exact.astype(np.float32)
-    cut = np.where(cut < exact, np.nextafter(cut, np.float32(np.inf)), cut)
-    cut[~np.isfinite(bound)] = -np.inf
-    return cut
+    """The float32 ``κ + 2 E`` per query, rounded up: -inf where the caller
+    set E to -inf, and far inside float32's range where E is finite."""
+    exact = kappa + 2.0 * bound
+    cut = exact.astype(np.float32)
+    return np.where(cut < exact, np.nextafter(cut, np.float32(np.inf)), cut)
 
 
 def _merge_best(best: np.ndarray, q: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -432,28 +383,30 @@ def _merge_best(best: np.ndarray, q: np.ndarray, keys: np.ndarray) -> np.ndarray
     return np.partition(pad, r - 1, axis=1)[:, :r]
 
 
-def block_cut(queries: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray,
-              center: np.ndarray, half: np.ndarray, r: int) -> list:
+def block_cut(queries: np.ndarray, rows: np.ndarray, half: np.ndarray, frame: KeyFrame,
+              r: int) -> list:
     """For each float64 query of a block, the ascending ids of the float32
     ``rows`` whose exact distance can still be among its r smallest, ties
     included, or ``slice(None)``, every row, where :func:`key_bounds`
-    claims nothing (and for every query when r covers the rows).
+    claims nothing (and for every query when r covers the rows). ``half``
+    and ``frame`` are the rows' :func:`centered_half_norms`.
 
     The rows are walked in tiles of :func:`shifted_keys`. κ, each query's
     r-th smallest key so far, starts at the first tile's (one partition),
     and each tile emits the rows with keys at most ``κ + 2 E``, which then
     update κ. κ only falls, so a final cut at the last κ keeps every row
-    that :func:`key_bounds` says can reach the top r. What is kept is a
-    superset of those rows that :func:`nearest_r` ranks exactly.
+    that :func:`key_bounds` says can reach the top r: the cut of
+    :func:`nearest_r`, one block of queries and one tile at a time.
     """
     n = len(rows)
     if r >= n:
         return [slice(None)] * len(queries)
-    p, bound = key_bounds(queries, center, half, rows_sq)
+    p, bound = key_bounds(queries, frame)
     closed = np.isfinite(bound)
     if not closed.any():
         return [slice(None)] * len(queries)
-    p[~closed] = 0.0  # no overflow in the product; their cut is -inf
+    # p = 0 cannot overflow, and a cut at -inf emits none of their rows.
+    p[~closed], bound[~closed] = 0.0, -np.inf
     tile = max(_TILE_ROWS, r)
     buf = np.empty(len(p) * min(tile, n), dtype=np.float32)
     mask = np.empty(buf.shape, dtype=bool)

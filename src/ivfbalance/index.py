@@ -26,8 +26,8 @@ import numpy as np
 
 from .balancer import Codebook, assign_balanced
 from .dataset import VectorSet, decode_fvecs, fvecs_records, write_files
-from .distances import (blockwise, nearest_cells, nearest_r, sq_norms, sqdist_exact,
-                        sqdist_to_centroids)
+from .distances import (KeyFrame, blockwise, centered_half_norms, nearest_cells, nearest_r,
+                        sqdist_exact, sqdist_to_centroids)
 from .kmeans import Centroids
 
 CENTROIDS_FILE = "centroids.fvecs"
@@ -84,16 +84,17 @@ class InvertedFile:
     list i is ``ids[offsets[i]:offsets[i + 1]]`` and holds exactly the
     points the penalized assignment maps to cell i. Construction checks
     this for a built and a loaded index alike, derives the point-to-cell
-    map, ``vectors`` and ``vectors_sq`` from the same arrays, and makes all
-    five read-only.
+    map, ``vectors``, ``half`` and ``key_frame`` from the same arrays, and
+    makes every array read-only.
 
     ``vectors`` is ``source.data[ids]``: the float32 vectors in list order,
     so cell i's vectors are the contiguous rows ``offsets[i]:offsets[i + 1]``
     and search scans slices instead of gathering rows from the whole
     dataset. The copy costs N * d * 4 bytes (12.8 MB at N=100k, d=32).
-    ``vectors_sq`` holds their squared norms in the same order, summed in
-    float64, for the search screen: N * 8 bytes (0.8 MB at N=100k). Both
-    are derived at construction and never persisted.
+    ``half`` and ``key_frame`` are their ``centered_half_norms`` in the
+    same order, for the key cut of search: N * 4 bytes (0.4 MB at N=100k)
+    and a center with two scalars. All are derived at construction and
+    never persisted.
     """
 
     codebook: Codebook
@@ -101,7 +102,8 @@ class InvertedFile:
     ids: np.ndarray
     source: VectorSet
     vectors: np.ndarray = field(init=False, repr=False)
-    vectors_sq: np.ndarray = field(init=False, repr=False)
+    half: np.ndarray = field(init=False, repr=False)
+    key_frame: KeyFrame = field(init=False, repr=False)
     _cell_of: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -125,8 +127,9 @@ class InvertedFile:
             raise ValueError("posting lists repeat a point id")
         self._cell_of = cell_of
         self.vectors = self.source.data[self.ids]
-        self.vectors_sq = sq_norms(self.vectors)
-        for array in (self.offsets, self.ids, cell_of, self.vectors, self.vectors_sq):
+        self.half, self.key_frame = centered_half_norms(self.vectors)
+        for array in (self.offsets, self.ids, cell_of, self.vectors, self.half,
+                      self.key_frame.center):
             array.flags.writeable = False
 
     @property
@@ -196,15 +199,17 @@ def search(index: InvertedFile, query: np.ndarray, params: SearchParams) -> Quer
     whose spread across queries measures response-time variability.
 
     Each probed cell is one contiguous slice of ``index.vectors`` and
-    ``index.vectors_sq``; ``distances.nearest_r`` ranks the candidates with
-    one ``sqdist_exact`` call: exactly the first r of a full sort of every
-    candidate by ``(distance, id)``.
+    ``index.half``. ``distances.nearest_r`` cuts the candidates on their
+    float32 keys, relative to the index's center, and ranks the survivors
+    with one ``sqdist_exact`` call: exactly the first r of a full sort of
+    every candidate by ``(distance, id)``.
     """
     cells = select_cells(query, index.codebook, params.ma, params.route)
     rows = [slice(index.offsets[c], index.offsets[c + 1]) for c in cells]
-    vectors, vectors_sq, candidates = (np.concatenate([a[s] for s in rows])
-                                       for a in (index.vectors, index.vectors_sq, index.ids))
-    ids, dists = nearest_r(sqdist_exact, query, vectors, vectors_sq, candidates, params.r_results)
+    vectors, half, candidates = (np.concatenate([a[s] for s in rows])
+                                 for a in (index.vectors, index.half, index.ids))
+    ids, dists = nearest_r(sqdist_exact, query, vectors, half, index.key_frame, candidates,
+                           params.r_results)
     return QueryResult(ids=ids, dists=dists, scanned=int(candidates.size), probed_cells=cells)
 
 

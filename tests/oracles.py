@@ -18,7 +18,8 @@ it was first written, and the library must match each bit for bit:
 * the Gaussian mixture drawn as whole (n, dim) float64 arrays;
 * the fvecs decoder that walks the records one by one to name the first
   malformed one, and checks finiteness itself;
-* ground truth as one ``nearest_r`` over every point per query.
+* ground truth as ``sqdist_exact`` over every point and ``top_r`` per
+  query.
 """
 
 from pathlib import Path
@@ -29,7 +30,7 @@ import ivfbalance.distances as distances
 from ivfbalance import Centroids, Codebook, imbalance_factor, update_penalties
 from ivfbalance.balancer import STOP_FIXED_ITERS, _stop_satisfied
 from ivfbalance.dataset import VectorSet, _draw_centers, mixture_centers
-from ivfbalance.distances import nearest_r, sq_norms, sqdist_exact, sqdist_to_centroids
+from ivfbalance.distances import sq_norms, sqdist_exact, sqdist_to_centroids, top_r
 from ivfbalance.index import ROUTE_PENALIZED
 from ivfbalance.metrics import GroundTruth
 
@@ -260,11 +261,11 @@ def decode_fvecs_walking(raw: bytes, path) -> VectorSet:
 
 
 def brute_force_nn_per_query(data, queries, r: int) -> GroundTruth:
-    """``brute_force_nn`` with every point handed to ``nearest_r`` for each
-    query: its float32 screen, with no block pre-cut in front."""
+    """``brute_force_nn`` with every point scored by ``sqdist_exact`` and
+    ranked by ``top_r`` for each query, with no key cut in front."""
     ids = np.empty((queries.count, r), dtype=np.int64)
     dists = np.empty((queries.count, r), dtype=np.float64)
-    points_sq, point_ids = sq_norms(data.data), np.arange(data.count)
+    point_ids = np.arange(data.count)
     for i, query in enumerate(queries.data):
-        ids[i], dists[i] = nearest_r(sqdist_exact, query, data.data, points_sq, point_ids, r)
+        ids[i], dists[i] = top_r(point_ids, sqdist_exact(query[None, :], data.data)[0], r)
     return GroundTruth(ids, dists)

@@ -9,12 +9,11 @@ import ivfbalance.distances as distances
 import ivfbalance.kmeans as kmeans
 from ivfbalance import Centroids, Codebook, VectorSet, assign_plain, build, lloyd_full
 from ivfbalance.distances import (
+    _gamma,
     centered_half_norms,
-    certified,
     key_bounds,
     nearest_cells,
     nearest_r,
-    screen_float32,
     shifted_keys,
     sq_norms,
     sqdist_exact,
@@ -232,11 +231,6 @@ class TestRowBlocks:
             assign_plain(VectorSet.from_array(np.zeros((0, 5))), cb.centroids)
 
 
-def float32_screen(query, vectors):
-    """``screen_float32`` with the squared norms an index derives."""
-    return screen_float32(np.asarray(query, dtype=np.float64), vectors, sq_norms(vectors))
-
-
 def rounding_down_sums(d, side):
     """float32 terms near 1 whose running float32 sum, taken in order,
     rounds by almost half an ulp towards ``-side`` at every step."""
@@ -251,7 +245,8 @@ def rounding_down_sums(d, side):
 
 
 def screen_cases(rng):
-    """(name, float64 query, float32 rows) for the bound test."""
+    """(name, float64 query, float32 rows) for the rounding tests: scales
+    at both ends of float32's range, casts, subnormals and running sums."""
     for d in (1, 3, 8, 32):
         v = rng.standard_normal((12, d)).astype(np.float32)
         yield "random", rng.standard_normal(d), v
@@ -282,34 +277,24 @@ def screen_cases(rng):
             yield "running sum rounds", np.ones(d), rounding_down_sums(d, side)[None, :]
 
 
-class TestFloat32Screen:
-    """``screen_float32`` is within its bound of the real squared distance,
-    and the exact kernel within ``g`` relative, checked in rationals."""
-
-    def test_bound_holds_in_exact_arithmetic(self, rng):
+class TestExactKernel:
+    def test_relative_error_holds_in_exact_arithmetic(self, rng):
+        # ``sqdist_exact`` is within gamma_{d+2} relative of the real
+        # squared distance, which ``key_bounds`` builds on.
         for name, query, vectors in screen_cases(rng):
-            screened, b, g = float32_screen(query, vectors)
             exact = sqdist_exact(query[None, :], vectors)[0]
+            g = Fraction(_gamma(vectors.shape[1] + 2))
             fq = [Fraction(float(x)) for x in query]
             for j, row in enumerate(vectors):
                 real = sum((a - Fraction(float(x))) ** 2 for a, x in zip(fq, row))
-                assert abs(Fraction(float(exact[j])) - real) <= Fraction(g) * real, name
-                if np.isfinite(screened[j]):
-                    assert abs(Fraction(float(screened[j])) - real) <= Fraction(float(b[j])), name
-                else:
-                    assert name == "scale 1e+19", name
-
-    def test_bound_is_close_on_plain_data(self, rng):
-        # Loose bounds cost speed, not correctness: pin their size.
-        vectors = rng.standard_normal((50, 32)).astype(np.float32)
-        screened, b, _ = float32_screen(rng.standard_normal(32), vectors)
-        assert (b < 1e-4 * screened).all()
+                assert abs(Fraction(float(exact[j])) - real) <= g * real, name
 
 
 def key_cases(rng):
-    """(name, float64 queries, float32 rows) for the key bound test: the
-    screen's cases, rows around far offsets, and rows whose centered half
-    norms round three times the same way."""
+    """(name, float64 queries, float32 rows) for the key bound tests: the
+    rounding cases, rows around far offsets, rows whose centered half
+    norms round three times the same way, and rows at their own center
+    whose float64 norm rounds down."""
     for name, query, vectors in screen_cases(rng):
         yield name, query[None, :], vectors
     for d in (1, 3, 8, 32):
@@ -323,6 +308,15 @@ def key_cases(rng):
     # the key of the query at the center is 1.5 u below the real value.
     rows = np.array([[1 + 2.0**-12], [-(1 + 2.0**-12 + 2.0**-23)]], dtype=np.float32)
     yield "centered norms round three times", np.array([[-(2.0**-24)]]), rows
+    # Equal rows are their own center, so their half norms are 0 and V is
+    # the center's norm, rounded in float64: only its margin keeps V up.
+    for d in (3, 32):
+        while True:
+            v = rng.standard_normal(d).astype(np.float32)
+            norm = Fraction(float(np.sqrt(sq_norms(v[None, :])[0])))
+            if norm**2 < sum(Fraction(float(x)) ** 2 for x in v):
+                break
+        yield "rows at their center", v + rng.standard_normal((2, d)), np.tile(v, (5, 1))
 
 
 class TestShiftedKeys:
@@ -331,13 +325,13 @@ class TestShiftedKeys:
 
     def test_bound_holds_in_exact_arithmetic(self, rng):
         for name, queries, rows in key_cases(rng):
-            center, half = centered_half_norms(rows)
-            p, bound = key_bounds(queries, center, half, sq_norms(rows))
+            half, frame = centered_half_norms(rows)
+            p, bound = key_bounds(queries, frame)
             safe = np.isfinite(bound)
             assert safe.all() or name == "scale 1e+19", name
             keys = shifted_keys(p[safe], rows, half)
             exact = sqdist_exact(queries[safe], rows)
-            c = [Fraction(float(x)) for x in center]
+            c = [Fraction(float(x)) for x in frame.center]
             for query, row_keys, row_exact, e in zip(queries[safe], keys, exact, bound[safe]):
                 w = [Fraction(float(x)) - ci for x, ci in zip(query, c)]
                 constant = sum(x * x for x in w) / 2 + sum(x * ci for x, ci in zip(w, c))
@@ -345,27 +339,23 @@ class TestShiftedKeys:
                     error = Fraction(float(key)) - (Fraction(float(x)) / 2 - constant)
                     assert abs(error) <= Fraction(float(e)), name
 
+    def test_v_max_bounds_every_row_norm(self, rng):
+        for name, _, rows in key_cases(rng):
+            v_max = centered_half_norms(rows)[1].v_max
+            if v_max == np.inf:  # the half norms overflow float32
+                assert name == "scale 1e+19", name
+                continue
+            for row in rows:
+                assert sum(Fraction(float(x)) ** 2 for x in row) <= Fraction(v_max) ** 2, name
+
     @pytest.mark.parametrize("offset, ratio", [(0.0, 1e-5), (1e3, 0.05)])
     def test_bound_is_close_on_plain_data(self, rng, offset, ratio):
         # Loose bounds cost speed: pin their size against half the median
         # distance, at the origin and far from it.
         rows = (offset + 0.1 * rng.standard_normal((1000, 32))).astype(np.float32)
         queries = offset + 0.1 * rng.standard_normal((4, 32))
-        _, bound = key_bounds(queries, *centered_half_norms(rows), sq_norms(rows))
+        _, bound = key_bounds(queries, centered_half_norms(rows)[1])
         assert (bound < ratio * np.median(sqdist_exact(queries, rows)) / 2).all()
-
-
-class TestCertified:
-    def test_keeps_what_can_reach_rank_r(self):
-        screened = np.array([5.0, 1.0, 3.0, 3.0 + 1e-12, 9.0, 2.0])
-        assert np.array_equal(certified(screened, 0.0, 0.0, 2), [1, 5])
-        assert np.array_equal(certified(screened, 1e-9, 0.0, 3), [1, 2, 3, 5])
-        assert np.array_equal(certified(screened, 0.0, 0.0, 6), np.arange(6))
-
-    def test_keeps_every_non_finite_screened_value(self):
-        screened = np.array([4.0, np.inf, 1.0, -np.inf, np.nan, 7.0, 2.0])
-        assert np.array_equal(certified(screened, 0.25, 1e-15, 1), [1, 2, 3, 4])
-        assert np.array_equal(certified(np.full(4, np.nan), 1.0, 0.0, 2), np.arange(4))
 
 
 class TestNearestR:
@@ -378,31 +368,31 @@ class TestNearestR:
         ids = np.random.default_rng(3).permutation(data.count) + 1000
         queries = [np.array(q, dtype=np.float64) for q in ((0, 0, 0, 0), (1, -2, 3, 0))]
         queries += [np.array([0.5, 1.5, -2.5, 2.0]), np.array([np.nan, 0.0, 0.0, 0.0])]
-        return data.data, sq_norms(data.data), ids, queries
+        return data.data, *centered_half_norms(data.data), ids, queries
 
     def test_matches_gather_and_full_sort(self, ties, monkeypatch):
-        rows, rows_sq, ids, queries = ties
-        screens = []
+        rows, half, frame, ids, queries = ties
+        cuts = []
 
-        def recording_screen(*args):
-            screens.append(1)
-            return screen_float32(*args)
+        def recording_cut(*args):
+            cuts.append(1)
+            return key_bounds(*args)
 
-        monkeypatch.setattr(distances, "screen_float32", recording_screen)
+        monkeypatch.setattr(distances, "key_bounds", recording_cut)
         n = len(rows)
         for query, r in itertools.product(queries, (1, n - 1, n, n + 5)):
-            calls, screens[:] = [], []
+            calls, cuts[:] = [], []
 
             def kernel(x, c):
                 calls.append(len(c))
                 return sqdist_exact(x, c)
 
-            got_ids, got_d2 = nearest_r(kernel, query, rows, rows_sq, ids, r)
+            got_ids, got_d2 = nearest_r(kernel, query, rows, half, frame, ids, r)
             d2 = sqdist_exact(query[None, :], rows)[0]
             order = np.lexsort((ids, d2))[:r]
             assert np.array_equal(got_ids, ids[order])
             assert got_d2.tobytes() == d2[order].tobytes()
             assert len(calls) == 1
-            assert len(screens) == (r < n)
-            if r >= n:
+            assert len(cuts) == (r < n)
+            if r >= n or np.isnan(query).any():
                 assert calls == [n]

@@ -28,7 +28,7 @@ from ivfbalance import (
     search,
     select_cells,
 )
-from ivfbalance.distances import sqdist_exact
+from ivfbalance.distances import centered_half_norms, sqdist_exact
 from ivfbalance.index import ROUTES, InvertedFile, route_cells_batch
 
 from conftest import random_vectors, write_codebook_without_cells
@@ -100,8 +100,8 @@ class TestBuild:
 
     def test_arrays_are_read_only(self, indexed):
         _, index = indexed
-        arrays = (index.cell_of_points(), index.ids, index.offsets, index.vectors,
-                  index.vectors_sq)
+        arrays = (index.cell_of_points(), index.ids, index.offsets, index.vectors, index.half,
+                  index.key_frame.center)
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
@@ -113,10 +113,22 @@ class TestBuild:
         save_index(index, tmp_path / "idx")
         loaded = load_index(tmp_path / "idx", data)
         assert loaded.vectors.tobytes() == index.vectors.tobytes()
-        assert loaded.vectors_sq.tobytes() == index.vectors_sq.tobytes()
-        want = (index.vectors.astype(np.float64) ** 2).sum(axis=1)
-        assert index.vectors_sq.dtype == np.float64
-        assert np.allclose(index.vectors_sq, want, rtol=1e-14, atol=0)
+        assert loaded.half.tobytes() == index.half.tobytes()
+        assert loaded.key_frame.center.tobytes() == index.key_frame.center.tobytes()
+        assert loaded.key_frame[1:] == index.key_frame[1:]
+        half, frame = centered_half_norms(index.vectors)
+        assert index.half.dtype == np.float32 and index.half.tobytes() == half.tobytes()
+        assert index.key_frame.center.tobytes() == frame.center.tobytes()
+        center = index.key_frame.center.astype(np.float64)
+        want = ((index.vectors.astype(np.float64) - center) ** 2).sum(axis=1) / 2
+        assert np.allclose(index.half, want, rtol=1e-5, atol=0)
+
+    def test_an_empty_index_searches_to_nothing(self):
+        data = VectorSet.from_array(np.zeros((0, 2)))
+        cb = Codebook.fresh(Centroids(np.eye(2, dtype=np.float32)))
+        index = InvertedFile(cb, np.zeros(3, dtype=np.int64), np.zeros(0, dtype=np.int64), data)
+        result = search(index, np.zeros(2), SearchParams(ma=2, r_results=3))
+        assert result.ids.size == result.dists.size == result.scanned == 0
 
     @pytest.mark.parametrize(
         "offsets, ids, match",
@@ -290,10 +302,10 @@ class TestSearch:
         ids=["plain", "subnormal products", "overflowing dot", "offset", "offset fine"],
     )
     def test_screen_matches_gather_and_full_sort(self, scale, offset, exact_calls):
-        """Adversarial scales for the float32 screen: at 1e-22 its products
-        fall below float32's normal range, at 1e19 its dot overflows, and a
-        far offset rounds the float32 rows onto a coarse grid. Ties come
-        from repeated rows; float64 queries sit between float32 values."""
+        """Adversarial scales for the float32 key cut: at 1e-22 its products
+        fall below float32's normal range, at 1e19 its half norms overflow,
+        and a far offset rounds the float32 rows onto a coarse grid. Ties
+        come from repeated rows; float64 queries sit between float32 values."""
         rng = np.random.default_rng(40)
         base = rng.standard_normal((60, 8))
         points = base[rng.integers(0, 60, 300)] * scale + offset
@@ -316,18 +328,29 @@ class TestSearch:
                     assert np.array_equal(result.ids, truth.ids[q])
                     assert result.dists.tobytes() == truth.dists[q].tobytes()
 
-    def test_few_candidates_reach_the_exact_kernel(self, exact_calls):
-        """On mixture data the screen leaves at most 2r candidates per query
-        for ``sqdist_exact``: a loose bound fails here, not only in speed."""
+    @pytest.mark.parametrize("offset, most", [(0.0, 2), (1e3, 4)],
+                             ids=["at-origin", "offset-1e3"])
+    def test_few_candidates_reach_the_exact_kernel(self, exact_calls, offset, most):
+        """On mixture data the key cut leaves at most 2r candidates per
+        query for ``sqdist_exact``: a loose bound fails here, not only in
+        speed. Far from the origin it leaves at most 4r (27 at most, 47
+        with E doubled), as keys are taken relative to a center of the
+        rows, and E's term in ``|q - center| max|v|`` has grown."""
         weights = (0.5, 0.2, 0.15, 0.1, 0.05)
         data = gen_gaussian_mixture(3, 20_000, 16, 5, weights, 0.1)
         queries = gen_gaussian_mixture(4, 100, 16, 5, weights, 0.1, centers_from_seed=3)
+        data, queries = (VectorSet.from_array(s.data + offset) for s in (data, queries))
         index = build(data, Codebook.fresh(lloyd_full(data, 64, seed=1, max_iters=2).centroids))
         params = SearchParams(ma=4, r_results=10)
         scanned = [search(index, q, params).scanned for q in queries.data]
         assert len(exact_calls) == queries.count
         assert min(scanned) > 10 * params.r_results
-        assert max(exact_calls) <= 2 * params.r_results
+        assert max(exact_calls) <= most * params.r_results
+        truth = brute_force_nn(data, queries, params.r_results)
+        for q, ids, dists in zip(queries.data, truth.ids, truth.dists):
+            result = search(index, q, SearchParams(ma=index.k, r_results=params.r_results))
+            assert np.array_equal(result.ids, ids)
+            assert result.dists.tobytes() == dists.tobytes()
 
     def test_exhaustive_probe_equals_brute_force(self, indexed):
         data, index = indexed

@@ -90,10 +90,10 @@ def test_ground_truth_and_mean_update_hold_no_widened_copy():
     rng = np.random.default_rng(3)
     data = random_vectors(rng, n, d)
     widened = 8 * n * d  # bytes of one n×d float64 array
-    # Per call: the points' norms, ids and centered half norms (20 bytes a
-    # point); per block of queries, one tile of float32 keys, its mask and
-    # the first tile's partition (about 1.2 MB at 32 queries); per query,
-    # nearest_r over the few points the block pre-cut keeps.
+    # Per call: the points' ids and centered half norms (12 bytes a point);
+    # per block of queries, one tile of float32 keys, its mask and the
+    # first tile's partition (about 1.2 MB at 32 queries); per query, the
+    # exact kernel over the few points the block pre-cut keeps.
     _, peak = peak_bytes(lambda: brute_force_nn(data, random_vectors(rng, 20, d), 10))
     assert peak < widened / 2
     cells = Assignment(rng.integers(0, k, n), k)
