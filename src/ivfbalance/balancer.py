@@ -10,10 +10,13 @@ with ``n_opt = N / k``. Reassigning under the penalized distance
 ``d(x, c_i)^2 + b_i`` then drains points from crowded cells into their
 neighbors, driving populations toward ``n_opt``. Centroid positions are
 never re-estimated during balancing; only the penalties move. So balancing
-computes the plain (n, k) matrix once, block by block, into a float32 screen
-(4·N·k bytes, 102 MB at N=100k, k=256). Each iteration picks cells by
-``nearest_cells`` over it plus the penalties and recomputes in float64 the
-blocks of rows it cannot decide: the counts of a float64 matrix, bit for bit.
+computes, once, the float32 products of every point with the centroids
+(4·N·k bytes, 102 MB at N=100k, k=256) and each point's key bound, and
+each iteration subtracts the products from the cells' penalized half norms
+to cut the cells, as routing does (``distances.nearest_cells``): the few
+rows the keys leave open are ranked on their kept cells by exact distance
+plus penalty. Balancing, build and routing therefore put every point in
+the same cell, whatever the batch.
 
 Geometrically, the penalized distance equals the plain squared L2 distance
 in a (d+1)-space where point x becomes (x, 0) and centroid i becomes
@@ -25,11 +28,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .dataset import VectorSet, write_csv
-from .distances import blockwise, nearest_cells, sqdist_to_centroids
+from .distances import CellKeys, cell_keys, nearest_cells, plain_products, sqdist_rows
+from .distances import sqdist_to_centroids  # noqa: F401  (perfbench/spans.py wraps it here)
 from .kmeans import Assignment, Centroids
 from .metrics import imbalance_factor
 
@@ -79,6 +84,12 @@ class Codebook:
     @property
     def dim(self) -> int:
         return self.centroids.dim
+
+    @cached_property
+    def keys(self) -> CellKeys:
+        """The centroids' keys with the penalties, as balancing, build and
+        penalized routing pick cells on them, derived on first use."""
+        return cell_keys(self.centroids.points, self.penalties)
 
 
 @dataclass(frozen=True)
@@ -153,9 +164,9 @@ class TraceRecord:
 class BalanceTrace:
     """Per-iteration balancing record, one entry per completed iteration.
 
-    ``scale_ratio`` is the mean squared nearest-centroid distance at
-    iteration 0 divided by the unit initial penalty: values far from 1 mean
-    the default b=1 is out of scale with the data.
+    ``scale_ratio`` is the mean exact squared nearest-centroid distance
+    (no penalties) divided by the unit initial penalty: values far from 1
+    mean the default b=1 is out of scale with the data.
     """
 
     records: list[TraceRecord] = field(default_factory=list)
@@ -176,22 +187,12 @@ class BalanceTrace:
             for r in self.records))
 
 
-def assign_balanced(plain, penalties, x=None, centroids=None) -> Assignment:
-    """Assign each row of a plain (n, k) squared-distance matrix to the cell
-    minimizing ``plain + penalties``, lowest index on ties (``nearest_cells``).
-    A float32 ``plain`` screens the plain matrix of ``x`` to ``centroids``;
-    each kernel block with a row it leaves open is decided again in float64."""
-    if plain.dtype == np.float32 and (x is None or centroids is None):
-        raise ValueError("a float32 plain screen needs x and centroids for its near-ties")
-    cells = nearest_cells(plain, penalties)[:, 0]
-
-    def decide(exact: np.ndarray, rows: slice) -> np.ndarray:
-        cells[rows] = nearest_cells(exact, penalties)[:, 0]
-        return cells[rows]
-
-    if (cells < 0).any():
-        blockwise(sqdist_to_centroids, x, centroids, decide, np.flatnonzero(cells < 0))
-    return Assignment(cells, plain.shape[1])
+def assign_balanced(data: VectorSet, codebook: Codebook, products=None) -> Assignment:
+    """Assign each point to the cell minimizing its exact squared distance
+    plus the cell's penalty, lowest index on ties (``nearest_cells``), with
+    the points' ``plain_products`` when the caller keeps them."""
+    cells = nearest_cells(data.data, codebook.keys, 1, products)
+    return Assignment(cells[:, 0], codebook.k)
 
 
 def update_penalties(
@@ -236,19 +237,13 @@ def balance(
     if data.count == 0:
         raise ValueError("cannot balance an empty dataset")
     n_opt = data.count / codebook.k
-    points = codebook.centroids.points
-    screen = np.empty((data.count, codebook.k), dtype=np.float32)
-
-    def fill(plain: np.ndarray, rows: slice) -> np.ndarray:
-        screen[rows] = plain  # past float32's range screens as inf
-        return plain.min(axis=1)
-
-    with np.errstate(over="ignore"):
-        minima = blockwise(sqdist_to_centroids, data.data, points, fill)
-    trace = BalanceTrace(scale_ratio=float(minima.mean()))
+    cells = codebook.centroids.keys
+    products = plain_products(data.data, cells)
+    nearest = nearest_cells(data.data, cells, 1, products)[:, 0]
+    trace = BalanceTrace(scale_ratio=float(sqdist_rows(data.data, cells.points[nearest]).mean()))
     iteration = 0
     while True:
-        assignment = assign_balanced(screen, codebook.penalties, data.data, points)
+        assignment = assign_balanced(data, codebook, products)
         gamma = imbalance_factor(assignment.counts)
         trace.records.append(
             TraceRecord(

@@ -3,32 +3,34 @@
 Two kernels with different determinism/speed trade-offs:
 
 * :func:`sqdist_to_centroids` uses the BLAS expansion trick. It is fast and
-  deterministic for identical inputs. Assignment and query routing both pick
-  cells from it with :func:`nearest_cells`: same sums, same tie rule.
-  Its bits for one row can depend on the other rows in the call (1- and
-  2-row calls have been seen to differ from the same rows in a larger
-  batch), so it decides no result rank. Callers walk its row blocks with
-  :func:`blockwise`, never holding an n×k matrix.
+  deterministic for identical inputs. Lloyd's assignment and distortion
+  read it one row block at a time (:func:`blockwise`), never holding an
+  n×k matrix. Its bits for one row can depend on the other rows in the
+  call and on the BLAS build, so it decides no result rank and no cell of
+  an index.
 * :func:`sqdist_exact` computes elementwise differences, so each (row, col)
   distance is bitwise identical no matter how candidates are sliced,
-  permuted, or batched. Candidate scoring and ground truth use this one:
-  an exhaustive multi-probe search must reproduce the brute-force ranking
-  exactly, ties included.
+  permuted, or batched. Every result rank and every cell choice is decided
+  on it: an exhaustive multi-probe search must reproduce the brute-force
+  ranking exactly, ties included.
 
-Search and ground truth rank the same way, bit for bit as an exact scan
-of every row would, for any data: float32 keys taken relative to a center
-of the rows (:func:`centered_half_norms`, :func:`shifted_keys`) rank the
-rows as distances do, up to a proven bound E (:func:`key_bounds`) that
-grows with the spread of the rows around that center and the query's
-distance to it, not with the distance from the origin. Only the rows whose
-key is at most κ + 2E, κ being the r-th smallest key, reach the caller's
-exact kernel, and :func:`top_r` ranks them. Search cuts one query's
-candidates with one float32 product (:func:`nearest_r`); ground truth
-cuts a block of queries with float32 GEMM tiles (:func:`block_cut`).
+One cut decides every cell choice, search and ground truth, bit for bit
+as an exact scan of every row would, for any data: float32 keys taken
+relative to a center of the rows (:func:`centered_half_norms`,
+:func:`shifted_keys`) rank the rows as distances do, up to a proven bound
+E (:func:`key_bounds`) that grows with the spread of the rows around that
+center and the query's distance to it, not with the distance from the
+origin. Only the rows whose key is at most κ + 2E, κ being the r-th
+smallest key, reach the exact kernel, and :func:`top_r` ranks them.
+Search cuts one query's candidates with one float32 product
+(:func:`nearest_r`); ground truth cuts a block of queries with float32
+GEMM tiles (:func:`block_cut`); balancing, build and routing cut the
+centroids, with half of each cell's penalty in its key, one float32
+product per row block (:func:`nearest_cells`). So a point's cell is a
+function of the point alone, whatever the batch and the BLAS build.
 
 All arithmetic is float64 regardless of input dtype; float32 inputs widen
-exactly, except in the float32 keys and the screen :func:`nearest_cells`
-reads.
+exactly, except in the float32 keys.
 """
 
 from __future__ import annotations
@@ -41,18 +43,12 @@ import numpy as np
 # rows * k * dim, the block's multiply-adds, stays near this.
 _CHUNK_ELEMS = 16 * 1024 * 1024
 
-# Row blocks of nearest_cells hold about this many float64 entries.
-_ARGMIN_BLOCK_ELEMS = 64 * 1024
-
 # Rows per tile of block_cut: a block of 32 queries holds 32 * 4096
 # float32 keys (512 KB).
 _TILE_ROWS = 4096
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _UNIT_ROUNDOFF32 = 2.0**-24
-
-_SCREEN_REL = np.float32(1.0 + 2.0**-21)
-_SCREEN_ABS = np.float32(2.0**-100)
 
 
 def _gamma(n: int, u: float = _UNIT_ROUNDOFF) -> float:
@@ -75,9 +71,9 @@ def _block_rows(k: int, d: int) -> int:
     return max(1, _CHUNK_ELEMS // max(1, k * d))
 
 
-def _as_pair(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` and ``c`` as float64 matrices of one dimension."""
-    x, c = _as_matrix(x, "x", np.float64), _as_matrix(c, "c", np.float64)
+def _as_pair(x: np.ndarray, c: np.ndarray, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``c`` as matrices of one dimension, float64 by default."""
+    x, c = _as_matrix(x, "x", dtype), _as_matrix(c, "c", dtype)
     if x.shape[1] != c.shape[1]:
         raise ValueError(
             f"dimension mismatch: vectors have dim {x.shape[1]}, "
@@ -121,63 +117,15 @@ def sqdist_to_centroids(
     return out
 
 
-def blockwise(kernel, x: np.ndarray, c: np.ndarray, fn, only=None) -> np.ndarray:
+def blockwise(kernel, x: np.ndarray, c: np.ndarray, fn) -> np.ndarray:
     """``fn(kernel(x[s], c), s)`` over the row blocks ``s`` of the kernel
     (the caller's ``sqdist_to_centroids``), concatenated: the bits of one
-    whole-matrix call, one block alive at a time. With ``only``, a non-empty
-    sorted array of row ids, just their blocks; an empty ``x`` is one block."""
+    whole-matrix call, one block alive at a time; an empty ``x`` is one block."""
     x = _as_matrix(x, "x")
     n = x.shape[0]
     rows = _block_rows(np.shape(c)[0], x.shape[1])
-    starts = range(0, max(n, 1), rows) if only is None else np.unique(only // rows) * rows
     return np.concatenate([fn(kernel(x[s : s + rows], c), slice(s, min(s + rows, n)))
-                           for s in starts])
-
-
-def nearest_cells(
-    d2: np.ndarray, penalties: np.ndarray | None = None, m: int = 1
-) -> np.ndarray:
-    """The (n, m) ids of the m cells with the smallest ``d2 + penalties`` in
-    each row of an (n, k) distance matrix, nearest first, lowest id on ties
-    and NaN last. Cache-sized row blocks give each entry the float64 add of
-    a whole-matrix one. m = 1 takes an argmin, m > 1 a stable argsort.
-
-    A float32 ``d2`` screens a float64 plain matrix P (m = 1). Its entries
-    fl(fl(P) + fl(b)) are within (1 + 2^-24)^2 of P + b, plus 2^-149 below
-    float32's normal range, so one above fl(best (1 + 2^-21) + 2^-100) is
-    above the best's P + b by over 2^-23 relative: in float64 it can neither
-    win nor tie. A row with no other entry up to that gets its cell, others -1.
-    """
-    n, k = d2.shape
-    if penalties is not None and penalties.shape != (k,):
-        raise ValueError(f"dimension mismatch: {k} cells, {penalties.size} penalties")
-    screen = d2.dtype == np.float32
-    if screen and m != 1:
-        raise ValueError("a float32 screen picks one cell per row")
-    rows = max(1, _ARGMIN_BLOCK_ELEMS // k)
-    buf = np.empty((min(rows, n), k), dtype=np.float32 if screen else np.float64)
-    out = np.empty((n, m), dtype=np.int64)
-    with np.errstate(over="ignore"):
-        if screen and penalties is not None:
-            penalties = penalties.astype(np.float32)
-        for start in range(0, n, rows):
-            block = d2[start : start + rows]
-            if penalties is not None:
-                block = np.add(block, penalties, out=buf[: len(block)])
-            if m > 1:
-                out[start : start + rows] = np.argsort(block, axis=1, kind="stable")[:, :m]
-                continue
-            cells = out[start : start + rows, 0]
-            np.argmin(block, axis=1, out=cells)
-            best = block[np.arange(len(block)), cells]
-            nan = np.isnan(best)
-            if screen:
-                close = block <= (best * _SCREEN_REL + _SCREEN_ABS)[:, None]
-                if np.count_nonzero(close) != len(block) or nan.any():
-                    cells[np.count_nonzero(close, axis=1) != 1] = -1
-            elif nan.any():
-                cells[nan] = np.argsort(block[nan], axis=1, kind="stable")[:, 0]
-    return out
+                           for s in range(0, max(n, 1), rows)])
 
 
 def sqdist_exact(x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -195,6 +143,18 @@ def sqdist_exact(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     x, c = _as_pair(x, c)
     diff = x[:, None, :] - c[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def sqdist_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """:func:`sqdist_exact` of each row of ``x`` to the same row of ``y``,
+    the same bits, in row blocks that hold no n×d float64 copy."""
+    x, y = _as_pair(x, y, None)
+    out = np.empty(len(x))
+    step = 8192
+    for start in range(0, len(x), step):
+        diff = np.subtract(x[start : start + step], y[start : start + step], dtype=np.float64)
+        np.einsum("ij,ij->i", diff, diff, out=out[start : start + step])
+    return out
 
 
 def top_r(ids: np.ndarray, d2: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -219,11 +179,13 @@ def top_r(ids: np.ndarray, d2: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarr
 
 class KeyFrame(NamedTuple):
     """The row side of :func:`key_bounds`: the rows' float32 ``center``, their
-    largest half norm and a bound on their norms, valid for any subset."""
+    largest half norm, a bound on their norms, valid for any subset, and the
+    largest penalty added to the half norms (0 for rows without one)."""
 
     center: np.ndarray
     h_max: float
     v_max: float
+    b_max: float = 0.0
 
 
 def centered_half_norms(rows: np.ndarray) -> tuple[np.ndarray, KeyFrame]:
@@ -261,7 +223,8 @@ def centered_half_norms(rows: np.ndarray) -> tuple[np.ndarray, KeyFrame]:
 def key_bounds(queries: np.ndarray, frame: KeyFrame) -> tuple[np.ndarray, np.ndarray]:
     """``p = fl32(q - center)`` for each float64 query of a block, and the
     bound ``E`` of its float32 keys over float32 rows, given the rows'
-    :class:`KeyFrame` from :func:`centered_half_norms`.
+    :class:`KeyFrame` from :func:`centered_half_norms`. Where E is +inf,
+    p is 0, whose products cannot overflow.
 
     The key of a query q and a row v is :func:`shifted_keys`'
     ``k = fl32(h - fl32(p.v))``. With ``w = q - center`` real, ``H`` the
@@ -320,18 +283,45 @@ def key_bounds(queries: np.ndarray, frame: KeyFrame) -> tuple[np.ndarray, np.nda
     could overflow, and nothing is claimed. Below it none can, nor any
     partial sum, as every ``|p_i| <= a (1 + u') <= 2^126 (1 + u')``. The
     row terms are scalars, so a query costs a few operations on its own.
+
+    Penalties. Cells with penalties b >= 0 (:func:`cell_keys`) key with
+    ``hb = fl32(fl64(h + b / 2))`` for h, against ``Y = fl64(X + b)``.
+    With ``b_max`` the largest b, ``|k - (Y / 2 - C)| <= E`` for every row
+    when E gains the term ``2^-23 (h_max + b_max) + 2^-149``:
+
+    * ``|hb - (h + b / 2)| <= u' (h + b / 2) + eta + 2^-1074``, and the
+      subtraction forming k adds u times that and ``u b / 2``.
+    * ``|Y - (X + b)| / 2 <= 2^-54 (X + b)``. Its part in X, below
+      ``2^-53 (1 + g)(|w|^2 + 2 H)``, fits in the spares: ``2 g a^2`` is
+      ``g a^2 >= 3 2^-53 a^2`` above the derived ``g |w|^2``, and
+      ``u h_max`` stays far above ``(2 g + 2^-51) H``.
+
+    The rest is below ``2^-24 (1 + 2^-20)(h_max + b_max) + 2 eta``, which
+    leaves the term room for its own roundings and those of ``κ + 2 E``.
+    Without penalties ``hb = h`` and ``Y = X``: the term is 0. Where
+    ``h_max + b_max`` exceeds ``2^125``, ``hb`` could overflow: E is +inf.
     """
-    center, h_max, v_max = frame
+    center, h_max, v_max, _ = frame
     d = queries.shape[1]
     w = np.subtract(queries, center, dtype=np.float64)
+    penalty = _penalty_term(frame)
     fixed = (_gamma(d + 4, _UNIT_ROUNDOFF32) * (1 + 2 * _gamma(d + 2, _UNIT_ROUNDOFF32)) * h_max
-             + (d**0.5 * v_max + 2 * d + 2) * 2.0**-149)
+             + (d**0.5 * v_max + 2 * d + 2) * 2.0**-149 + penalty)
     with np.errstate(over="ignore", invalid="ignore"):
         p = w.astype(np.float32)
         a = np.sqrt(sq_norms(w))
         bound = fixed + a * (_gamma(d + 3, _UNIT_ROUNDOFF32) * v_max + 2 * _gamma(d + 2) * a)
-        safe = h_max + (2 * max(v_max, 0.25)) * a <= 2.0**125
+        safe = (h_max + (2 * max(v_max, 0.25)) * a <= 2.0**125) & (penalty < np.inf)
+    p[~safe] = 0.0
     return p, np.where(safe, bound, np.inf)
+
+
+def _penalty_term(frame: KeyFrame) -> float:
+    """:func:`key_bounds`' term for the penalties in the rows' half norms."""
+    if not frame.b_max:
+        return 0.0
+    total = frame.h_max + frame.b_max
+    return 2.0**-23 * total + 2.0**-149 if total <= 2.0**125 else np.inf
 
 
 def shifted_keys(p: np.ndarray, rows: np.ndarray, half: np.ndarray, out=None) -> np.ndarray:
@@ -405,8 +395,8 @@ def block_cut(queries: np.ndarray, rows: np.ndarray, half: np.ndarray, frame: Ke
     closed = np.isfinite(bound)
     if not closed.any():
         return [slice(None)] * len(queries)
-    # p = 0 cannot overflow, and a cut at -inf emits none of their rows.
-    p[~closed], bound[~closed] = 0.0, -np.inf
+    # A cut at -inf emits none of their rows.
+    bound[~closed] = -np.inf
     tile = max(_TILE_ROWS, r)
     buf = np.empty(len(p) * min(tile, n), dtype=np.float32)
     mask = np.empty(buf.shape, dtype=bool)
@@ -431,3 +421,104 @@ def block_cut(queries: np.ndarray, rows: np.ndarray, half: np.ndarray, frame: Ke
     groups = np.split(j[np.argsort(q, kind="stable")],
                       np.cumsum(np.bincount(q, minlength=len(p)))[:-1])
     return [g if ok else slice(None) for g, ok in zip(groups, closed)]
+
+
+class CellKeys(NamedTuple):
+    """The centroids as :func:`nearest_cells` keys them: as given, as
+    float32 ``rows``, their half norms and frame, and their penalties."""
+
+    points: np.ndarray
+    rows: np.ndarray
+    half: np.ndarray
+    frame: KeyFrame
+    penalties: np.ndarray | None = None
+
+
+def cell_keys(points: np.ndarray, penalties: np.ndarray | None = None) -> CellKeys:
+    """The :class:`CellKeys` of the centroids ``points``. With ``penalties``
+    (b >= 0 per cell), each :func:`centered_half_norms` value h becomes
+    ``fl32(fl64(h + b / 2))`` and the frame keeps the largest b, so the keys
+    rank the cells by distance plus penalty (:func:`key_bounds`). Where
+    float32 rounds a centroid, ``h_max`` is +inf: the keys decide nothing."""
+    points = _as_matrix(points, "c")
+    rows = np.asarray(points, dtype=np.float32)
+    half, frame = centered_half_norms(rows)
+    if rows is not points and not np.array_equal(rows, points):
+        frame = frame._replace(h_max=np.inf)
+    if penalties is not None:
+        with np.errstate(over="ignore"):  # past float32's range, E is +inf
+            half = (half + penalties / 2).astype(np.float32)
+        frame = frame._replace(b_max=float(penalties.max()))
+    return CellKeys(points, rows, half, frame, penalties)
+
+
+def nearest_cells(x: np.ndarray, cells: CellKeys, m: int = 1, products=None) -> np.ndarray:
+    """The (n, m) ids of the m cells with the smallest ``fl64(X + b)`` for
+    each row of ``x``, X its :func:`sqdist_exact` value to a centroid and b
+    the cell's penalty (0 without), lowest id on ties and NaN last: the
+    first m of a full sort, a function of the row alone.
+
+    It is :func:`nearest_r`'s cut with the centroids as the rows. Each row
+    block of ``x`` keys the cells with one float32 product, or with
+    ``products`` (:func:`plain_products` of ``x``). A row that keeps one
+    cell at m = 1 is decided; every other row, and every row at m > 1 so
+    that the order is exact, is ranked on its kept cells by :func:`top_r`:
+    about m cells without near-ties, every cell where E is +inf.
+    """
+    x = _as_pair(x, cells.points, None)[0]
+    out = np.empty((len(x), m), dtype=np.int64)
+    rows = _block_rows(len(cells.rows), x.shape[1])
+    buf = np.empty((min(rows, len(x)), len(cells.rows)), dtype=np.float32)
+    for start in range(0, len(x), rows):
+        block = slice(start, start + rows)
+        keys = buf[: len(x[block])]
+        if products is None:
+            p, bound = key_bounds(x[block], cells.frame)
+            shifted_keys(p, cells.rows, cells.half, out=keys)
+        else:
+            np.subtract(cells.half, products[0][block], out=keys)
+            bound = products[1][block] + _penalty_term(cells.frame)
+        out[block] = _choose(x[block], keys, bound, cells, m)
+    return out
+
+
+def plain_products(x: np.ndarray, cells: CellKeys) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, k) float32 products ``fl32(p.c)`` of :func:`key_bounds`' p
+    for the rows of ``x`` and the centroids, one product per row block, and
+    each row's E without penalties: :func:`nearest_cells`' keys under any
+    penalties, less the cells' half norms."""
+    x = _as_pair(x, cells.points, None)[0]
+    product = np.empty((len(x), len(cells.rows)), dtype=np.float32)
+    bound = np.empty(len(x))
+    rows = _block_rows(len(cells.rows), x.shape[1])
+    for start in range(0, len(x), rows):
+        block = slice(start, start + rows)
+        p, bound[block] = key_bounds(x[block], cells.frame)
+        np.matmul(p, cells.rows.T, out=product[block])
+    return product, bound
+
+
+def _choose(x, keys, bound, cells: CellKeys, m: int) -> np.ndarray:
+    """:func:`nearest_cells` for one row block from its float32 keys and E."""
+    n = len(keys)
+    if m == 1:
+        first = keys.argmin(axis=1)
+        kappa = keys[np.arange(n), first]
+    else:
+        kappa = np.partition(keys, m - 1, axis=1)[:, m - 1]
+    keep = keys <= _cut_at(kappa, bound)[:, None]
+    out = np.empty((n, m), dtype=np.int64)
+    if m == 1:
+        out[:, 0] = first
+        # Each row keeps its first cell; a flat count finds those keeping more.
+        open_rows = np.flatnonzero(np.bincount(np.flatnonzero(keep) // keys.shape[1],
+                                               minlength=n) != 1)
+    else:
+        open_rows = range(n)
+    for i in open_rows:
+        kept = np.flatnonzero(keep[i]) if bound[i] < np.inf else np.arange(len(keys[i]))
+        d2 = sqdist_exact(x[i : i + 1], cells.points[kept])[0]
+        if cells.penalties is not None:
+            d2 += cells.penalties[kept]
+        out[i] = top_r(kept, d2, m)[0]
+    return out

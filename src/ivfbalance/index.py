@@ -5,7 +5,11 @@ uses penalized distances too by default: routing with plain distances would
 probe cells inconsistent with what is stored in them. Candidates are always
 re-ranked by true (unpenalized) squared L2; penalties only steer which
 cells get scanned. The ``plain`` route is available for measuring the
-difference. Build and routing both pick cells with ``nearest_cells``.
+difference. Build and routing both pick cells with
+``distances.nearest_cells``, the key cut that search and ground truth use,
+over the centroids: each point's cell, and each query's probe order, is
+the exact ranking of its own row, so a stored point routes to its own
+cell one row at a time and in any batch.
 
 The index is immutable after build; concurrent searches over a shared
 index are safe.
@@ -26,8 +30,8 @@ import numpy as np
 
 from .balancer import Codebook, assign_balanced
 from .dataset import VectorSet, decode_fvecs, fvecs_records, write_files
-from .distances import (KeyFrame, blockwise, centered_half_norms, nearest_cells, nearest_r,
-                        sqdist_exact, sqdist_to_centroids)
+from .distances import KeyFrame, centered_half_norms, nearest_cells, nearest_r, sqdist_exact
+from .distances import sqdist_to_centroids  # noqa: F401  (perfbench/spans.py wraps it here)
 from .kmeans import Centroids
 
 CENTROIDS_FILE = "centroids.fvecs"
@@ -157,8 +161,7 @@ def build(data: VectorSet, codebook: Codebook) -> InvertedFile:
     """Quantize the data into k posting lists under the codebook's penalties."""
     if data.count == 0:
         raise ValueError("cannot index an empty dataset")
-    cells = blockwise(sqdist_to_centroids, data.data, codebook.centroids.points,
-                      lambda plain, _: assign_balanced(plain, codebook.penalties).cell_of)
+    cells = assign_balanced(data, codebook).cell_of
     ids = np.argsort(cells, kind="stable")
     offsets = np.concatenate(([0], np.cumsum(np.bincount(cells, minlength=codebook.k))))
     return InvertedFile(codebook, offsets, ids, data)
@@ -169,17 +172,16 @@ def route_cells_batch(
 ) -> np.ndarray:
     """Per query, the ma nearest cells (ascending, lowest-index tie-break).
 
-    Returns a (Q, ma) int array, picked by ``nearest_cells`` in build's
-    blocks, so routing all stored points in one batch at ma=1 lands each in
-    its cell.
+    Returns a (Q, ma) int array, picked by ``nearest_cells`` as build picks
+    cells: each row's cells are a function of the row alone, so every
+    stored point routes to its cell at ma=1, in any batch.
     """
     if not 1 <= ma <= codebook.k:
         raise ValueError(f"ma={ma} out of range [1, {codebook.k}]")
     if route not in ROUTES:
         raise ValueError(f"unknown route: {route!r}")
-    penalties = codebook.penalties if route == ROUTE_PENALIZED else None
-    return blockwise(sqdist_to_centroids, queries, codebook.centroids.points,
-                     lambda d2, _: nearest_cells(d2, penalties, ma))
+    return nearest_cells(queries, codebook.keys if route == ROUTE_PENALIZED
+                         else codebook.centroids.keys, ma)
 
 
 def select_cells(

@@ -8,11 +8,12 @@ execution matches sequential execution exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .dataset import VectorSet
-from .distances import blockwise, nearest_cells, sq_norms, sqdist_to_centroids
+from .distances import CellKeys, blockwise, cell_keys, sq_norms, sqdist_to_centroids
 
 DEFAULT_REL_TOL = 1e-4
 DEFAULT_MAX_ITERS = 100
@@ -42,6 +43,12 @@ class Centroids:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+    @cached_property
+    def keys(self) -> CellKeys:
+        """The points as balancing, build and routing key them, derived on
+        first use: the points are a value, never changed in place."""
+        return cell_keys(self.points)
 
 
 @dataclass(eq=False)
@@ -116,7 +123,7 @@ def assign_plain(data: VectorSet, centroids: Centroids) -> Assignment:
     """Assign each point to its nearest centroid (squared L2, lowest-index
     tie-break), one kernel row block at a time."""
     cells = blockwise(sqdist_to_centroids, data.data, centroids.points,
-                      lambda d2, _: nearest_cells(d2)[:, 0])
+                      lambda d2, _: d2.argmin(axis=1))
     return Assignment(cells, centroids.k)
 
 

@@ -11,10 +11,11 @@ it was first written, and the library must match each bit for bit:
 * the BLAS kernel with a temporary per operation;
 * k-means++ with one full distance call per draw;
 * the Lloyd mean update with ``np.add.at``;
-* the balancing loop with one full penalized distance matrix per iteration;
-* cell picking and the Lloyd distortion over one whole distance matrix:
-  plain assignment by argmin, routing by a penalty add and a full stable
-  argsort;
+* every cell choice of balancing, build and routing as one whole matrix
+  of exact penalized distances, ``sqdist_exact`` plus the penalties,
+  ranked by ``(value, id)`` with a full stable argsort, and the balancing
+  loop recomputing it on every iteration;
+* Lloyd's assignment and distortion over one whole BLAS distance matrix;
 * the Gaussian mixture drawn as whole (n, dim) float64 arrays;
 * the fvecs decoder that walks the records one by one to name the first
   malformed one, and checks finiteness itself;
@@ -128,13 +129,22 @@ def kmeans_pp_per_draw(data, k: int, seed: int) -> np.ndarray:
     return data.data[chosen].astype(np.float32)
 
 
-def balance_recomputing(data, codebook: Codebook, config):
-    """The balancing loop recomputing the distance matrix on every iteration.
+def penalized_ranking(x: np.ndarray, centroids: np.ndarray, penalties=None) -> np.ndarray:
+    """Every cell, for each row of ``x``, ranked by ``(value, id)`` with NaN
+    last: the whole (n, k) matrix of ``sqdist_exact`` plus the penalties,
+    then a full stable argsort."""
+    d2 = sqdist_exact(x, centroids)
+    if penalties is not None:
+        d2 += penalties[None, :]
+    return np.argsort(d2, axis=1, kind="stable")
 
-    Each iteration adds the penalties to a fresh ``sqdist_to_centroids``
-    matrix in place and takes the argmin over the whole of it; one more
-    pass gives ``scale_ratio``. Returns ``(codebook, records, scale_ratio)``
-    with records as ``(iteration, gamma, counts, penalties)`` tuples.
+
+def balance_recomputing(data, codebook: Codebook, config):
+    """The balancing loop ranking every cell of every point anew on each
+    iteration (``penalized_ranking``); ``scale_ratio`` is the mean of each
+    point's smallest exact distance. Returns ``(codebook, records,
+    scale_ratio)`` with records as ``(iteration, gamma, counts, penalties)``
+    tuples.
     """
     points = codebook.centroids.points
     n_opt = data.count / codebook.k
@@ -142,9 +152,8 @@ def balance_recomputing(data, codebook: Codebook, config):
     gamma0 = float("nan")
     iteration = 0
     while True:
-        d2 = sqdist_to_centroids(data.data, points)
-        d2 += codebook.penalties[None, :]
-        counts = np.bincount(np.argmin(d2, axis=1), minlength=codebook.k)
+        cells = penalized_ranking(data.data, points, codebook.penalties)[:, 0]
+        counts = np.bincount(cells, minlength=codebook.k)
         gamma = imbalance_factor(counts)
         if iteration == 0:
             gamma0 = gamma
@@ -155,18 +164,19 @@ def balance_recomputing(data, codebook: Codebook, config):
             break
         codebook = update_penalties(codebook, counts, n_opt, config.alpha)
         iteration += 1
-    scale_ratio = float(sqdist_to_centroids(data.data, points).min(axis=1).mean())
+    scale_ratio = float(sqdist_exact(data.data, points).min(axis=1).mean())
     return codebook, records, scale_ratio
 
 
 def assign_plain_whole_argmin(data, centroids: Centroids) -> np.ndarray:
-    """Each point's cell as one argmin over the whole distance matrix."""
+    """Each point's Lloyd cell as one argmin over the whole BLAS distance
+    matrix."""
     return np.argmin(sqdist_to_centroids(data.data, centroids.points), axis=1)
 
 
 def distortion_whole(data, centroids: Centroids, cells: np.ndarray) -> float:
     """The summed distance of each point to its cell, gathered from the
-    whole distance matrix."""
+    whole BLAS distance matrix."""
     d2 = sqdist_to_centroids(data.data, centroids.points)
     return float(d2[np.arange(data.count), cells].sum())
 
@@ -174,12 +184,10 @@ def distortion_whole(data, centroids: Centroids, cells: np.ndarray) -> float:
 def route_cells_whole_sort(
     queries: np.ndarray, codebook: Codebook, ma: int, route: str
 ) -> np.ndarray:
-    """The (Q, ma) probed cells: the penalties added to the whole distance
-    matrix in place, then the first ma columns of a full stable argsort."""
-    d2 = sqdist_to_centroids(queries, codebook.centroids.points)
-    if route == ROUTE_PENALIZED:
-        d2 += codebook.penalties[None, :]
-    return np.argsort(d2, axis=1, kind="stable")[:, :ma]
+    """The (Q, ma) probed cells: the first ma of ``penalized_ranking``, with
+    the penalties on the penalized route."""
+    penalties = codebook.penalties if route == ROUTE_PENALIZED else None
+    return penalized_ranking(queries, codebook.centroids.points, penalties)[:, :ma]
 
 
 def gaussian_mixture_one_shot(

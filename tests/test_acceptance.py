@@ -34,7 +34,6 @@ from ivfbalance import (
     save_index,
     search,
 )
-from ivfbalance.distances import sqdist_to_centroids
 from ivfbalance.index import route_cells_batch
 from ivfbalance.metrics import scan_costs
 
@@ -112,8 +111,7 @@ def test_criterion_01_uniform_penalty_invariance():
         )
         beta = float(rng.uniform(0.0, 10.0))
         uniform = Codebook(cents, np.full(32, beta))
-        plain_d2 = sqdist_to_centroids(data.data, cents.points)
-        balanced = assign_balanced(plain_d2, uniform.penalties)
+        balanced = assign_balanced(data, uniform)
         plain = assign_plain(data, cents)
         worst = max(worst, int((balanced.cell_of != plain.cell_of).sum()))
     report(

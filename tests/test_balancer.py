@@ -17,7 +17,7 @@ from ivfbalance import (
 import ivfbalance.balancer as balancer_mod
 import ivfbalance.distances as distances_mod
 from ivfbalance.balancer import B_FLOOR
-from ivfbalance.distances import sqdist_to_centroids
+from ivfbalance.distances import key_bounds, top_r
 from ivfbalance.index import build, load_codebook, save_codebook
 
 from conftest import integer_tie_fixture, random_vectors
@@ -35,9 +35,8 @@ def codebook_1d(centroid_values, penalties):
 
 
 def assign_under(data, codebook):
-    """``assign_balanced`` over the plain matrix of ``data`` to the codebook."""
-    plain = sqdist_to_centroids(data.data, codebook.centroids.points)
-    return assign_balanced(plain, codebook.penalties)
+    """``assign_balanced`` of ``data`` under the codebook."""
+    return assign_balanced(data, codebook)
 
 
 class TestPenalizedDistance:
@@ -91,18 +90,10 @@ class TestAssignBalanced:
         # 0+100 == 100+0 -> lowest index
         assert assign_under(data, cb).cell_of[0] == 0
 
-    @pytest.mark.parametrize("tie", [False, True])
-    def test_float32_screen_needs_the_points_and_centroids(self, tie):
-        # Row 1 ties exactly when ``tie``; the check comes before any row.
-        plain = np.array([[1.0, 2.0], [3.0, 3.0 if tie else 5.0]], dtype=np.float32)
-        for kwargs in ({}, {"x": np.zeros((2, 1))}, {"centroids": np.zeros((2, 1))}):
-            with pytest.raises(ValueError, match="needs x and centroids"):
-                assign_balanced(plain, np.zeros(2), **kwargs)
-
     def test_dimension_mismatch(self, small_set):
-        plain = sqdist_to_centroids(small_set.data, small_set.data[:3])
+        cb = Codebook.fresh(Centroids(small_set.data[:3, :-1].copy()))
         with pytest.raises(ValueError, match="dimension"):
-            assign_balanced(plain, np.ones(4))
+            assign_balanced(small_set, cb)
 
 
 class TestUpdatePenalties:
@@ -280,9 +271,10 @@ def same_bits(a, b) -> bool:
 
 
 class TestBalanceOneMatrix:
-    """``balance`` computes the plain matrix once, keeps a float32 screen of
-    it and decides the rows the screen cannot on recomputed float64 blocks;
-    it must match the loop that recomputes it on every iteration."""
+    """``balance`` computes the float32 products once and cuts the cells of
+    each point on them under the penalties of each iteration; it must match
+    the loop that ranks every cell of every point by exact distance plus
+    penalty on every iteration."""
 
     def assert_matches_recomputing(self, data, cb, config):
         final, trace = balance(data, cb, config)
@@ -298,9 +290,9 @@ class TestBalanceOneMatrix:
             assert same_bits(rec.penalties, penalties)
         return trace
 
-    def test_one_row_past_a_block_multiple(self, rng):
-        k = 16
-        rows = distances_mod._ARGMIN_BLOCK_ELEMS // k
+    def test_one_row_past_a_block_multiple(self, rng, monkeypatch):
+        k, rows = 16, 64
+        monkeypatch.setattr(distances_mod, "_CHUNK_ELEMS", rows * k * 8)
         data = random_vectors(rng, 2 * rows + 1, 8)
         cb = Codebook.fresh(Centroids(data.data[:k].copy()))
         config = BalanceConfig(stop=StopRule.fixed_iters(6), alpha=0.1)
@@ -308,7 +300,7 @@ class TestBalanceOneMatrix:
         assert len({tuple(r.counts) for r in trace.records}) > 1
 
     def test_many_small_blocks(self, rng, monkeypatch):
-        monkeypatch.setattr(distances_mod, "_ARGMIN_BLOCK_ELEMS", 10 * 8)
+        monkeypatch.setattr(distances_mod, "_CHUNK_ELEMS", 10 * 8 * 3)
         data = random_vectors(rng, 10 * 10 + 1, 3)
         cb = Codebook.fresh(Centroids(data.data[:8].copy()))
         config = BalanceConfig(stop=StopRule.target_fraction(0.3), alpha=0.2)
@@ -316,7 +308,7 @@ class TestBalanceOneMatrix:
         assert len({tuple(r.counts) for r in trace.records}) > 1
 
     def test_exact_ties_go_to_the_lowest_id(self, monkeypatch):
-        monkeypatch.setattr(distances_mod, "_ARGMIN_BLOCK_ELEMS", 7 * 7)
+        monkeypatch.setattr(distances_mod, "_CHUNK_ELEMS", 7 * 7 * 4)
         data, cb = integer_tie_fixture()
         config = BalanceConfig(stop=StopRule.fixed_iters(10), alpha=0.2)
         trace = self.assert_matches_recomputing(data, cb, config)
@@ -344,18 +336,22 @@ class TestBalanceOneMatrix:
         "stop", [StopRule.fixed_iters(0), StopRule.fixed_iters(9), StopRule.target_gamma(1.0)]
     )
     def test_one_distance_call_per_balance(self, rng, monkeypatch, stop):
-        calls = []
+        # Bounds come with the products, one call per row block; the float64
+        # kernel is never called.
+        calls, blas = [], []
 
         def counting(*args):
-            calls.append(1)
-            return sqdist_to_centroids(*args)
+            calls.append(len(args[0]))
+            return key_bounds(*args)
 
-        monkeypatch.setattr(balancer_mod, "sqdist_to_centroids", counting)
+        monkeypatch.setattr(distances_mod, "_CHUNK_ELEMS", 64 * 10 * 4)  # 64-row blocks
+        monkeypatch.setattr(distances_mod, "key_bounds", counting)
+        monkeypatch.setattr(balancer_mod, "sqdist_to_centroids", lambda *a: blas.append(1))
         data = random_vectors(rng, 300, 4)
         cb = Codebook.fresh(Centroids(data.data[:10].copy()))
         config = BalanceConfig(stop=stop, alpha=0.1, max_iters_cap=40)
         balance(data, cb, config)
-        assert len(calls) == 1
+        assert calls == [64] * 4 + [44] and not blas
 
     @staticmethod
     def permutation_tie_fixture(rng):
@@ -370,30 +366,29 @@ class TestBalanceOneMatrix:
 
     @pytest.mark.parametrize("case", ["offset", "huge", "tiny", "permuted"])
     def test_screen_fixtures(self, rng, monkeypatch, case):
-        """Adversarial inputs for the float32 screen: a large offset, plain
-        values past float32's range and below its normal range, and exact
-        real ties. Rows the screen cannot decide go to their kernel block."""
+        """Adversarial inputs for the key cut: a large offset, distances
+        past float32's range and below its normal range, and exact real
+        ties. Rows the keys cannot decide are ranked on their kept cells."""
         if case == "permuted":
             data, cb = self.permutation_tie_fixture(rng)
         else:
             scale, shift = {"offset": (1.0, 1e4), "huge": (1e19, 0.0), "tiny": (1e-20, 0.0)}[case]
             data = VectorSet.from_array(rng.standard_normal((120, 5)) * scale + shift)
             cb = Codebook.fresh(Centroids(data.data[:9].copy()))
-        blocks = []
+        ranked = []
 
         def counting(*args):
-            blocks.append(len(args[0]))
-            return sqdist_to_centroids(*args)
+            ranked.append(1)
+            return top_r(*args)
 
         monkeypatch.setattr(distances_mod, "_CHUNK_ELEMS", 16 * cb.k * cb.dim)
-        monkeypatch.setattr(balancer_mod, "sqdist_to_centroids", counting)
+        monkeypatch.setattr(distances_mod, "top_r", counting)
         config = BalanceConfig(stop=StopRule.fixed_iters(8), alpha=0.3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             self.assert_matches_recomputing(data, cb, config)
-        assert sum(blocks[: -(-data.count // 16)]) == data.count
         if case != "offset":
-            assert len(blocks) > -(-data.count // 16)  # some rows fell back
+            assert ranked  # some rows were left open
 
     def test_build_agrees_with_the_last_record(self, rng):
         data = random_vectors(rng, 500, 4)

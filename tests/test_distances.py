@@ -8,16 +8,18 @@ import pytest
 import ivfbalance.distances as distances
 import ivfbalance.kmeans as kmeans
 from ivfbalance import Centroids, Codebook, VectorSet, assign_plain, build, lloyd_full
+from ivfbalance.balancer import B_FLOOR
 from ivfbalance.distances import (
     _gamma,
     centered_half_norms,
+    cell_keys,
     key_bounds,
-    nearest_cells,
     nearest_r,
     shifted_keys,
     sq_norms,
     sqdist_exact,
     sqdist_to_centroids,
+    top_r,
 )
 from ivfbalance.index import ROUTE_PENALIZED, ROUTES, route_cells_batch
 
@@ -83,14 +85,15 @@ def routing_case(request, rng):
 
 
 class TestNearestCells:
-    """``nearest_cells`` picks the cells of assignment and routing; it must
-    match the whole-matrix argmin and stable argsort it replaced, bit for bit."""
+    """``nearest_cells`` picks the cells of balancing, build and routing; it
+    must match the whole-matrix exact penalized ranking bit for bit, and
+    Lloyd's assignment the whole-matrix BLAS argmin."""
 
     @pytest.mark.parametrize("small_blocks", [False, True])
     def test_matches_whole_matrix_oracles(self, routing_case, monkeypatch, small_blocks):
         queries, cb = routing_case
         if small_blocks:
-            monkeypatch.setattr(distances, "_ARGMIN_BLOCK_ELEMS", 5 * cb.k)
+            monkeypatch.setattr(distances, "_CHUNK_ELEMS", 5 * cb.k * cb.dim)
         for ma, route in itertools.product((1, 2, cb.k), ROUTES):
             want = route_cells_whole_sort(queries, cb, ma, route)
             assert np.array_equal(route_cells_batch(queries, cb, ma, route), want)
@@ -106,81 +109,109 @@ class TestNearestCells:
         assert not np.isin(assign_plain(data, cb.centroids).cell_of, [3, 4, 5]).any()
 
     def test_nan_ranks_last_at_every_ma(self, rng):
-        # (inf, 0, ..., 0) gives a row of NaN (c_0 = 0 or inf - inf) and inf.
+        # An inf coordinate makes every exact distance inf, a NaN one NaN:
+        # the cells rank by id, the same first cell at every ma, and a NaN
+        # row's cells come after a finite row's in the same batch.
         cb = Codebook(Centroids(rng.standard_normal((9, 4)).astype(np.float32)), rng.random(9))
-        cb.centroids.points[[0, 4], 0] = 0.0
-        query = np.zeros((1, 4), dtype=np.float32)
-        query[0, 0] = np.inf
-        with np.errstate(invalid="ignore", over="ignore"):
-            d2 = sqdist_to_centroids(query, cb.centroids.points)
-            assert np.isnan(d2).any() and np.isinf(d2).any()
-            for route in ROUTES:
-                first = route_cells_batch(query, cb, 1, route)[0, 0]
-                assert first == route_cells_batch(query, cb, 2, route)[0, 0]
-                assert not np.isnan(d2[0, first])
+        queries = np.zeros((3, 4), dtype=np.float32)
+        queries[:2, 0] = np.inf, np.nan
+        d2 = sqdist_exact(queries, cb.centroids.points)
+        assert np.isinf(d2[0]).all() and np.isnan(d2[1]).all() and np.isfinite(d2[2]).all()
+        for route, ma in itertools.product(ROUTES, (1, 2, cb.k)):
+            got = route_cells_batch(queries, cb, ma, route)
+            assert np.array_equal(got[:2], np.tile(np.arange(ma), (2, 1)))
+            assert np.array_equal(got, route_cells_whole_sort(queries, cb, ma, route))
 
 
 class TestScreen:
-    """On a float32 screen of a plain matrix, ``nearest_cells`` either picks
-    the float64 matrix's cell or marks the row -1."""
+    """The float32 keys screen the cells: on inputs where they decide
+    little, every row still gets the exact ranking's cells, and the keys
+    decide the rows they can."""
 
-    def test_certified_rows_agree_and_near_ties_are_marked(self, rng):
-        plain = sqdist_to_centroids(rng.standard_normal((300, 4)), rng.standard_normal((12, 4)))
-        penalties = rng.random(12)
-        penalties[11] = 1e39  # past float32's range
-        plain[0, 1] = plain[0, 0] * (1 + 1e-9)  # near-tie in float64 ...
-        plain[0, 2:] = plain[0, 0] + 10.0
-        penalties[:3] = penalties[0]
-        plain[1] = np.nan
-        plain[2, 5] = 1e39  # a plain value past float32's range
-        plain[3] = 1e40  # every plain value past it
-        plain[4] = plain[4, 7]  # exact ties
-        with np.errstate(over="ignore"):
-            screen = plain.astype(np.float32)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = nearest_cells(screen, penalties)[:, 0]
-        want = nearest_cells(plain, penalties)[:, 0]
-        sure = got >= 0
-        assert np.array_equal(got[sure], want[sure])
-        assert not sure[[0, 1, 3, 4]].any()
-        assert sure[2] and sure.sum() > 280
+    def test_certified_rows_agree_and_near_ties_are_marked(self, rng, monkeypatch):
+        # Rows at a centroid, between two, NaN, far away, tiny and tied;
+        # one cell's penalty far above the distances, at the floor, near
+        # the overflow guard or past float32's range.
+        points = rng.standard_normal((12, 4)).astype(np.float32)
+        points[1] = points[0] + 0.01 * rng.standard_normal(4)
+        points[5] = points[4]
+        queries = rng.standard_normal((300, 4))
+        queries[0] = (points[0].astype(np.float64) + points[1]) / 2
+        queries[1] = np.nan
+        queries[2] = points[3]
+        queries[3] = 1e20
+        queries[4] = points[4]
+        queries[5] *= 1e-30
+        ranked = []
 
-    def test_gaps_near_the_bound(self, rng):
-        # Runner-ups 2^-26 to 2^-16 above the best, relative, in every
-        # order of ids and on both sides of float32's normal range.
-        plain = rng.random((4000, 6)) + 1.0
-        gaps = 2.0 ** rng.uniform(-26, -16, 4000)
-        plain[:, 1] = plain[:, 0] * (1 + gaps)
-        plain[::2] = plain[::2, ::-1]
-        plain[1::4] *= 1e-40
-        penalties = np.full(6, 1e-3)
-        penalties[[2, 4]] = rng.random(2) * 1e-40
-        got = nearest_cells(plain.astype(np.float32), penalties)[:, 0]
-        want = nearest_cells(plain, penalties)[:, 0]
-        sure = got >= 0
-        assert np.array_equal(got[sure], want[sure])
-        assert 0.2 < sure.mean() < 0.9
+        def recording(x, c):
+            ranked.append(1 if np.isnan(x).all() else np.flatnonzero((queries == x).all(axis=1))[0])
+            return sqdist_exact(x, c)
+
+        monkeypatch.setattr(distances, "sqdist_exact", recording)
+        for penalty in (None, 1.0, B_FLOOR, 1e8, 2.0**124, 1e39):
+            penalties = rng.random(12)
+            if penalty is not None:
+                penalties[11] = penalty
+            cb = Codebook(Centroids(points), penalties)
+            for ma, route in itertools.product((1, 3, 12), ROUTES):
+                ranked.clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = route_cells_batch(queries, cb, ma, route)
+                assert np.array_equal(got, route_cells_whole_sort(queries, cb, ma, route))
+                # A penalty far above the distances widens every row's cut.
+                plain = route != ROUTE_PENALIZED
+                if ma == 1 and (plain or penalty is None or penalty <= 1.0):
+                    assert {1, 3} <= set(ranked) and 2 not in ranked and len(ranked) < 20
+                    assert not plain or {0, 4} <= set(ranked)  # near and exact ties
+
+    def test_gaps_near_the_bound(self, rng, monkeypatch):
+        # Points between two cells whose runner-up is 2^-26 to 2^-16 above
+        # the best, relative, on either side: the keys decide the wide gaps,
+        # and the narrow ones are ranked on their kept cells.
+        eps = 2.0 ** rng.uniform(-29, -19, 4000) * rng.choice([-1.0, 1.0], 4000)
+        queries = (0.5 + eps)[:, None]
+        cb = Codebook(Centroids(np.array([[0.0], [1.0]], dtype=np.float32)), np.full(2, 1e-3))
+        ranked = []
+
+        def counting(*args):
+            ranked.append(1)
+            return top_r(*args)
+
+        monkeypatch.setattr(distances, "top_r", counting)
+        got = route_cells_batch(queries, cb, 1)
+        assert np.array_equal(got, route_cells_whole_sort(queries, cb, 1, ROUTE_PENALIZED))
+        assert 0.1 < len(ranked) / len(queries) < 0.9
 
     def test_worst_case_roundings(self, rng):
-        # Cell 0's plain value and penalty round down to float32 by almost
-        # half an ulp, cell 1's round up, and cell 1 is a few ulps away.
+        # Two copies of one centroid: cell 0's half norm plus half its
+        # penalty rounds down to float32 by almost half an ulp, cell 1's
+        # rounds up, and cell 1's penalty is a few ulps away.
         def rounding_to(v, side):
             nxt = np.nextafter(v, np.float32(side * np.inf)).astype(np.float64)
             return np.nextafter((v.astype(np.float64) + nxt) / 2, -side * np.inf)
 
-        low = rng.uniform(0.25, 1, (2, 3000)).astype(np.float32)
+        low = rng.uniform(0.25, 1, 3000).astype(np.float32)
         steps = rng.integers(-4, 5, low.shape, dtype=np.int32)
         high = (low.view(np.int32) + steps).view(np.float32)
-        plain = np.stack([rounding_to(low[0], 1), rounding_to(high[0], -1)], axis=1)
-        penalties = np.stack([rounding_to(low[1], 1), rounding_to(high[1], -1)], axis=1)
-        for row, b in zip(plain[:, None], penalties):
-            assert nearest_cells(row.astype(np.float32), b)[0, 0] in (-1, nearest_cells(row, b)[0, 0])
+        points = np.full((2, 3), 0.5, dtype=np.float32)
+        half = cell_keys(points).half
+        x = rng.standard_normal((1, 3))
+        for lo, hi in zip(rounding_to(low, 1), rounding_to(high, -1)):
+            cb = Codebook(Centroids(points), 2 * (np.array([lo, hi]) - half))
+            assert cb.keys.half[0] == np.float32(lo) and cb.keys.half[1] == np.float32(hi)
+            want = route_cells_whole_sort(x, cb, 2, ROUTE_PENALIZED)
+            assert np.array_equal(route_cells_batch(x, cb, 2), want)
 
-    def test_one_cell_per_row_only(self, rng):
-        screen = rng.random((5, 3)).astype(np.float32)
-        with pytest.raises(ValueError, match="one cell"):
-            nearest_cells(screen, None, 2)
+    def test_centroids_float32_cannot_hold_decide_nothing(self, rng):
+        points = rng.standard_normal((6, 3))  # float64, not float32 values
+        cb = Codebook(Centroids(points), rng.random(6))
+        assert cb.centroids.keys.frame.h_max == np.inf
+        queries = rng.standard_normal((50, 3))
+        for ma, route in itertools.product((1, 4), ROUTES):
+            got = route_cells_batch(queries, cb, ma, route)
+            assert np.array_equal(got, route_cells_whole_sort(queries, cb, ma, route))
 
 
 class TestRowBlocks:
@@ -338,6 +369,46 @@ class TestShiftedKeys:
                 for key, x in zip(row_keys, row_exact):
                     error = Fraction(float(key)) - (Fraction(float(x)) / 2 - constant)
                     assert abs(error) <= Fraction(float(e)), name
+
+    @pytest.mark.parametrize("penalty", ["far above", "floor", "near the guard"])
+    def test_penalty_term_holds_in_exact_arithmetic(self, rng, penalty):
+        # Keys of rows with penalties against Y = fl64(X + b): b far above
+        # the distances, at B_FLOOR (alone and next to larger ones), and
+        # with h_max + b_max just below the guard, where E stays finite.
+        for name, queries, rows in key_cases(rng):
+            cells = cell_keys(rows)
+            exact = sqdist_exact(queries, rows)
+            top = np.nanmax(exact, initial=0.0, where=np.isfinite(exact))
+            b = {
+                "far above": (1e6 * top + 1e-30) * rng.uniform(0.5, 1.0, len(rows)),
+                "floor": np.where(rng.random(len(rows)) < 0.5, B_FLOOR, rng.random(len(rows))),
+                "near the guard": (2.0**125 - min(cells.frame.h_max, 2.0**124))
+                * rng.uniform(0.5, 1 - 2.0**-20, len(rows)),
+            }[penalty]
+            keyed = cell_keys(rows, b)
+            p, bound = key_bounds(queries, keyed.frame)
+            safe = np.isfinite(bound)
+            assert safe.all() or "1e+19" in name, name
+            keys = shifted_keys(p[safe], rows, keyed.half)
+            c = [Fraction(float(x)) for x in keyed.frame.center]
+            for query, row_keys, row_exact, e in zip(queries[safe], keys, exact[safe] + b,
+                                                     bound[safe]):
+                w = [Fraction(float(x)) - ci for x, ci in zip(query, c)]
+                constant = sum(x * x for x in w) / 2 + sum(x * ci for x, ci in zip(w, c))
+                for key, y in zip(row_keys, row_exact):
+                    error = Fraction(float(key)) - (Fraction(float(y)) / 2 - constant)
+                    assert abs(error) <= Fraction(float(e)), name
+
+    def test_past_the_guard_nothing_is_claimed(self, rng):
+        rows = rng.standard_normal((5, 3)).astype(np.float32)
+        b = np.full(5, 2.0**125 * (1 + 2.0**-20))
+        assert np.isinf(key_bounds(rng.standard_normal((2, 3)), cell_keys(rows, b).frame)[1]).all()
+        b[0] = 1e39  # its half norm is past float32's range too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            keyed = cell_keys(rows, b)
+        assert np.isinf(keyed.half[0])
+        assert np.isinf(key_bounds(rng.standard_normal((2, 3)), keyed.frame)[1]).all()
 
     def test_v_max_bounds_every_row_norm(self, rng):
         for name, _, rows in key_cases(rng):

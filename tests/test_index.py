@@ -240,6 +240,37 @@ def test_stored_points_route_to_their_own_cell(request, indexes):
         assert np.array_equal(routed, index.cell_of_points())
 
 
+class TestPermutationTies:
+    """Centroid 1 is a coordinate permutation of centroid 0 and the point
+    is constant, d = 32: both cells are at the same real distance, and
+    float64 BLAS rows of a one-row and a many-row call have ordered them
+    differently (47 of these 3,000 seeded cases, one BLAS thread). Cell
+    choice is a function of the row alone, so neither batch size matters."""
+
+    CASES, D = 3000, 32
+
+    def cases(self):
+        for seed in range(self.CASES):
+            rng = np.random.default_rng(seed)
+            c0 = rng.standard_normal(self.D).astype(np.float32)
+            cb = Codebook.fresh(Centroids(np.stack([c0, c0[rng.permutation(self.D)]])))
+            point = np.full(self.D, rng.standard_normal(), dtype=np.float32)
+            yield rng, cb, point, rng.standard_normal((63, self.D)).astype(np.float32)
+
+    def test_one_row_routes_as_its_row_of_a_batch(self):
+        for rng, cb, point, fill in self.cases():
+            at = rng.integers(64)
+            batch = np.insert(fill, at, point, axis=0)
+            assert select_cells(point, cb, 1)[0] == route_cells_batch(batch, cb, 1)[at, 0]
+
+    def test_stored_points_route_to_their_own_cell_one_at_a_time(self):
+        for _, cb, point, fill in self.cases():
+            data = VectorSet.from_array(np.vstack([point, fill[:7]]))
+            cell_of = build(data, cb).cell_of_points()
+            for v, cell in zip(data.data, cell_of):
+                assert select_cells(v, cb, 1)[0] == cell
+
+
 def assert_search_matches_oracle(index, query, params):
     """``search`` against the gather-and-full-sort oracle, bit for bit;
     returns the oracle's sorted ids and distances and the probed cells."""
