@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import VectorSet, write_csv
-from .distances import CellKeys, cell_keys, nearest_cells, plain_products, sqdist_rows
+from .distances import CellKeys, cell_keys, nearest_cells, plain_products, sqdist_pairs
 from .distances import sqdist_to_centroids  # noqa: F401  (perfbench/spans.py wraps it here)
 from .kmeans import Assignment, Centroids
 from .metrics import imbalance_factor
@@ -62,7 +62,9 @@ class Codebook:
     iteration: int = 0
 
     def __post_init__(self) -> None:
-        self.penalties = np.asarray(self.penalties, dtype=np.float64)
+        # A read-only copy: ``keys`` is derived from it once.
+        self.penalties = np.array(self.penalties, dtype=np.float64)
+        self.penalties.flags.writeable = False
         if self.penalties.shape != (self.centroids.k,):
             raise ValueError(
                 f"expected {self.centroids.k} penalties, "
@@ -240,7 +242,8 @@ def balance(
     cells = codebook.centroids.keys
     products = plain_products(data.data, cells)
     nearest = nearest_cells(data.data, cells, 1, products)[:, 0]
-    trace = BalanceTrace(scale_ratio=float(sqdist_rows(data.data, cells.points[nearest]).mean()))
+    plain = sqdist_pairs(data.data, cells.points, np.arange(data.count), nearest)
+    trace = BalanceTrace(scale_ratio=float(plain.mean()))
     iteration = 0
     while True:
         assignment = assign_balanced(data, codebook, products)

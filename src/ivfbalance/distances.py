@@ -21,7 +21,7 @@ relative to a center of the rows (:func:`centered_half_norms`,
 E (:func:`key_bounds`) that grows with the spread of the rows around that
 center and the query's distance to it, not with the distance from the
 origin. Only the rows whose key is at most κ + 2E, κ being the r-th
-smallest key, reach the exact kernel, and :func:`top_r` ranks them.
+smallest key, reach the exact kernel, and are ranked by ``(value, id)``.
 Search cuts one query's candidates with one float32 product
 (:func:`nearest_r`); ground truth cuts a block of queries with float32
 GEMM tiles (:func:`block_cut`); balancing, build and routing cut the
@@ -145,15 +145,15 @@ def sqdist_exact(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def sqdist_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """:func:`sqdist_exact` of each row of ``x`` to the same row of ``y``,
-    the same bits, in row blocks that hold no n×d float64 copy."""
-    x, y = _as_pair(x, y, None)
-    out = np.empty(len(x))
-    step = 8192
-    for start in range(0, len(x), step):
-        diff = np.subtract(x[start : start + step], y[start : start + step], dtype=np.float64)
-        np.einsum("ij,ij->i", diff, diff, out=out[start : start + step])
+def sqdist_pairs(x: np.ndarray, c: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """:func:`sqdist_exact` of each pair of rows ``x[i]`` and ``c[j]``, the
+    same bits, in blocks of pairs that hold no pairs×d float64 copy."""
+    out = np.empty(len(i))
+    step = 2048
+    for s in range(0, len(i), step):
+        diff = np.subtract(x.take(i[s : s + step], 0), c.take(j[s : s + step], 0),
+                           dtype=np.float64)
+        np.einsum("ij,ij->i", diff, diff, out=out[s : s + step])
     return out
 
 
@@ -179,13 +179,11 @@ def top_r(ids: np.ndarray, d2: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarr
 
 class KeyFrame(NamedTuple):
     """The row side of :func:`key_bounds`: the rows' float32 ``center``, their
-    largest half norm, a bound on their norms, valid for any subset, and the
-    largest penalty added to the half norms (0 for rows without one)."""
+    largest half norm and a bound on their norms, valid for any subset."""
 
     center: np.ndarray
     h_max: float
     v_max: float
-    b_max: float = 0.0
 
 
 def centered_half_norms(rows: np.ndarray) -> tuple[np.ndarray, KeyFrame]:
@@ -287,7 +285,8 @@ def key_bounds(queries: np.ndarray, frame: KeyFrame) -> tuple[np.ndarray, np.nda
     Penalties. Cells with penalties b >= 0 (:func:`cell_keys`) key with
     ``hb = fl32(fl64(h + b / 2))`` for h, against ``Y = fl64(X + b)``.
     With ``b_max`` the largest b, ``|k - (Y / 2 - C)| <= E`` for every row
-    when E gains the term ``2^-23 (h_max + b_max) + 2^-149``:
+    when E gains the term ``2^-23 (h_max + b_max) + 2^-149``, the
+    :class:`CellKeys`' ``term``:
 
     * ``|hb - (h + b / 2)| <= u' (h + b / 2) + eta + 2^-1074``, and the
       subtraction forming k adds u times that and ``u b / 2``.
@@ -299,29 +298,22 @@ def key_bounds(queries: np.ndarray, frame: KeyFrame) -> tuple[np.ndarray, np.nda
     The rest is below ``2^-24 (1 + 2^-20)(h_max + b_max) + 2 eta``, which
     leaves the term room for its own roundings and those of ``κ + 2 E``.
     Without penalties ``hb = h`` and ``Y = X``: the term is 0. Where
-    ``h_max + b_max`` exceeds ``2^125``, ``hb`` could overflow: E is +inf.
+    ``h_max + b_max`` exceeds ``2^125``, ``hb`` could overflow: the term,
+    and so E, is +inf.
     """
-    center, h_max, v_max, _ = frame
+    center, h_max, v_max = frame
     d = queries.shape[1]
     w = np.subtract(queries, center, dtype=np.float64)
-    penalty = _penalty_term(frame)
     fixed = (_gamma(d + 4, _UNIT_ROUNDOFF32) * (1 + 2 * _gamma(d + 2, _UNIT_ROUNDOFF32)) * h_max
-             + (d**0.5 * v_max + 2 * d + 2) * 2.0**-149 + penalty)
+             + (d**0.5 * v_max + 2 * d + 2) * 2.0**-149)
     with np.errstate(over="ignore", invalid="ignore"):
         p = w.astype(np.float32)
         a = np.sqrt(sq_norms(w))
         bound = fixed + a * (_gamma(d + 3, _UNIT_ROUNDOFF32) * v_max + 2 * _gamma(d + 2) * a)
-        safe = (h_max + (2 * max(v_max, 0.25)) * a <= 2.0**125) & (penalty < np.inf)
-    p[~safe] = 0.0
-    return p, np.where(safe, bound, np.inf)
-
-
-def _penalty_term(frame: KeyFrame) -> float:
-    """:func:`key_bounds`' term for the penalties in the rows' half norms."""
-    if not frame.b_max:
-        return 0.0
-    total = frame.h_max + frame.b_max
-    return 2.0**-23 * total + 2.0**-149 if total <= 2.0**125 else np.inf
+        safe = h_max + (2 * max(v_max, 0.25)) * a <= 2.0**125
+    if not safe.all():
+        p[~safe], bound[~safe] = 0.0, np.inf
+    return p, bound
 
 
 def shifted_keys(p: np.ndarray, rows: np.ndarray, half: np.ndarray, out=None) -> np.ndarray:
@@ -359,7 +351,7 @@ def _cut_at(kappa: np.ndarray, bound: np.ndarray) -> np.ndarray:
     set E to -inf, and far inside float32's range where E is finite."""
     exact = kappa + 2.0 * bound
     cut = exact.astype(np.float32)
-    return np.where(cut < exact, np.nextafter(cut, np.float32(np.inf)), cut)
+    return np.nextafter(cut, np.inf, out=cut, where=cut < exact)
 
 
 def _merge_best(best: np.ndarray, q: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -424,32 +416,52 @@ def block_cut(queries: np.ndarray, rows: np.ndarray, half: np.ndarray, frame: Ke
 
 
 class CellKeys(NamedTuple):
-    """The centroids as :func:`nearest_cells` keys them: as given, as
-    float32 ``rows``, their half norms and frame, and their penalties."""
+    """The centroids ``points`` as :func:`nearest_cells` keys them: their
+    half norms with half of each ``penalties`` entry, their frame, and the
+    penalties' ``term`` of :func:`key_bounds`."""
 
     points: np.ndarray
-    rows: np.ndarray
     half: np.ndarray
     frame: KeyFrame
+    term: float = 0.0
     penalties: np.ndarray | None = None
 
 
 def cell_keys(points: np.ndarray, penalties: np.ndarray | None = None) -> CellKeys:
     """The :class:`CellKeys` of the centroids ``points``. With ``penalties``
     (b >= 0 per cell), each :func:`centered_half_norms` value h becomes
-    ``fl32(fl64(h + b / 2))`` and the frame keeps the largest b, so the keys
-    rank the cells by distance plus penalty (:func:`key_bounds`). Where
-    float32 rounds a centroid, ``h_max`` is +inf: the keys decide nothing."""
+    ``fl32(fl64(h + b / 2))``, so the keys rank the cells by distance plus
+    penalty. Where float32 rounds a centroid, ``h_max`` is +inf: the keys
+    decide nothing."""
     points = _as_matrix(points, "c")
     rows = np.asarray(points, dtype=np.float32)
     half, frame = centered_half_norms(rows)
     if rows is not points and not np.array_equal(rows, points):
         frame = frame._replace(h_max=np.inf)
-    if penalties is not None:
-        with np.errstate(over="ignore"):  # past float32's range, E is +inf
-            half = (half + penalties / 2).astype(np.float32)
-        frame = frame._replace(b_max=float(penalties.max()))
-    return CellKeys(points, rows, half, frame, penalties)
+    if penalties is None:
+        return CellKeys(points, half, frame)
+    with np.errstate(over="ignore"):  # past float32's range, E is +inf
+        half = (half + penalties / 2).astype(np.float32)
+    total = frame.h_max + float(penalties.max())
+    term = 2.0**-23 * total + 2.0**-149 if total <= 2.0**125 else np.inf
+    return CellKeys(points, half, frame, term, penalties)
+
+
+def plain_products(x: np.ndarray, cells: CellKeys) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, k) float32 products ``fl32(p.c)`` of :func:`key_bounds`' p
+    for the rows of ``x`` and the centroids, one product per row block, and
+    each row's E without the penalties' term: what :func:`nearest_cells`
+    keys the cells with, under any penalties."""
+    x = _as_pair(x, cells.points, None)[0]
+    rows = np.asarray(cells.points, dtype=np.float32)
+    product = np.empty((len(x), len(rows)), dtype=np.float32)
+    bound = np.empty(len(x))
+    step = _block_rows(len(rows), x.shape[1])
+    for start in range(0, len(x), step):
+        block = slice(start, start + step)
+        p, bound[block] = key_bounds(x[block], cells.frame)
+        np.matmul(p, rows.T, out=product[block])
+    return product, bound
 
 
 def nearest_cells(x: np.ndarray, cells: CellKeys, m: int = 1, products=None) -> np.ndarray:
@@ -459,66 +471,50 @@ def nearest_cells(x: np.ndarray, cells: CellKeys, m: int = 1, products=None) -> 
     first m of a full sort, a function of the row alone.
 
     It is :func:`nearest_r`'s cut with the centroids as the rows. Each row
-    block of ``x`` keys the cells with one float32 product, or with
-    ``products`` (:func:`plain_products` of ``x``). A row that keeps one
-    cell at m = 1 is decided; every other row, and every row at m > 1 so
-    that the order is exact, is ranked on its kept cells by :func:`top_r`:
-    about m cells without near-ties, every cell where E is +inf.
+    block of ``x`` keys the cells as ``fl32(hb - fl32(p.c))`` from its
+    :func:`plain_products`, or from the caller's ``products`` of ``x``. A
+    row that keeps one cell at m = 1 is decided; every other row, and every
+    row at m > 1 so that the order is exact, is ranked on its kept cells
+    (about m without near-ties, every cell where E is +inf), all rows of the
+    block in one pass.
     """
     x = _as_pair(x, cells.points, None)[0]
     out = np.empty((len(x), m), dtype=np.int64)
-    rows = _block_rows(len(cells.rows), x.shape[1])
-    buf = np.empty((min(rows, len(x)), len(cells.rows)), dtype=np.float32)
-    for start in range(0, len(x), rows):
-        block = slice(start, start + rows)
-        keys = buf[: len(x[block])]
-        if products is None:
-            p, bound = key_bounds(x[block], cells.frame)
-            shifted_keys(p, cells.rows, cells.half, out=keys)
-        else:
-            np.subtract(cells.half, products[0][block], out=keys)
-            bound = products[1][block] + _penalty_term(cells.frame)
-        out[block] = _choose(x[block], keys, bound, cells, m)
+    step = _block_rows(len(cells.half), x.shape[1])
+    for start in range(0, len(x), step):
+        block = slice(start, start + step)
+        product, bound = (plain_products(x[block], cells) if products is None
+                          else (products[0][block], products[1][block]))
+        keys = np.subtract(cells.half, product)
+        out[block] = _choose(x[block], keys, bound + cells.term, cells, m)
     return out
-
-
-def plain_products(x: np.ndarray, cells: CellKeys) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, k) float32 products ``fl32(p.c)`` of :func:`key_bounds`' p
-    for the rows of ``x`` and the centroids, one product per row block, and
-    each row's E without penalties: :func:`nearest_cells`' keys under any
-    penalties, less the cells' half norms."""
-    x = _as_pair(x, cells.points, None)[0]
-    product = np.empty((len(x), len(cells.rows)), dtype=np.float32)
-    bound = np.empty(len(x))
-    rows = _block_rows(len(cells.rows), x.shape[1])
-    for start in range(0, len(x), rows):
-        block = slice(start, start + rows)
-        p, bound[block] = key_bounds(x[block], cells.frame)
-        np.matmul(p, cells.rows.T, out=product[block])
-    return product, bound
 
 
 def _choose(x, keys, bound, cells: CellKeys, m: int) -> np.ndarray:
     """:func:`nearest_cells` for one row block from its float32 keys and E."""
-    n = len(keys)
+    n, k = keys.shape
     if m == 1:
         first = keys.argmin(axis=1)
         kappa = keys[np.arange(n), first]
     else:
         kappa = np.partition(keys, m - 1, axis=1)[:, m - 1]
-    keep = keys <= _cut_at(kappa, bound)[:, None]
-    out = np.empty((n, m), dtype=np.int64)
+    keep = keys <= _cut_at(kappa, bound)[:, None]  # every cell where E is +inf
     if m == 1:
-        out[:, 0] = first
+        out = first[:, None]
         # Each row keeps its first cell; a flat count finds those keeping more.
-        open_rows = np.flatnonzero(np.bincount(np.flatnonzero(keep) // keys.shape[1],
-                                               minlength=n) != 1)
+        ranked = np.flatnonzero(np.bincount(np.flatnonzero(keep) // k, minlength=n) != 1)
+        if not len(ranked):
+            return out
+        keep = keep[ranked]
     else:
-        open_rows = range(n)
-    for i in open_rows:
-        kept = np.flatnonzero(keep[i]) if bound[i] < np.inf else np.arange(len(keys[i]))
-        d2 = sqdist_exact(x[i : i + 1], cells.points[kept])[0]
-        if cells.penalties is not None:
-            d2 += cells.penalties[kept]
-        out[i] = top_r(kept, d2, m)[0]
+        out, ranked = np.empty((n, m), dtype=np.int64), slice(None)
+    # Row-major pairs: each row's cells in ascending id order, which the
+    # stable sort keeps among equal values, so ties go to the lowest id.
+    row, cell = np.nonzero(keep)
+    d2 = sqdist_pairs(x[ranked], cells.points, row, cell)
+    if cells.penalties is not None:
+        d2 += cells.penalties[cell]
+    order = np.lexsort((d2, row))
+    starts = np.searchsorted(row, np.arange(len(keep)))
+    out[ranked] = cell[order[starts[:, None] + np.arange(m)]]
     return out

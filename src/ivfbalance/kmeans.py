@@ -24,16 +24,18 @@ INIT_KMEANS_PP = "kmeans-plus-plus"
 
 @dataclass(eq=False)
 class Centroids:
-    """k >= 1 cluster centers of dim >= 1, one per row. Values must be finite."""
+    """k >= 1 cluster centers of dim >= 1, one per row. Values must be
+    finite in float32, as the codebook files store them."""
 
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points)
+        pts = np.array(self.points)  # a read-only copy: ``keys`` is derived from it once
         if pts.ndim != 2 or 0 in pts.shape:
             raise ValueError(f"centroids must be k x dim with k, dim >= 1, got {pts.shape}")
-        if not np.isfinite(pts).all():
-            raise ValueError("centroids contain non-finite values")
+        if not (np.abs(pts) <= np.finfo(np.float32).max).all():  # NaN fails too
+            raise ValueError("centroids contain non-finite values or values past float32's range")
+        pts.flags.writeable = False
         self.points = pts
 
     @property
@@ -47,7 +49,7 @@ class Centroids:
     @cached_property
     def keys(self) -> CellKeys:
         """The points as balancing, build and routing key them, derived on
-        first use: the points are a value, never changed in place."""
+        first use."""
         return cell_keys(self.points)
 
 

@@ -17,7 +17,7 @@ from ivfbalance import (
 import ivfbalance.balancer as balancer_mod
 import ivfbalance.distances as distances_mod
 from ivfbalance.balancer import B_FLOOR
-from ivfbalance.distances import key_bounds, top_r
+from ivfbalance.distances import key_bounds, sqdist_pairs
 from ivfbalance.index import build, load_codebook, save_codebook
 
 from conftest import integer_tie_fixture, random_vectors
@@ -377,12 +377,12 @@ class TestBalanceOneMatrix:
             cb = Codebook.fresh(Centroids(data.data[:9].copy()))
         ranked = []
 
-        def counting(*args):
-            ranked.append(1)
-            return top_r(*args)
+        def counting(x, c, rows, cells):
+            ranked.extend(np.unique(rows))
+            return sqdist_pairs(x, c, rows, cells)
 
         monkeypatch.setattr(distances_mod, "_CHUNK_ELEMS", 16 * cb.k * cb.dim)
-        monkeypatch.setattr(distances_mod, "top_r", counting)
+        monkeypatch.setattr(distances_mod, "sqdist_pairs", counting)
         config = BalanceConfig(stop=StopRule.fixed_iters(8), alpha=0.3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -15,11 +15,12 @@ from ivfbalance.distances import (
     cell_keys,
     key_bounds,
     nearest_r,
+    plain_products,
     shifted_keys,
     sq_norms,
     sqdist_exact,
+    sqdist_pairs,
     sqdist_to_centroids,
-    top_r,
 )
 from ivfbalance.index import ROUTE_PENALIZED, ROUTES, route_cells_batch
 
@@ -102,6 +103,20 @@ class TestNearestCells:
             want = assign_plain_whole_argmin(data, cb.centroids)
             assert np.array_equal(assign_plain(data, cb.centroids).cell_of, want)
 
+    def test_keys_are_cached_on_read_only_copies(self, rng):
+        # The codebook keeps its own read-only arrays: its cached keys can
+        # neither go stale nor be edited from outside.
+        points = rng.standard_normal((9, 4)).astype(np.float32)
+        penalties = rng.random(9)
+        cb = Codebook(Centroids(points), penalties)
+        queries = rng.standard_normal((20, 4))
+        want = route_cells_batch(queries, cb, 3)
+        points[:], penalties[:] = 0.0, 9.0
+        assert np.array_equal(route_cells_batch(queries, cb, 3), want)
+        for array in (cb.penalties, cb.centroids.points):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
     def test_exact_ties_go_to_the_lowest_id(self):
         data, cb = integer_tie_fixture()  # cells 3-5 duplicate cells 0-2
         rank = np.argsort(route_cells_batch(data.data, cb, cb.k), axis=1)
@@ -144,11 +159,12 @@ class TestScreen:
         queries[5] *= 1e-30
         ranked = []
 
-        def recording(x, c):
-            ranked.append(1 if np.isnan(x).all() else np.flatnonzero((queries == x).all(axis=1))[0])
-            return sqdist_exact(x, c)
+        def recording(x, c, rows, cells):
+            for v in x[np.unique(rows)]:  # the query each ranked row is
+                ranked.append(1 if np.isnan(v).all() else np.flatnonzero((queries == v).all(1))[0])
+            return sqdist_pairs(x, c, rows, cells)
 
-        monkeypatch.setattr(distances, "sqdist_exact", recording)
+        monkeypatch.setattr(distances, "sqdist_pairs", recording)
         for penalty in (None, 1.0, B_FLOOR, 1e8, 2.0**124, 1e39):
             penalties = rng.random(12)
             if penalty is not None:
@@ -175,34 +191,43 @@ class TestScreen:
         cb = Codebook(Centroids(np.array([[0.0], [1.0]], dtype=np.float32)), np.full(2, 1e-3))
         ranked = []
 
-        def counting(*args):
-            ranked.append(1)
-            return top_r(*args)
+        def counting(x, c, rows, cells):
+            ranked.extend(np.unique(rows))
+            return sqdist_pairs(x, c, rows, cells)
 
-        monkeypatch.setattr(distances, "top_r", counting)
+        monkeypatch.setattr(distances, "sqdist_pairs", counting)
         got = route_cells_batch(queries, cb, 1)
         assert np.array_equal(got, route_cells_whole_sort(queries, cb, 1, ROUTE_PENALIZED))
         assert 0.1 < len(ranked) / len(queries) < 0.9
 
-    def test_worst_case_roundings(self, rng):
-        # Two copies of one centroid: cell 0's half norm plus half its
-        # penalty rounds down to float32 by almost half an ulp, cell 1's
-        # rounds up, and cell 1's penalty is a few ulps away.
-        def rounding_to(v, side):
-            nxt = np.nextafter(v, np.float32(side * np.inf)).astype(np.float64)
-            return np.nextafter((v.astype(np.float64) + nxt) / 2, -side * np.inf)
+    def test_worst_case_roundings(self, rng, monkeypatch):
+        # Penalties put two nearby cells' penalized half norms hb just above
+        # 2 and a query's keys hb - p.c just below it, where half an ulp of
+        # hb is a whole ulp of the key. Cell 1's hb rounds down by almost
+        # that much; cell 0 is up to 2^-18 better, its hb rounding either
+        # way. Only the penalties' term of E covers these roundings: near
+        # ties are ranked on the kept cells, wide gaps decided at ma=1.
+        ranked = []
 
-        low = rng.uniform(0.25, 1, 3000).astype(np.float32)
-        steps = rng.integers(-4, 5, low.shape, dtype=np.int32)
-        high = (low.view(np.int32) + steps).view(np.float32)
-        points = np.full((2, 3), 0.5, dtype=np.float32)
-        half = cell_keys(points).half
-        x = rng.standard_normal((1, 3))
-        for lo, hi in zip(rounding_to(low, 1), rounding_to(high, -1)):
-            cb = Codebook(Centroids(points), 2 * (np.array([lo, hi]) - half))
-            assert cb.keys.half[0] == np.float32(lo) and cb.keys.half[1] == np.float32(hi)
-            want = route_cells_whole_sort(x, cb, 2, ROUTE_PENALIZED)
-            assert np.array_equal(route_cells_batch(x, cb, 2), want)
+        def counting(x, c, rows, cells):
+            ranked.extend(np.unique(rows))
+            return sqdist_pairs(x, c, rows, cells)
+
+        monkeypatch.setattr(distances, "sqdist_pairs", counting)
+        cases, ulp = 3000, 2.0**-22  # float32's ulp in [2, 4)
+        for _ in range(cases):
+            points = (0.5 + 1e-3 * rng.standard_normal((2, 3))).astype(np.float32)
+            x = points.mean(axis=0, dtype=np.float64) + 1e-3 * rng.uniform(0.5, 1.5, (1, 3))
+            plain = cell_keys(points)
+            product = plain_products(x, plain)[0][0].astype(np.float64)
+            hb1 = np.float32(2 + rng.integers(256) * ulp)
+            a1 = float(hb1) + ulp / 2 - 2.0**-40
+            a0 = a1 - product[1] + product[0] - rng.uniform(0, 2.0**-18)
+            cb = Codebook(Centroids(points), 2 * (np.array([a0, a1]) - plain.half))
+            assert cb.keys.half[1] == hb1
+            want = route_cells_whole_sort(x, cb, 1, ROUTE_PENALIZED)
+            assert np.array_equal(route_cells_batch(x, cb, 1), want)
+        assert 0 < len(ranked) < cases / 2
 
     def test_centroids_float32_cannot_hold_decide_nothing(self, rng):
         points = rng.standard_normal((6, 3))  # float64, not float32 values
@@ -387,6 +412,7 @@ class TestShiftedKeys:
             }[penalty]
             keyed = cell_keys(rows, b)
             p, bound = key_bounds(queries, keyed.frame)
+            bound += keyed.term
             safe = np.isfinite(bound)
             assert safe.all() or "1e+19" in name, name
             keys = shifted_keys(p[safe], rows, keyed.half)
@@ -402,13 +428,12 @@ class TestShiftedKeys:
     def test_past_the_guard_nothing_is_claimed(self, rng):
         rows = rng.standard_normal((5, 3)).astype(np.float32)
         b = np.full(5, 2.0**125 * (1 + 2.0**-20))
-        assert np.isinf(key_bounds(rng.standard_normal((2, 3)), cell_keys(rows, b).frame)[1]).all()
+        assert cell_keys(rows, b).term == np.inf
         b[0] = 1e39  # its half norm is past float32's range too
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             keyed = cell_keys(rows, b)
-        assert np.isinf(keyed.half[0])
-        assert np.isinf(key_bounds(rng.standard_normal((2, 3)), keyed.frame)[1]).all()
+        assert np.isinf(keyed.half[0]) and keyed.term == np.inf
 
     def test_v_max_bounds_every_row_norm(self, rng):
         for name, _, rows in key_cases(rng):

@@ -58,6 +58,9 @@ CASES = {
     "non-finite-centroids": (
         lambda: Centroids(np.array([[0.0, np.nan]])), "centroids contain non-finite values"
     ),
+    "centroids-past-float32": (
+        lambda: Centroids(np.array([[0.0, 1e39]])), "values past float32's range"
+    ),
     "unknown-init-method": (
         lambda: init_centroids(POINTS, 2, 0, "bogus"), "unknown init method: 'bogus'"
     ),
