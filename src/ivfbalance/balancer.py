@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import VectorSet, write_csv
-from .distances import CellKeys, cell_keys, nearest_cells, plain_products, sqdist_pairs
+from .distances import RowKeys, nearest_cells, plain_products, row_keys, sqdist_pairs
 from .distances import sqdist_to_centroids  # noqa: F401  (perfbench/spans.py wraps it here)
 from .kmeans import Assignment, Centroids
 from .metrics import imbalance_factor
@@ -88,10 +88,10 @@ class Codebook:
         return self.centroids.dim
 
     @cached_property
-    def keys(self) -> CellKeys:
+    def keys(self) -> RowKeys:
         """The centroids' keys with the penalties, as balancing, build and
         penalized routing pick cells on them, derived on first use."""
-        return cell_keys(self.centroids.points, self.penalties)
+        return row_keys(self.centroids.points, self.penalties)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+
+from .distances import RowKeys, row_keys
 
 PathLike = str | os.PathLike
 
@@ -30,7 +33,8 @@ class VectorSet:
     """Immutable collection of fixed-dimension float32 vectors.
 
     ``data`` is a read-only (count, dim) row-major float32 matrix with no
-    NaN/Inf entries. Safe for concurrent shared reads.
+    NaN/Inf entries. Safe for concurrent shared reads; threads that read
+    ``keys`` first at once may each derive them, to the same bits.
     """
 
     data: np.ndarray
@@ -55,6 +59,11 @@ class VectorSet:
     @property
     def dim(self) -> int:
         return self.data.shape[1]
+
+    @cached_property
+    def keys(self) -> RowKeys:
+        """The rows' read-only ``row_keys``, derived on first use."""
+        return row_keys(self.data)
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "VectorSet":

@@ -4,10 +4,9 @@ Two kernels with different determinism/speed trade-offs:
 
 * :func:`sqdist_to_centroids` uses the BLAS expansion trick. It is fast and
   deterministic for identical inputs. Lloyd's assignment and distortion
-  read it one row block at a time (:func:`blockwise`), never holding an
-  n×k matrix. Its bits for one row can depend on the other rows in the
-  call and on the BLAS build, so it decides no result rank and no cell of
-  an index.
+  reduce it one row block at a time, never holding an n×k matrix. Its
+  bits for one row can depend on the other rows in the call and on the
+  BLAS build, so it decides no result rank and no cell of an index.
 * :func:`sqdist_exact` computes elementwise differences, so each (row, col)
   distance is bitwise identical no matter how candidates are sliced,
   permuted, or batched. Every result rank and every cell choice is decided
@@ -16,18 +15,19 @@ Two kernels with different determinism/speed trade-offs:
 
 One cut decides every cell choice, search and ground truth, bit for bit
 as an exact scan of every row would, for any data: float32 keys taken
-relative to a center of the rows (:func:`centered_half_norms`,
-:func:`shifted_keys`) rank the rows as distances do, up to a proven bound
-E (:func:`key_bounds`) that grows with the spread of the rows around that
-center and the query's distance to it, not with the distance from the
-origin. Only the rows whose key is at most κ + 2E, κ being the r-th
-smallest key, reach the exact kernel, and are ranked by ``(value, id)``.
-Search cuts one query's candidates with one float32 product
-(:func:`nearest_r`); ground truth cuts a block of queries with float32
-GEMM tiles (:func:`block_cut`); balancing, build and routing cut the
-centroids, with half of each cell's penalty in its key, one float32
-product per row block (:func:`nearest_cells`). So a point's cell is a
-function of the point alone, whatever the batch and the BLAS build.
+relative to a center of the rows (:func:`row_keys`, :func:`shifted_keys`)
+rank the rows as distances do, up to a proven bound E (:func:`key_bounds`)
+that grows with the spread of the rows around that center and the query's
+distance to it, not with the distance from the origin. Only the rows
+whose key is at most κ + 2E, κ being the r-th smallest key, reach the
+exact kernel, and are ranked by ``(value, id)``. Search cuts one query's
+candidates with one float32 product (:func:`nearest_r`); ground truth
+cuts a block of queries with float32 GEMM tiles (:func:`block_cut`);
+both key the data's rows once per set (``VectorSet.keys``). Balancing,
+build and routing cut the centroids, with half of each cell's penalty in
+its key, one float32 product per row block (:func:`nearest_cells`). So a
+point's cell is a function of the point alone, whatever the batch and
+the BLAS build.
 
 All arithmetic is float64 regardless of input dtype; float32 inputs widen
 exactly, except in the float32 keys.
@@ -39,8 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Rows per BLAS row block of sqdist_to_centroids, which blockwise walks:
-# rows * k * dim, the block's multiply-adds, stays near this.
+# Rows per BLAS row block of sqdist_to_centroids: rows * k * dim, the
+# block's multiply-adds, stays near this.
 _CHUNK_ELEMS = 16 * 1024 * 1024
 
 # Rows per tile of block_cut: a block of 32 queries holds 32 * 4096
@@ -66,8 +66,8 @@ def _as_matrix(a: np.ndarray, name: str, dtype=None) -> np.ndarray:
 
 
 def _block_rows(k: int, d: int) -> int:
-    """Rows per BLAS row block of :func:`sqdist_to_centroids` and
-    :func:`blockwise`, counted from row 0."""
+    """Rows per BLAS row block of :func:`sqdist_to_centroids`, counted from
+    row 0."""
     return max(1, _CHUNK_ELEMS // max(1, k * d))
 
 
@@ -89,43 +89,36 @@ def sq_norms(a: np.ndarray) -> np.ndarray:
 
 
 def sqdist_to_centroids(
-    x: np.ndarray, c: np.ndarray, x_sq: np.ndarray | None = None
+    x: np.ndarray, c: np.ndarray, x_sq: np.ndarray | None = None, reduce=None
 ) -> np.ndarray:
-    """Squared L2 distances from each row of ``x`` to each row of ``c``.
-
-    Returns an (n, k) float64 matrix, clipped at zero (the expansion
+    """Squared L2 distances from each row of ``x`` to each row of ``c``: an
+    (n, k) float64 matrix, clipped at zero (the expansion
     ``|x|^2 + |c|^2 - 2 x.c`` can go slightly negative for near-identical
-    pairs). A caller that reuses one ``x`` across calls passes it widened
-    to float64 and its ``x_sq = sq_norms(x)`` once; the result is the same
-    bits as without it.
+    pairs). With ``reduce``, ``reduce(d2, s)`` of each row block ``s`` and
+    its distances ``d2``, concatenated: one block alive, and widened to
+    float64, at a time. A caller that reuses one ``x`` across calls passes
+    it widened to float64 and its ``x_sq = sq_norms(x)`` once. The bits are
+    the same either way.
     """
-    x, c = _as_pair(x, c)
-    n, d = x.shape
-    k = c.shape[0]
+    x, c = _as_pair(x, c, None)
+    c = np.ascontiguousarray(c, dtype=np.float64)
+    n = len(x)
     if x_sq is not None and (x_sq.shape != (n,) or x_sq.dtype != np.float64):
         raise ValueError(f"x_sq must be float64 of shape ({n},)")
     c_sq = sq_norms(c)
-    out = np.empty((n, k), dtype=np.float64)
-    rows = _block_rows(k, d)
-    for start in range(0, n, rows):
-        xb = x[start : start + rows]
-        xb_sq = sq_norms(xb) if x_sq is None else x_sq[start : start + rows]
-        block = np.add(xb_sq[:, None], c_sq[None, :], out=out[start : start + rows])
+    out = [] if reduce else np.empty((n, len(c)))
+    rows = _block_rows(*c.shape)
+    for start in range(0, max(n, 1), rows):
+        s = slice(start, min(start + rows, n))
+        xb = np.ascontiguousarray(x[s], dtype=np.float64)
+        xb_sq = sq_norms(xb) if x_sq is None else x_sq[s]
+        block = np.add(xb_sq[:, None], c_sq[None, :], out=None if reduce else out[s])
         product = xb @ c.T
         block -= np.multiply(product, 2.0, out=product)  # exact, so the bits of 2.0 * (x.c)
         np.clip(block, 0.0, None, out=block)
-    return out
-
-
-def blockwise(kernel, x: np.ndarray, c: np.ndarray, fn) -> np.ndarray:
-    """``fn(kernel(x[s], c), s)`` over the row blocks ``s`` of the kernel
-    (the caller's ``sqdist_to_centroids``), concatenated: the bits of one
-    whole-matrix call, one block alive at a time; an empty ``x`` is one block."""
-    x = _as_matrix(x, "x")
-    n = x.shape[0]
-    rows = _block_rows(np.shape(c)[0], x.shape[1])
-    return np.concatenate([fn(kernel(x[s : s + rows], c), slice(s, min(s + rows, n)))
-                           for s in range(0, max(n, 1), rows)])
+        if reduce:
+            out.append(reduce(block, s))
+    return np.concatenate(out) if reduce else out
 
 
 def sqdist_exact(x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -186,43 +179,11 @@ class KeyFrame(NamedTuple):
     v_max: float
 
 
-def centered_half_norms(rows: np.ndarray) -> tuple[np.ndarray, KeyFrame]:
-    """Each float32 row's half squared distance to a float32 center,
-    ``h = fl32(fl32(|fl32(v - center)|^2) / 2)``, summed in float32 one
-    tile of rows at a time, and the rows' :class:`KeyFrame`. The center is
-    the mean of an evenly strided sample of at least a thousand rows (all
-    of them up to 2,047). As distances do not change under translation,
-    any center is valid for :func:`key_bounds`, whose docstring derives
-    ``v_max``.
-    """
-    n, d = rows.shape
-    if n == 0:  # an empty index: no row to bound
-        return np.empty(0, np.float32), KeyFrame(np.zeros(d, np.float32), 0.0, 0.0)
-    center = rows[:: max(1, n // 1024)].mean(axis=0, dtype=np.float64).astype(np.float32)
-    half = np.empty(n, dtype=np.float32)
-    # Tiles of 64Ki entries. A flat subtract of a repeated center runs long
-    # loops; a broadcast over the rows would loop d entries at a time.
-    step = max(1, 64 * 1024 // d)
-    repeated = np.tile(center, min(step, n))
-    buf = np.empty_like(repeated)
-    with np.errstate(over="ignore"):
-        for start in range(0, n, step):
-            tile = rows[start : start + step]
-            diff = np.subtract(tile.reshape(-1), repeated[: tile.size], out=buf[: tile.size])
-            diff = diff.reshape(tile.shape)
-            np.einsum("ij,ij->i", diff, diff, out=half[start : start + len(tile)])
-        half *= np.float32(0.5)
-    h_max = float(half.max())
-    spread = 2 * (h_max + (d + 2) * 2.0**-150) * (1 + 2 * _gamma(d + 2, _UNIT_ROUNDOFF32))
-    v_max = (np.sqrt(sq_norms(center[None, :])[0]) + np.sqrt(spread)) * (1 + _gamma(d + 10))
-    return half, KeyFrame(center, h_max, float(v_max))
-
-
 def key_bounds(queries: np.ndarray, frame: KeyFrame) -> tuple[np.ndarray, np.ndarray]:
     """``p = fl32(q - center)`` for each float64 query of a block, and the
     bound ``E`` of its float32 keys over float32 rows, given the rows'
-    :class:`KeyFrame` from :func:`centered_half_norms`. Where E is +inf,
-    p is 0, whose products cannot overflow.
+    :class:`KeyFrame` from :func:`row_keys`. Where E is +inf, p is 0,
+    whose products cannot overflow.
 
     The key of a query q and a row v is :func:`shifted_keys`'
     ``k = fl32(h - fl32(p.v))``. With ``w = q - center`` real, ``H`` the
@@ -282,11 +243,11 @@ def key_bounds(queries: np.ndarray, frame: KeyFrame) -> tuple[np.ndarray, np.nda
     partial sum, as every ``|p_i| <= a (1 + u') <= 2^126 (1 + u')``. The
     row terms are scalars, so a query costs a few operations on its own.
 
-    Penalties. Cells with penalties b >= 0 (:func:`cell_keys`) key with
+    Penalties. Cells with penalties b >= 0 (:func:`row_keys`) key with
     ``hb = fl32(fl64(h + b / 2))`` for h, against ``Y = fl64(X + b)``.
     With ``b_max`` the largest b, ``|k - (Y / 2 - C)| <= E`` for every row
     when E gains the term ``2^-23 (h_max + b_max) + 2^-149``, the
-    :class:`CellKeys`' ``term``:
+    :class:`RowKeys`' ``term``:
 
     * ``|hb - (h + b / 2)| <= u' (h + b / 2) + eta + 2^-1074``, and the
       subtraction forming k adds u times that and ``u b / 2``.
@@ -330,8 +291,8 @@ def nearest_r(kernel, query: np.ndarray, rows: np.ndarray, half: np.ndarray, fra
     """The ``ids`` and ``kernel`` values of the r float32 ``rows`` nearest
     to one ``query``, ranked by :func:`top_r`: the first r of a full sort of
     every row's value. ``kernel`` is the caller's :func:`sqdist_exact`;
-    ``half`` and ``frame`` are the rows' :func:`centered_half_norms` (the
-    frame may be a superset's). With more than r rows, one float32 product
+    ``half`` and ``frame`` are the rows' :func:`row_keys`, or a superset's
+    (its half norms at the rows). With more than r rows, one float32 product
     gives their keys, and only the rows with keys at most κ + 2E (κ the
     r-th smallest key) reach ``kernel``, in one call: about r without
     near-ties, every row where E is +inf (a NaN query, for one).
@@ -371,7 +332,7 @@ def block_cut(queries: np.ndarray, rows: np.ndarray, half: np.ndarray, frame: Ke
     ``rows`` whose exact distance can still be among its r smallest, ties
     included, or ``slice(None)``, every row, where :func:`key_bounds`
     claims nothing (and for every query when r covers the rows). ``half``
-    and ``frame`` are the rows' :func:`centered_half_norms`.
+    and ``frame`` are the rows' :func:`row_keys`.
 
     The rows are walked in tiles of :func:`shifted_keys`. κ, each query's
     r-th smallest key so far, starts at the first tile's (one partition),
@@ -415,9 +376,9 @@ def block_cut(queries: np.ndarray, rows: np.ndarray, half: np.ndarray, frame: Ke
     return [g if ok else slice(None) for g, ok in zip(groups, closed)]
 
 
-class CellKeys(NamedTuple):
-    """The centroids ``points`` as :func:`nearest_cells` keys them: their
-    half norms with half of each ``penalties`` entry, their frame, and the
+class RowKeys(NamedTuple):
+    """The rows ``points`` as :func:`row_keys` keys them: their half norms
+    (with half of each cell's ``penalties`` entry), their frame, and the
     penalties' ``term`` of :func:`key_bounds`."""
 
     points: np.ndarray
@@ -427,27 +388,55 @@ class CellKeys(NamedTuple):
     penalties: np.ndarray | None = None
 
 
-def cell_keys(points: np.ndarray, penalties: np.ndarray | None = None) -> CellKeys:
-    """The :class:`CellKeys` of the centroids ``points``. With ``penalties``
-    (b >= 0 per cell), each :func:`centered_half_norms` value h becomes
-    ``fl32(fl64(h + b / 2))``, so the keys rank the cells by distance plus
-    penalty. Where float32 rounds a centroid, ``h_max`` is +inf: the keys
-    decide nothing."""
+def row_keys(points: np.ndarray, penalties: np.ndarray | None = None) -> RowKeys:
+    """The :class:`RowKeys` of ``points``, read-only: each float32 row's
+    half squared distance to a float32 center,
+    ``h = fl32(fl32(|fl32(v - center)|^2) / 2)``, summed in float32 one
+    tile of rows at a time, and the rows' :class:`KeyFrame`. The center is
+    the mean of an evenly strided sample of at least a thousand rows (all
+    of them up to 2,047). As distances do not change under translation,
+    any center is valid for :func:`key_bounds`, whose docstring derives
+    ``v_max``. Where float32 rounds a row, ``h_max`` is +inf: the keys
+    decide nothing. With ``penalties`` (b >= 0 per row, a cell), each h
+    becomes ``fl32(fl64(h + b / 2))``: the keys rank the cells by distance
+    plus penalty.
+    """
     points = _as_matrix(points, "c")
     rows = np.asarray(points, dtype=np.float32)
-    half, frame = centered_half_norms(rows)
+    n, d = rows.shape
+    half = np.empty(n, dtype=np.float32)
+    frame = KeyFrame(np.zeros(d, np.float32), 0.0, 0.0)  # no rows: nothing to bound
+    if n:
+        center = rows[:: max(1, n // 1024)].mean(axis=0, dtype=np.float64).astype(np.float32)
+        # Tiles of 64Ki entries. A flat subtract of a repeated center runs long
+        # loops; a broadcast over the rows would loop d entries at a time.
+        step = max(1, 64 * 1024 // max(1, d))
+        repeated = np.tile(center, min(step, n))
+        buf = np.empty_like(repeated)
+        with np.errstate(over="ignore"):
+            for start in range(0, n, step):
+                tile = rows[start : start + step]
+                diff = np.subtract(tile.reshape(-1), repeated[: tile.size], out=buf[: tile.size])
+                diff = diff.reshape(tile.shape)
+                np.einsum("ij,ij->i", diff, diff, out=half[start : start + len(tile)])
+            half *= np.float32(0.5)
+        h_max = float(half.max())
+        spread = 2 * (h_max + (d + 2) * 2.0**-150) * (1 + 2 * _gamma(d + 2, _UNIT_ROUNDOFF32))
+        v_max = (np.sqrt(sq_norms(center[None, :])[0]) + np.sqrt(spread)) * (1 + _gamma(d + 10))
+        frame = KeyFrame(center, h_max, float(v_max))
     if rows is not points and not np.array_equal(rows, points):
         frame = frame._replace(h_max=np.inf)
-    if penalties is None:
-        return CellKeys(points, half, frame)
-    with np.errstate(over="ignore"):  # past float32's range, E is +inf
-        half = (half + penalties / 2).astype(np.float32)
-    total = frame.h_max + float(penalties.max())
-    term = 2.0**-23 * total + 2.0**-149 if total <= 2.0**125 else np.inf
-    return CellKeys(points, half, frame, term, penalties)
+    term = 0.0
+    if penalties is not None:
+        with np.errstate(over="ignore"):  # past float32's range, E is +inf
+            half = (half + penalties / 2).astype(np.float32)
+        total = frame.h_max + float(penalties.max())
+        term = 2.0**-23 * total + 2.0**-149 if total <= 2.0**125 else np.inf
+    half.flags.writeable = frame.center.flags.writeable = False
+    return RowKeys(points, half, frame, term, penalties)
 
 
-def plain_products(x: np.ndarray, cells: CellKeys) -> tuple[np.ndarray, np.ndarray]:
+def plain_products(x: np.ndarray, cells: RowKeys) -> tuple[np.ndarray, np.ndarray]:
     """The (n, k) float32 products ``fl32(p.c)`` of :func:`key_bounds`' p
     for the rows of ``x`` and the centroids, one product per row block, and
     each row's E without the penalties' term: what :func:`nearest_cells`
@@ -464,7 +453,7 @@ def plain_products(x: np.ndarray, cells: CellKeys) -> tuple[np.ndarray, np.ndarr
     return product, bound
 
 
-def nearest_cells(x: np.ndarray, cells: CellKeys, m: int = 1, products=None) -> np.ndarray:
+def nearest_cells(x: np.ndarray, cells: RowKeys, m: int = 1, products=None) -> np.ndarray:
     """The (n, m) ids of the m cells with the smallest ``fl64(X + b)`` for
     each row of ``x``, X its :func:`sqdist_exact` value to a centroid and b
     the cell's penalty (0 without), lowest id on ties and NaN last: the
@@ -490,7 +479,7 @@ def nearest_cells(x: np.ndarray, cells: CellKeys, m: int = 1, products=None) -> 
     return out
 
 
-def _choose(x, keys, bound, cells: CellKeys, m: int) -> np.ndarray:
+def _choose(x, keys, bound, cells: RowKeys, m: int) -> np.ndarray:
     """:func:`nearest_cells` for one row block from its float32 keys and E."""
     n, k = keys.shape
     if m == 1:

@@ -235,15 +235,17 @@ def run_tradeoff(spec: ExperimentSpec) -> Path:
 
 
 def run_histogram(spec: ExperimentSpec) -> tuple[list[Path], Path]:
-    """Distribution of scan counts per preset, plus a variance summary."""
+    """Distribution of scan counts per preset, plus a variance summary. Each
+    (k, preset) routes once, at the largest ``ma``: the probe order is an
+    exact ranking, so each smaller ``ma`` probes its prefix."""
     queries = _load_queries(spec, "histogram")
     db, kmeans_set, balance_set = _load_sets(spec)
     out = _out_dir(spec)
     written, summary_rows = [], []
     for k, r, index in _indexes(spec, db, kmeans_set, balance_set):
+        probed = route_cells_batch(queries.data, index.codebook, max(spec.mas), spec.route)
         for ma in spec.mas:
-            probed = route_cells_batch(queries.data, index.codebook, ma, spec.route)
-            costs = scan_costs(index, probed)
+            costs = scan_costs(index, probed[:, :ma])
             path = out / f"histogram_k{k}_ma{ma}_r{r}.csv"
             write_histogram_csv(path, costs)
             written.append(path)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .balancer import Codebook, assign_balanced
 from .dataset import VectorSet, decode_fvecs, fvecs_records, write_files
-from .distances import KeyFrame, centered_half_norms, nearest_cells, nearest_r, sqdist_exact
+from .distances import KeyFrame, nearest_cells, nearest_r, sqdist_exact
 from .distances import sqdist_to_centroids  # noqa: F401  (perfbench/spans.py wraps it here)
 from .kmeans import Centroids
 
@@ -88,17 +88,17 @@ class InvertedFile:
     list i is ``ids[offsets[i]:offsets[i + 1]]`` and holds exactly the
     points the penalized assignment maps to cell i. Construction checks
     this for a built and a loaded index alike, derives the point-to-cell
-    map, ``vectors``, ``half`` and ``key_frame`` from the same arrays, and
-    makes every array read-only.
+    map, ``vectors`` and ``half`` from the same arrays, and makes every
+    array read-only.
 
     ``vectors`` is ``source.data[ids]``: the float32 vectors in list order,
     so cell i's vectors are the contiguous rows ``offsets[i]:offsets[i + 1]``
     and search scans slices instead of gathering rows from the whole
     dataset. The copy costs N * d * 4 bytes (12.8 MB at N=100k, d=32).
-    ``half`` and ``key_frame`` are their ``centered_half_norms`` in the
-    same order, for the key cut of search: N * 4 bytes (0.4 MB at N=100k)
-    and a center with two scalars. All are derived at construction and
-    never persisted.
+    ``half`` is ``source.keys.half[ids]``, the data's own half norms in
+    the same order (N * 4 bytes, 0.4 MB at N=100k), and ``key_frame`` is
+    ``source.keys.frame``: search cuts on the keys ground truth cuts on,
+    derived once per ``VectorSet``. None is persisted.
     """
 
     codebook: Codebook
@@ -119,9 +119,7 @@ class InvertedFile:
         if (np.diff(self.offsets) < 0).any():
             raise ValueError("posting-list offsets must not decrease")
         if self.ids.shape != (n,) or self.offsets[-1] != n:
-            raise ValueError(
-                f"posting lists cover {self.offsets[-1]} ids, dataset has {n}"
-            )
+            raise ValueError(f"posting lists cover {self.offsets[-1]} ids, dataset has {n}")
         if n and (self.ids.min() < 0 or self.ids.max() >= n):
             raise ValueError(f"posting lists hold ids outside [0, {n})")
         # n in-range ids leave a slot at -1 exactly when some id repeats.
@@ -131,9 +129,8 @@ class InvertedFile:
             raise ValueError("posting lists repeat a point id")
         self._cell_of = cell_of
         self.vectors = self.source.data[self.ids]
-        self.half, self.key_frame = centered_half_norms(self.vectors)
-        for array in (self.offsets, self.ids, cell_of, self.vectors, self.half,
-                      self.key_frame.center):
+        self.half, self.key_frame = self.source.keys.half[self.ids], self.source.keys.frame
+        for array in (self.offsets, self.ids, cell_of, self.vectors, self.half):
             array.flags.writeable = False
 
     @property
@@ -245,8 +242,12 @@ def _save_directory(directory: str | os.PathLike, codebook: Codebook, meta: dict
     """Write the codebook's files (float32 centroids as fvecs, penalties as
     float64 reprs: both lossless), then ``files``, then META_FILE, all
     through ``write_files``, META_FILE renamed last. It holds k, dim, the
-    balancing iteration, ``meta``, each file's sha256 and ``tail``."""
-    centroids = fvecs_records(VectorSet.from_array(codebook.centroids.points))
+    balancing iteration, ``meta``, each file's sha256 and ``tail``.
+    ValueError, and no file written, for centroids float32 cannot hold."""
+    points = codebook.centroids.points
+    if not np.array_equal(points.astype(np.float32), points):
+        raise ValueError(f"{CENTROIDS_FILE} stores float32, which cannot hold the centroids")
+    centroids = fvecs_records(VectorSet.from_array(points))
     penalties = "".join(f"{float(b)!r}\n" for b in codebook.penalties).encode()
     files = {CENTROIDS_FILE: centroids, PENALTIES_FILE: penalties, **files}
     checksums = {_CHECKSUM_KEYS[name]: _sha256(blob) for name, blob in files.items()}

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import VectorSet
-from .distances import CellKeys, blockwise, cell_keys, sq_norms, sqdist_to_centroids
+from .distances import RowKeys, row_keys, sq_norms, sqdist_to_centroids
 
 DEFAULT_REL_TOL = 1e-4
 DEFAULT_MAX_ITERS = 100
@@ -47,10 +47,9 @@ class Centroids:
         return self.points.shape[1]
 
     @cached_property
-    def keys(self) -> CellKeys:
-        """The points as balancing, build and routing key them, derived on
-        first use."""
-        return cell_keys(self.points)
+    def keys(self) -> RowKeys:
+        """The points' keys for balancing, build and routing, derived once."""
+        return row_keys(self.points)
 
 
 @dataclass(eq=False)
@@ -124,8 +123,8 @@ def init_centroids(
 def assign_plain(data: VectorSet, centroids: Centroids) -> Assignment:
     """Assign each point to its nearest centroid (squared L2, lowest-index
     tie-break), one kernel row block at a time."""
-    cells = blockwise(sqdist_to_centroids, data.data, centroids.points,
-                      lambda d2, _: d2.argmin(axis=1))
+    cells = sqdist_to_centroids(data.data, centroids.points,
+                                reduce=lambda d2, _: d2.argmin(axis=1))
     return Assignment(cells, centroids.k)
 
 
@@ -200,6 +199,6 @@ def _distortion(
     data: VectorSet, centroids: Centroids, assignment: Assignment
 ) -> float:
     """Total squared distance from each point to its assigned centroid."""
-    chosen = blockwise(sqdist_to_centroids, data.data, centroids.points,
-                       lambda d2, s: d2[np.arange(len(d2)), assignment.cell_of[s]])
+    chosen = sqdist_to_centroids(data.data, centroids.points, reduce=lambda d2, s: d2[
+        np.arange(len(d2)), assignment.cell_of[s]])
     return float(chosen.sum())

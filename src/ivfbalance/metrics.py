@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dataset import VectorSet, write_csv
-from .distances import block_cut, centered_half_norms, sqdist_exact, top_r
+from .distances import block_cut, sqdist_exact, top_r
 
 if TYPE_CHECKING:  # pragma: no cover
     from .index import InvertedFile, SearchParams
@@ -93,9 +93,9 @@ def brute_force_nn(data: VectorSet, queries: VectorSet, r: int) -> GroundTruth:
     keeps the points each query's top r can hold; each query's points are
     then scored by :func:`sqdist_exact` and ranked on their own by
     :func:`~ivfbalance.distances.top_r`, so the result does not depend on
-    how the queries are sliced into blocks or calls. The points' centered
-    half norms are computed once per call, in one float32 pass; no pass
-    widens them or sums their squares in float64.
+    how the queries are sliced into blocks or calls. The points are keyed
+    once per set (``VectorSet.keys``, one float32 pass, shared with every
+    index over it); no pass widens them or sums their squares in float64.
     """
     if data.dim != queries.dim:
         raise ValueError(
@@ -105,11 +105,10 @@ def brute_force_nn(data: VectorSet, queries: VectorSet, r: int) -> GroundTruth:
         raise ValueError(f"r={r} out of range [1, {data.count}]")
     ids = np.empty((queries.count, r), dtype=np.int64)
     dists = np.empty((queries.count, r), dtype=np.float64)
-    points, point_ids = data.data, np.arange(data.count)
-    half, frame = centered_half_norms(points)
+    points, point_ids, keys = data.data, np.arange(data.count), data.keys
     for start in range(0, queries.count, _QUERY_BLOCK):
         block = queries.data[start : start + _QUERY_BLOCK].astype(np.float64)
-        kept = block_cut(block, points, half, frame, r)
+        kept = block_cut(block, points, keys.half, keys.frame, r)
         for i, (query, keep) in enumerate(zip(block, kept), start):
             d2 = sqdist_exact(query[None, :], points[keep])[0]
             ids[i], dists[i] = top_r(point_ids[keep], d2, r)

@@ -1,5 +1,7 @@
 import re
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -211,6 +213,28 @@ class TestVectorSet:
     def test_data_is_read_only(self, small_set):
         with pytest.raises(ValueError):
             small_set.data[0, 0] = 1.0
+
+    def test_keys_are_read_only(self, small_set):
+        keys = small_set.keys
+        assert keys.points is small_set.data
+        for array in (keys.half, keys.frame.center):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_threads_reading_fresh_keys_at_once_get_equal_bits(self):
+        data = VectorSet.from_array(np.random.default_rng(4).standard_normal((20_000, 16)))
+        start = threading.Barrier(4)
+
+        def read(_):
+            start.wait()
+            return data.keys
+
+        with ThreadPoolExecutor(4) as pool:
+            seen = list(pool.map(read, range(4)))
+        for keys in seen:
+            assert keys.half.tobytes() == seen[0].half.tobytes()
+            assert keys.frame.center.tobytes() == seen[0].frame.center.tobytes()
+            assert keys.frame[1:] == seen[0].frame[1:]
 
 
 class TestGenGaussianMixture:

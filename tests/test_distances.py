@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import ivfbalance.distances as distances
 import ivfbalance.kmeans as kmeans
@@ -11,11 +14,10 @@ from ivfbalance import Centroids, Codebook, VectorSet, assign_plain, build, lloy
 from ivfbalance.balancer import B_FLOOR
 from ivfbalance.distances import (
     _gamma,
-    centered_half_norms,
-    cell_keys,
     key_bounds,
     nearest_r,
     plain_products,
+    row_keys,
     shifted_keys,
     sq_norms,
     sqdist_exact,
@@ -116,6 +118,21 @@ class TestNearestCells:
         for array in (cb.penalties, cb.centroids.points):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_each_ma_routes_a_prefix_of_a_larger_one(self, data):
+        # Integer centroids, penalties and queries: every distance is exact,
+        # and repeated centroids and penalties tie whole cells.
+        k = data.draw(st.integers(1, 8))
+        points = data.draw(arrays(np.float32, (k, 3), elements=st.integers(-2, 2)))
+        penalties = data.draw(arrays(np.float64, k, elements=st.sampled_from([0.0, 1.0, 2.0])))
+        queries = data.draw(arrays(np.float32, (12, 3), elements=st.integers(-3, 3)))
+        cb = Codebook(Centroids(points), penalties)
+        for route in ROUTES:
+            whole = route_cells_batch(queries, cb, k, route)
+            for ma in range(1, k + 1):
+                assert np.array_equal(route_cells_batch(queries, cb, ma, route), whole[:, :ma])
 
     def test_exact_ties_go_to_the_lowest_id(self):
         data, cb = integer_tie_fixture()  # cells 3-5 duplicate cells 0-2
@@ -218,7 +235,7 @@ class TestScreen:
         for _ in range(cases):
             points = (0.5 + 1e-3 * rng.standard_normal((2, 3))).astype(np.float32)
             x = points.mean(axis=0, dtype=np.float64) + 1e-3 * rng.uniform(0.5, 1.5, (1, 3))
-            plain = cell_keys(points)
+            plain = row_keys(points)
             product = plain_products(x, plain)[0][0].astype(np.float64)
             hb1 = np.float32(2 + rng.integers(256) * ulp)
             a1 = float(hb1) + ulp / 2 - 2.0**-40
@@ -381,17 +398,17 @@ class TestShiftedKeys:
 
     def test_bound_holds_in_exact_arithmetic(self, rng):
         for name, queries, rows in key_cases(rng):
-            half, frame = centered_half_norms(rows)
-            p, bound = key_bounds(queries, frame)
+            rows_keyed = row_keys(rows)
+            p, bound = key_bounds(queries, rows_keyed.frame)
             safe = np.isfinite(bound)
             assert safe.all() or name == "scale 1e+19", name
-            keys = shifted_keys(p[safe], rows, half)
+            keys = shifted_keys(p[safe], rows, rows_keyed.half)
             exact = sqdist_exact(queries[safe], rows)
-            c = [Fraction(float(x)) for x in frame.center]
-            for query, row_keys, row_exact, e in zip(queries[safe], keys, exact, bound[safe]):
+            c = [Fraction(float(x)) for x in rows_keyed.frame.center]
+            for query, query_keys, row_exact, e in zip(queries[safe], keys, exact, bound[safe]):
                 w = [Fraction(float(x)) - ci for x, ci in zip(query, c)]
                 constant = sum(x * x for x in w) / 2 + sum(x * ci for x, ci in zip(w, c))
-                for key, x in zip(row_keys, row_exact):
+                for key, x in zip(query_keys, row_exact):
                     error = Fraction(float(key)) - (Fraction(float(x)) / 2 - constant)
                     assert abs(error) <= Fraction(float(e)), name
 
@@ -401,7 +418,7 @@ class TestShiftedKeys:
         # the distances, at B_FLOOR (alone and next to larger ones), and
         # with h_max + b_max just below the guard, where E stays finite.
         for name, queries, rows in key_cases(rng):
-            cells = cell_keys(rows)
+            cells = row_keys(rows)
             exact = sqdist_exact(queries, rows)
             top = np.nanmax(exact, initial=0.0, where=np.isfinite(exact))
             b = {
@@ -410,34 +427,34 @@ class TestShiftedKeys:
                 "near the guard": (2.0**125 - min(cells.frame.h_max, 2.0**124))
                 * rng.uniform(0.5, 1 - 2.0**-20, len(rows)),
             }[penalty]
-            keyed = cell_keys(rows, b)
+            keyed = row_keys(rows, b)
             p, bound = key_bounds(queries, keyed.frame)
             bound += keyed.term
             safe = np.isfinite(bound)
             assert safe.all() or "1e+19" in name, name
             keys = shifted_keys(p[safe], rows, keyed.half)
             c = [Fraction(float(x)) for x in keyed.frame.center]
-            for query, row_keys, row_exact, e in zip(queries[safe], keys, exact[safe] + b,
-                                                     bound[safe]):
+            for query, query_keys, row_exact, e in zip(queries[safe], keys, exact[safe] + b,
+                                                       bound[safe]):
                 w = [Fraction(float(x)) - ci for x, ci in zip(query, c)]
                 constant = sum(x * x for x in w) / 2 + sum(x * ci for x, ci in zip(w, c))
-                for key, y in zip(row_keys, row_exact):
+                for key, y in zip(query_keys, row_exact):
                     error = Fraction(float(key)) - (Fraction(float(y)) / 2 - constant)
                     assert abs(error) <= Fraction(float(e)), name
 
     def test_past_the_guard_nothing_is_claimed(self, rng):
         rows = rng.standard_normal((5, 3)).astype(np.float32)
         b = np.full(5, 2.0**125 * (1 + 2.0**-20))
-        assert cell_keys(rows, b).term == np.inf
+        assert row_keys(rows, b).term == np.inf
         b[0] = 1e39  # its half norm is past float32's range too
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            keyed = cell_keys(rows, b)
+            keyed = row_keys(rows, b)
         assert np.isinf(keyed.half[0]) and keyed.term == np.inf
 
     def test_v_max_bounds_every_row_norm(self, rng):
         for name, _, rows in key_cases(rng):
-            v_max = centered_half_norms(rows)[1].v_max
+            v_max = row_keys(rows).frame.v_max
             if v_max == np.inf:  # the half norms overflow float32
                 assert name == "scale 1e+19", name
                 continue
@@ -450,7 +467,7 @@ class TestShiftedKeys:
         # distance, at the origin and far from it.
         rows = (offset + 0.1 * rng.standard_normal((1000, 32))).astype(np.float32)
         queries = offset + 0.1 * rng.standard_normal((4, 32))
-        _, bound = key_bounds(queries, centered_half_norms(rows)[1])
+        _, bound = key_bounds(queries, row_keys(rows).frame)
         assert (bound < ratio * np.median(sqdist_exact(queries, rows)) / 2).all()
 
 
@@ -464,7 +481,7 @@ class TestNearestR:
         ids = np.random.default_rng(3).permutation(data.count) + 1000
         queries = [np.array(q, dtype=np.float64) for q in ((0, 0, 0, 0), (1, -2, 3, 0))]
         queries += [np.array([0.5, 1.5, -2.5, 2.0]), np.array([np.nan, 0.0, 0.0, 0.0])]
-        return data.data, *centered_half_norms(data.data), ids, queries
+        return data.data, data.keys.half, data.keys.frame, ids, queries
 
     def test_matches_gather_and_full_sort(self, ties, monkeypatch):
         rows, half, frame, ids, queries = ties

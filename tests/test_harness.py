@@ -14,6 +14,7 @@ from ivfbalance import (
     run_tradeoff,
     save_fvecs,
 )
+import ivfbalance.harness as harness
 from ivfbalance.harness import codebooks_at_iterations, ground_truth_cached
 
 from conftest import random_vectors
@@ -213,6 +214,30 @@ class TestHistogram:
         written, _ = run_histogram(spec)
         lines = written[0].read_text().splitlines()
         assert len(lines) == 2  # header + the one bucket at N
+
+    def test_routes_once_per_preset_and_writes_each_mas_own_bytes(
+        self, mixture_files, tmp_path, monkeypatch
+    ):
+        db, q = mixture_files
+        routed, route = [], harness.route_cells_batch
+
+        def recording(queries, codebook, ma, *args):
+            routed.append(ma)
+            return route(queries, codebook, ma, *args)
+
+        monkeypatch.setattr(harness, "route_cells_batch", recording)
+        common = dict(db=db, queries=q, ks=(8,), iters=(0, 4), seed=5)
+        written, summary = run_histogram(ExperimentSpec(out=tmp_path / "all", mas=(1, 4, 2),
+                                                        **common))
+        assert routed == [4, 4]
+        rows = summary.read_text().splitlines()
+        for ma in (1, 4, 2):
+            alone, one = run_histogram(ExperimentSpec(out=tmp_path / f"ma{ma}", mas=(ma,),
+                                                      **common))
+            for path in alone:
+                assert path.read_bytes() == (tmp_path / "all" / path.name).read_bytes()
+            assert set(one.read_text().splitlines()) <= set(rows)
+        assert len(written) == len(rows) - 1 == 6
 
     def test_variance_shrinks_with_balancing(self, mixture_files, tmp_path):
         db, q = mixture_files

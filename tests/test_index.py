@@ -6,7 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
+import ivfbalance.balancer as balancer_mod
+import ivfbalance.dataset as dataset_mod
+import ivfbalance.distances as distances_mod
 import ivfbalance.index as index_mod
+import ivfbalance.kmeans as kmeans_mod
+import ivfbalance.metrics as metrics_mod
 from ivfbalance import (
     BalanceConfig,
     Centroids,
@@ -28,7 +33,7 @@ from ivfbalance import (
     search,
     select_cells,
 )
-from ivfbalance.distances import centered_half_norms, sqdist_exact
+from ivfbalance.distances import row_keys, sqdist_exact
 from ivfbalance.index import ROUTES, InvertedFile, route_cells_batch
 
 from conftest import random_vectors, write_codebook_without_cells
@@ -116,12 +121,37 @@ class TestBuild:
         assert loaded.half.tobytes() == index.half.tobytes()
         assert loaded.key_frame.center.tobytes() == index.key_frame.center.tobytes()
         assert loaded.key_frame[1:] == index.key_frame[1:]
-        half, frame = centered_half_norms(index.vectors)
-        assert index.half.dtype == np.float32 and index.half.tobytes() == half.tobytes()
-        assert index.key_frame.center.tobytes() == frame.center.tobytes()
+
+    def test_half_and_frame_are_the_sources_keys(self, indexed):
+        data, index = indexed
+        assert index.half.dtype == np.float32
+        assert index.half.tobytes() == data.keys.half[index.ids].tobytes()
+        assert index.key_frame is data.keys.frame
         center = index.key_frame.center.astype(np.float64)
         want = ((index.vectors.astype(np.float64) - center) ** 2).sum(axis=1) / 2
         assert np.allclose(index.half, want, rtol=1e-5, atol=0)
+
+    def test_the_data_is_keyed_once(self, tmp_path, rng, monkeypatch):
+        """Build, a save and load over the same set and two ground-truth
+        calls all cut on the set's own keys, derived once."""
+        data = random_vectors(rng, 200, 4)
+        keyed = []
+
+        def counting(points, *args):
+            keyed.append(len(points))
+            return row_keys(points, *args)
+
+        for module in (dataset_mod, distances_mod, kmeans_mod, balancer_mod, index_mod,
+                       metrics_mod):
+            if hasattr(module, "row_keys"):
+                monkeypatch.setattr(module, "row_keys", counting)
+        built = build(data, Codebook.fresh(Centroids(data.data[:8].copy())))
+        save_index(built, tmp_path / "idx")
+        load_index(tmp_path / "idx", data)
+        queries = random_vectors(rng, 5, 4)
+        for _ in range(2):
+            brute_force_nn(data, queries, 3)
+        assert keyed.count(data.count) == 1
 
     def test_an_empty_index_searches_to_nothing(self):
         data = VectorSet.from_array(np.zeros((0, 2)))
@@ -489,6 +519,28 @@ class TestPersistence:
             f"checksum_centroids={sha(centroids)}\n"
             f"checksum_penalties={sha(penalties)}\n"
         ).encode()
+
+    def test_centroids_float32_cannot_hold_are_refused(self, indexed, tmp_path):
+        # Stored as float32, they would load as other centroids than the
+        # ones the lists were built with, and route elsewhere.
+        data, index = indexed
+        points = index.codebook.centroids.points.astype(np.float64)
+        points[0, 0] += 2.0**-40
+        cb = Codebook(Centroids(points), index.codebook.penalties)
+        with pytest.raises(ValueError, match="float32"):
+            save_codebook(cb, tmp_path / "cb")
+        with pytest.raises(ValueError, match="float32"):
+            save_index(InvertedFile(cb, index.offsets, index.ids, data), tmp_path / "idx")
+        assert not (tmp_path / "cb").exists() and not (tmp_path / "idx").exists()
+
+    def test_float64_centroids_float32_holds_are_saved(self, indexed, tmp_path):
+        _, index = indexed
+        points = index.codebook.centroids.points.astype(np.float64)
+        cb = Codebook(Centroids(points), index.codebook.penalties)
+        save_codebook(cb, tmp_path / "cb")
+        loaded = load_codebook(tmp_path / "cb")
+        assert np.array_equal(loaded.centroids.points, points)
+        assert loaded.penalties.tobytes() == cb.penalties.tobytes()
 
     def test_roundtrip_bit_exact(self, indexed, tmp_path):
         data, index = indexed

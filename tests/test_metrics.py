@@ -98,6 +98,12 @@ class TestBruteForce:
         assert truth.ids[0].tolist() == [1, 2]
         assert truth.dists[0].tolist() == [1.0, 9.0]
 
+    def test_zero_dimensional_points_all_tie(self):
+        # Every distance is 0: the lowest ids win.
+        data = VectorSet.from_array(np.zeros((6, 0)))
+        truth = brute_force_nn(data, VectorSet.from_array(np.zeros((2, 0))), 3)
+        assert truth.ids.tolist() == [[0, 1, 2]] * 2 and not truth.dists.any()
+
     def test_full_ranking_is_permutation(self, rng):
         data = random_vectors(rng, 40, 2)
         queries = random_vectors(rng, 5, 2)
@@ -267,8 +273,7 @@ class TestBlockPreCut:
         raw = rng.standard_normal((BLOCK + 1, 8)) * 10.0
         raw[5] = 3e38
         queries = VectorSet.from_array(raw)
-        _, frame = distances.centered_half_norms(data.data)
-        _, bound = distances.key_bounds(queries.data.astype(np.float64), frame)
+        _, bound = distances.key_bounds(queries.data.astype(np.float64), data.keys.frame)
         assert np.flatnonzero(~np.isfinite(bound)).tolist() == [5]
         truth = brute_force_nn(data, queries, 10)
         assert_same_truth(truth, brute_force_nn_per_query(data, queries, 10))
