@@ -15,19 +15,18 @@ Two kernels with different determinism/speed trade-offs:
 
 One cut decides every cell choice, search and ground truth, bit for bit
 as an exact scan of every row would, for any data: float32 keys taken
-relative to a center of the rows (:func:`row_keys`, :func:`shifted_keys`)
+relative to a center of the rows (:func:`row_keys`)
 rank the rows as distances do, up to a proven bound E (:func:`key_bounds`)
 that grows with the spread of the rows around that center and the query's
 distance to it, not with the distance from the origin. Only the rows
 whose key is at most κ + 2E, κ being the r-th smallest key, reach the
-exact kernel, and are ranked by ``(value, id)``. Search cuts one query's
-candidates with one float32 product (:func:`nearest_r`); ground truth
-cuts a block of queries with float32 GEMM tiles (:func:`block_cut`);
-both key the data's rows once per set (``VectorSet.keys``). Balancing,
-build and routing cut the centroids, with half of each cell's penalty in
-its key, one float32 product per row block (:func:`nearest_cells`). So a
-point's cell is a function of the point alone, whatever the batch and
-the BLAS build.
+exact kernel, and are ranked by ``(value, id)``. One query's search and
+routing cut its candidate rows with one float32 product per span of them
+(:func:`nearest_r`), ground truth a block of queries with float32 GEMM
+tiles (:func:`block_cut`), and balancing, build and batch routing a row
+block's centroids with one float32 product (:func:`nearest_cells`); a
+cell's key holds half its penalty. So a point's cell is a function of the
+point alone, whatever the batch and the BLAS build.
 
 All arithmetic is float64 regardless of input dtype; float32 inputs widen
 exactly, except in the float32 keys.
@@ -35,6 +34,7 @@ exactly, except in the float32 keys.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +47,7 @@ _CHUNK_ELEMS = 16 * 1024 * 1024
 # float32 keys (512 KB).
 _TILE_ROWS = 4096
 
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_UNIT_ROUNDOFF = 2.0**-53
 _UNIT_ROUNDOFF32 = 2.0**-24
 
 
@@ -171,22 +171,30 @@ def top_r(ids: np.ndarray, d2: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarr
 
 
 class KeyFrame(NamedTuple):
-    """The row side of :func:`key_bounds`: the rows' float32 ``center``, their
-    largest half norm and a bound on their norms, valid for any subset."""
+    """The row side of :func:`key_bounds`, valid for any subset of the rows:
+    their float32 ``center``, largest half norm and a bound V on their
+    norms, and E's row terms, which :func:`row_keys` derives once: ``fixed``,
+    ``slope`` ``gamma32_{d+3} V``, ``quad`` ``2 gamma_{d+2}`` and the
+    guard's ``2 max(V, 1/4)``."""
 
     center: np.ndarray
     h_max: float
     v_max: float
+    fixed: float
+    slope: float
+    quad: float
+    guard: float
 
 
-def key_bounds(queries: np.ndarray, frame: KeyFrame) -> tuple[np.ndarray, np.ndarray]:
+def key_bounds(queries: np.ndarray, frame: KeyFrame) -> tuple:
     """``p = fl32(q - center)`` for each float64 query of a block, and the
     bound ``E`` of its float32 keys over float32 rows, given the rows'
     :class:`KeyFrame` from :func:`row_keys`. Where E is +inf, p is 0,
-    whose products cannot overflow.
+    whose products cannot overflow. For one 1-d query, its p and E as a
+    float: the same bits, from scalar operations.
 
-    The key of a query q and a row v is :func:`shifted_keys`'
-    ``k = fl32(h - fl32(p.v))``. With ``w = q - center`` real, ``H`` the
+    The key of a query q and a float32 row v of half norm h (:func:`row_keys`)
+    is ``k = fl32(h - fl32(p.v))``. With ``w = q - center`` real, ``H`` the
     real ``|v - center|^2 / 2``, and ``C = |w|^2 / 2 + w.center``, the
     real squared distance is ``D = 2 (H - w.v + C)``, so keys rank the rows
     as distances do. With ``X`` the :func:`sqdist_exact` value, for every
@@ -241,7 +249,7 @@ def key_bounds(queries: np.ndarray, frame: KeyFrame) -> tuple[np.ndarray, np.nda
     exceeds ``2^125`` (or is NaN): there ``p``, a float32 product or a key
     could overflow, and nothing is claimed. Below it none can, nor any
     partial sum, as every ``|p_i| <= a (1 + u') <= 2^126 (1 + u')``. The
-    row terms are scalars, so a query costs a few operations on its own.
+    row terms are the frame's, so a query costs a few operations on its own.
 
     Penalties. Cells with penalties b >= 0 (:func:`row_keys`) key with
     ``hb = fl32(fl64(h + b / 2))`` for h, against ``Y = fl64(X + b)``.
@@ -262,54 +270,59 @@ def key_bounds(queries: np.ndarray, frame: KeyFrame) -> tuple[np.ndarray, np.nda
     ``h_max + b_max`` exceeds ``2^125``, ``hb`` could overflow: the term,
     and so E, is +inf.
     """
-    center, h_max, v_max = frame
-    d = queries.shape[1]
-    w = np.subtract(queries, center, dtype=np.float64)
-    fixed = (_gamma(d + 4, _UNIT_ROUNDOFF32) * (1 + 2 * _gamma(d + 2, _UNIT_ROUNDOFF32)) * h_max
-             + (d**0.5 * v_max + 2 * d + 2) * 2.0**-149)
+    w = np.subtract(queries, frame.center, dtype=np.float64)
+    if w.ndim == 1:  # Python floats round as float64 arrays do, and never warn
+        a = math.sqrt(sq_norms(w[None, :])[0])
+        if not frame.h_max + frame.guard * a <= 2.0**125:
+            return np.zeros(len(w), np.float32), math.inf
+        return w.astype(np.float32), frame.fixed + a * (frame.slope + frame.quad * a)
     with np.errstate(over="ignore", invalid="ignore"):
         p = w.astype(np.float32)
         a = np.sqrt(sq_norms(w))
-        bound = fixed + a * (_gamma(d + 3, _UNIT_ROUNDOFF32) * v_max + 2 * _gamma(d + 2) * a)
-        safe = h_max + (2 * max(v_max, 0.25)) * a <= 2.0**125
+        bound = frame.fixed + a * (frame.slope + frame.quad * a)
+        safe = frame.h_max + frame.guard * a <= 2.0**125
     if not safe.all():
         p[~safe], bound[~safe] = 0.0, np.inf
     return p, bound
 
 
-def shifted_keys(p: np.ndarray, rows: np.ndarray, half: np.ndarray, out=None) -> np.ndarray:
-    """The float32 keys ``fl32(half - fl32(p.v))`` of :func:`key_bounds`'
-    ``p`` (one query, or a block of them) against float32 ``rows``, from one
-    float32 BLAS product, into ``out`` (a contiguous float32 array of the
-    result's shape) when given."""
-    keys = np.matmul(p, rows.T, out=out)
-    return np.subtract(half, keys, out=keys)
-
-
-def nearest_r(kernel, query: np.ndarray, rows: np.ndarray, half: np.ndarray, frame: KeyFrame,
-              ids: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``ids`` and ``kernel`` values of the r float32 ``rows`` nearest
-    to one ``query``, ranked by :func:`top_r`: the first r of a full sort of
-    every row's value. ``kernel`` is the caller's :func:`sqdist_exact`;
-    ``half`` and ``frame`` are the rows' :func:`row_keys`, or a superset's
-    (its half norms at the rows). With more than r rows, one float32 product
-    gives their keys, and only the rows with keys at most κ + 2E (κ the
-    r-th smallest key) reach ``kernel``, in one call: about r without
-    near-ties, every row where E is +inf (a NaN query, for one).
+def nearest_r(query: np.ndarray, keys: RowKeys, spans, r: int, ids: np.ndarray | None = None,
+              kernel=sqdist_exact) -> tuple[np.ndarray, np.ndarray]:
+    """The r rows nearest to one ``query`` among ``keys.points[start:end]``
+    for each ``(start, end)`` of ``spans``: their ``ids`` (row numbers
+    without) and values ``fl64(X + b)``, X the caller's :func:`sqdist_exact`
+    ``kernel`` and b the row's penalty, if any, ranked by :func:`top_r`.
+    With more than r rows, one sgemv per span keys it in place into one
+    buffer, and only the rows with keys at most κ + 2E (κ the r-th smallest
+    key, E with the penalties' term) reach ``kernel``, in one call: about r
+    without near-ties, every row where E is +inf (a NaN query, for one).
     """
-    query = np.asarray(query, dtype=np.float64)
-    if len(rows) > r:
-        p, bound = key_bounds(query[None, :], frame)
-        if bound[0] < np.inf:
-            keys = shifted_keys(p[0], rows, half)
-            keep = np.flatnonzero(keys <= _cut_at(np.partition(keys, r - 1)[r - 1], bound))
-            rows, ids = rows[keep], ids[keep]
-    return top_r(ids, kernel(query[None, :], rows)[0], r)
+    query, points = np.asarray(query, dtype=np.float64), keys.points
+    if query.shape != points.shape[1:]:
+        raise ValueError(f"query must be a 1-d vector of dim {points.shape[1]}, not {query.shape}")
+    rows = np.concatenate([np.arange(start, end) for start, end in spans])
+    p, bound = key_bounds(query, keys.frame) if len(rows) > r else (None, math.inf)
+    bound += keys.term
+    if bound < math.inf:
+        matrix, buf, at = np.asarray(points, np.float32), np.empty(len(rows), np.float32), 0
+        for start, end in spans:
+            np.dot(matrix[start:end], p, out=buf[at : at + end - start])
+            at += end - start
+        buf = np.subtract(keys.half[rows], buf, out=buf)
+        rows = rows[buf <= _cut_at(np.partition(buf, r - 1)[r - 1], bound)]
+    values = kernel(query[None, :], points.take(rows, 0))[0]
+    if keys.penalties is not None:
+        values += keys.penalties[rows]
+    return top_r(rows if ids is None else ids[rows], values, r)
 
 
-def _cut_at(kappa: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """The float32 ``κ + 2 E`` per query, rounded up: -inf where the caller
-    set E to -inf, and far inside float32's range where E is finite."""
+def _cut_at(kappa, bound):
+    """The float32 ``κ + 2 E``, rounded up, of one query or per query: -inf
+    where the caller set E to -inf, far inside float32's range where finite."""
+    if isinstance(bound, float):  # one query's: Python floats round as float64 arrays do
+        exact = float(kappa) + 2.0 * bound
+        cut = np.float32(exact)
+        return np.nextafter(cut, np.float32(np.inf)) if float(cut) < exact else cut
     exact = kappa + 2.0 * bound
     cut = exact.astype(np.float32)
     return np.nextafter(cut, np.inf, out=cut, where=cut < exact)
@@ -334,11 +347,11 @@ def block_cut(queries: np.ndarray, rows: np.ndarray, half: np.ndarray, frame: Ke
     claims nothing (and for every query when r covers the rows). ``half``
     and ``frame`` are the rows' :func:`row_keys`.
 
-    The rows are walked in tiles of :func:`shifted_keys`. κ, each query's
-    r-th smallest key so far, starts at the first tile's (one partition),
-    and each tile emits the rows with keys at most ``κ + 2 E``, which then
-    update κ. κ only falls, so a final cut at the last κ keeps every row
-    that :func:`key_bounds` says can reach the top r: the cut of
+    The rows are walked in tiles, one float32 GEMM of keys each. κ, each
+    query's r-th smallest key so far, starts at the first tile's (one
+    partition), and each tile emits the rows with keys at most ``κ + 2 E``,
+    which then update κ. κ only falls, so a final cut at the last κ keeps
+    every row that :func:`key_bounds` says can reach the top r: the cut of
     :func:`nearest_r`, one block of queries and one tile at a time.
     """
     n = len(rows)
@@ -356,8 +369,9 @@ def block_cut(queries: np.ndarray, rows: np.ndarray, half: np.ndarray, frame: Ke
     best, found = None, []
     for start in range(0, n, tile):
         width = min(tile, n - start)
-        keys = shifted_keys(p, rows[start : start + width], half[start : start + width],
-                            buf[: len(p) * width].reshape(len(p), width))
+        keys = np.matmul(p, rows[start : start + width].T,
+                         out=buf[: len(p) * width].reshape(len(p), width))
+        keys = np.subtract(half[start : start + width], keys, out=keys)
         if best is None:
             best = np.partition(keys, r - 1, axis=1)[:, :r].copy()
             cut = _cut_at(best[:, -1], bound)
@@ -405,7 +419,7 @@ def row_keys(points: np.ndarray, penalties: np.ndarray | None = None) -> RowKeys
     rows = np.asarray(points, dtype=np.float32)
     n, d = rows.shape
     half = np.empty(n, dtype=np.float32)
-    frame = KeyFrame(np.zeros(d, np.float32), 0.0, 0.0)  # no rows: nothing to bound
+    center, h_max, v_max = np.zeros(d, np.float32), 0.0, 0.0  # no rows: nothing to bound
     if n:
         center = rows[:: max(1, n // 1024)].mean(axis=0, dtype=np.float64).astype(np.float32)
         # Tiles of 64Ki entries. A flat subtract of a repeated center runs long
@@ -422,10 +436,13 @@ def row_keys(points: np.ndarray, penalties: np.ndarray | None = None) -> RowKeys
             half *= np.float32(0.5)
         h_max = float(half.max())
         spread = 2 * (h_max + (d + 2) * 2.0**-150) * (1 + 2 * _gamma(d + 2, _UNIT_ROUNDOFF32))
-        v_max = (np.sqrt(sq_norms(center[None, :])[0]) + np.sqrt(spread)) * (1 + _gamma(d + 10))
-        frame = KeyFrame(center, h_max, float(v_max))
+        v_max = (math.sqrt(sq_norms(center[None, :])[0]) + math.sqrt(spread)) * (1 + _gamma(d + 10))
     if rows is not points and not np.array_equal(rows, points):
-        frame = frame._replace(h_max=np.inf)
+        h_max = np.inf
+    fixed = (_gamma(d + 4, _UNIT_ROUNDOFF32) * (1 + 2 * _gamma(d + 2, _UNIT_ROUNDOFF32)) * h_max
+             + (d**0.5 * v_max + 2 * d + 2) * 2.0**-149)
+    frame = KeyFrame(center, h_max, v_max, fixed, _gamma(d + 3, _UNIT_ROUNDOFF32) * v_max,
+                     2 * _gamma(d + 2), 2 * max(v_max, 0.25))
     term = 0.0
     if penalties is not None:
         with np.errstate(over="ignore"):  # past float32's range, E is +inf

@@ -5,11 +5,11 @@ uses penalized distances too by default: routing with plain distances would
 probe cells inconsistent with what is stored in them. Candidates are always
 re-ranked by true (unpenalized) squared L2; penalties only steer which
 cells get scanned. The ``plain`` route is available for measuring the
-difference. Build and routing both pick cells with
-``distances.nearest_cells``, the key cut that search and ground truth use,
-over the centroids: each point's cell, and each query's probe order, is
-the exact ranking of its own row, so a stored point routes to its own
-cell one row at a time and in any batch.
+difference. Build and routing both pick cells on the key cut that search
+and ground truth use, over the centroids (``distances.nearest_cells`` for
+a batch, ``distances.nearest_r`` for one query): each point's cell, and
+each query's probe order, is the exact ranking of its own row, so a stored
+point routes to its own cell one row at a time and in any batch.
 
 The index is immutable after build; concurrent searches over a shared
 index are safe.
@@ -30,7 +30,7 @@ import numpy as np
 
 from .balancer import Codebook, assign_balanced
 from .dataset import VectorSet, decode_fvecs, fvecs_records, write_files
-from .distances import KeyFrame, nearest_cells, nearest_r, sqdist_exact
+from .distances import RowKeys, nearest_cells, nearest_r, sqdist_exact
 from .distances import sqdist_to_centroids  # noqa: F401  (perfbench/spans.py wraps it here)
 from .kmeans import Centroids
 
@@ -88,32 +88,29 @@ class InvertedFile:
     list i is ``ids[offsets[i]:offsets[i + 1]]`` and holds exactly the
     points the penalized assignment maps to cell i. Construction checks
     this for a built and a loaded index alike, derives the point-to-cell
-    map, ``vectors`` and ``half`` from the same arrays, and makes every
-    array read-only.
+    map and ``keys`` from the same arrays, and makes every array read-only.
 
-    ``vectors`` is ``source.data[ids]``: the float32 vectors in list order,
-    so cell i's vectors are the contiguous rows ``offsets[i]:offsets[i + 1]``
-    and search scans slices instead of gathering rows from the whole
-    dataset. The copy costs N * d * 4 bytes (12.8 MB at N=100k, d=32).
-    ``half`` is ``source.keys.half[ids]``, the data's own half norms in
-    the same order (N * 4 bytes, 0.4 MB at N=100k), and ``key_frame`` is
-    ``source.keys.frame``: search cuts on the keys ground truth cuts on,
-    derived once per ``VectorSet``. None is persisted.
+    ``keys`` are ``source.keys`` in list order: cell i's float32 vectors
+    are the contiguous rows ``offsets[i]:offsets[i + 1]`` of ``keys.points``
+    (``source.data[ids]``, a copy of N * d * 4 bytes, 12.8 MB at N=100k,
+    d=32), which search keys in place, with the data's own half norms and
+    frame: search cuts on the keys ground truth cuts on, derived once per
+    ``VectorSet``. None is persisted.
     """
 
     codebook: Codebook
     offsets: np.ndarray
     ids: np.ndarray
     source: VectorSet
-    vectors: np.ndarray = field(init=False, repr=False)
-    half: np.ndarray = field(init=False, repr=False)
-    key_frame: KeyFrame = field(init=False, repr=False)
+    keys: RowKeys = field(init=False, repr=False)
     _cell_of: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.offsets = np.asarray(self.offsets, dtype=np.int64)
         self.ids = np.asarray(self.ids, dtype=np.int64)
-        k, n = self.codebook.k, self.source.count
+        k, n, d = self.codebook.k, self.source.count, self.source.dim
+        if self.codebook.dim != d:
+            raise ValueError(f"codebook has dim {self.codebook.dim}, data has dim {d}")
         if self.offsets.shape != (k + 1,) or self.offsets[0] != 0:
             raise ValueError(f"expected {k + 1} posting-list offsets, the first 0")
         if (np.diff(self.offsets) < 0).any():
@@ -128,9 +125,9 @@ class InvertedFile:
         if (cell_of < 0).any():
             raise ValueError("posting lists repeat a point id")
         self._cell_of = cell_of
-        self.vectors = self.source.data[self.ids]
-        self.half, self.key_frame = self.source.keys.half[self.ids], self.source.keys.frame
-        for array in (self.offsets, self.ids, cell_of, self.vectors, self.half):
+        keys = self.source.keys
+        self.keys = RowKeys(self.source.data[self.ids], keys.half[self.ids], keys.frame)
+        for array in (self.offsets, self.ids, cell_of, *self.keys[:2]):
             array.flags.writeable = False
 
     @property
@@ -164,6 +161,15 @@ def build(data: VectorSet, codebook: Codebook) -> InvertedFile:
     return InvertedFile(codebook, offsets, ids, data)
 
 
+def _cell_keys(codebook: Codebook, ma: int, route: str) -> RowKeys:
+    """The centroids' keys that ``route`` picks ``ma`` cells on, both checked."""
+    if not 1 <= ma <= codebook.k:
+        raise ValueError(f"ma={ma} out of range [1, {codebook.k}]")
+    if route not in ROUTES:
+        raise ValueError(f"unknown route: {route!r}")
+    return codebook.keys if route == ROUTE_PENALIZED else codebook.centroids.keys
+
+
 def route_cells_batch(
     queries: np.ndarray, codebook: Codebook, ma: int, route: str = ROUTE_PENALIZED
 ) -> np.ndarray:
@@ -173,22 +179,16 @@ def route_cells_batch(
     cells: each row's cells are a function of the row alone, so every
     stored point routes to its cell at ma=1, in any batch.
     """
-    if not 1 <= ma <= codebook.k:
-        raise ValueError(f"ma={ma} out of range [1, {codebook.k}]")
-    if route not in ROUTES:
-        raise ValueError(f"unknown route: {route!r}")
-    return nearest_cells(queries, codebook.keys if route == ROUTE_PENALIZED
-                         else codebook.centroids.keys, ma)
+    return nearest_cells(queries, _cell_keys(codebook, ma, route), ma)
 
 
 def select_cells(
     query: np.ndarray, codebook: Codebook, ma: int, route: str = ROUTE_PENALIZED
 ) -> np.ndarray:
-    """The ma cells nearest to one query vector, in probe order."""
-    query = np.asarray(query)
-    if query.ndim != 1:
-        raise ValueError("query must be a 1-d vector")
-    return route_cells_batch(query[None, :], codebook, ma, route)[0]
+    """The ma cells nearest to one query vector, in probe order: the one-row
+    cut ``distances.nearest_r`` over the centroids, the cells that
+    ``route_cells_batch`` picks for the same row."""
+    return nearest_r(query, _cell_keys(codebook, ma, route), [(0, codebook.k)], ma)[0]
 
 
 def search(index: InvertedFile, query: np.ndarray, params: SearchParams) -> QueryResult:
@@ -197,19 +197,17 @@ def search(index: InvertedFile, query: np.ndarray, params: SearchParams) -> Quer
     ``scanned`` is the summed population of the probed cells: the quantity
     whose spread across queries measures response-time variability.
 
-    Each probed cell is one contiguous slice of ``index.vectors`` and
-    ``index.half``. ``distances.nearest_r`` cuts the candidates on their
-    float32 keys, relative to the index's center, and ranks the survivors
-    with one ``sqdist_exact`` call: exactly the first r of a full sort of
-    every candidate by ``(distance, id)``.
+    Each probed cell is one contiguous span of ``index.keys``' rows.
+    ``distances.nearest_r`` keys each span in place, relative to the
+    index's center, cuts the candidates on those float32 keys, and ranks
+    the survivors with one ``sqdist_exact`` call: exactly the first r of a
+    full sort of every candidate by ``(distance, id)``.
     """
     cells = select_cells(query, index.codebook, params.ma, params.route)
-    rows = [slice(index.offsets[c], index.offsets[c + 1]) for c in cells]
-    vectors, half, candidates = (np.concatenate([a[s] for s in rows])
-                                 for a in (index.vectors, index.half, index.ids))
-    ids, dists = nearest_r(sqdist_exact, query, vectors, half, index.key_frame, candidates,
-                           params.r_results)
-    return QueryResult(ids=ids, dists=dists, scanned=int(candidates.size), probed_cells=cells)
+    spans = list(zip(index.offsets[cells].tolist(), index.offsets[cells + 1].tolist()))
+    ids, dists = nearest_r(query, index.keys, spans, params.r_results, index.ids, sqdist_exact)
+    return QueryResult(ids=ids, dists=dists, scanned=sum(e - s for s, e in spans),
+                       probed_cells=cells)
 
 
 def _sha256(payload: bytes | np.ndarray) -> str:

@@ -20,7 +20,10 @@ it was first written, and the library must match each bit for bit:
 * the fvecs decoder that walks the records one by one to name the first
   malformed one, and checks finiteness itself;
 * ground truth as ``sqdist_exact`` over every point and ``top_r`` per
-  query.
+  query;
+* ``key_bounds`` deriving its row-side terms on every call;
+* search routing one query through ``route_cells_batch`` and concatenating
+  the probed slices of the vectors, half norms and ids before one cut.
 """
 
 from pathlib import Path
@@ -31,8 +34,15 @@ import ivfbalance.distances as distances
 from ivfbalance import Centroids, Codebook, imbalance_factor, update_penalties
 from ivfbalance.balancer import STOP_FIXED_ITERS, _stop_satisfied
 from ivfbalance.dataset import VectorSet, _draw_centers, mixture_centers
-from ivfbalance.distances import sq_norms, sqdist_exact, sqdist_to_centroids, top_r
-from ivfbalance.index import ROUTE_PENALIZED
+from ivfbalance.distances import (
+    _UNIT_ROUNDOFF32,
+    _gamma,
+    sq_norms,
+    sqdist_exact,
+    sqdist_to_centroids,
+    top_r,
+)
+from ivfbalance.index import ROUTE_PENALIZED, QueryResult, route_cells_batch
 from ivfbalance.metrics import GroundTruth
 
 
@@ -277,3 +287,46 @@ def brute_force_nn_per_query(data, queries, r: int) -> GroundTruth:
     for i, query in enumerate(queries.data):
         ids[i], dists[i] = top_r(point_ids, sqdist_exact(query[None, :], data.data)[0], r)
     return GroundTruth(ids, dists)
+
+
+def key_bounds_recomputing(queries: np.ndarray, frame) -> tuple[np.ndarray, np.ndarray]:
+    """``key_bounds`` of a block of queries, deriving every row-side term
+    from the frame's ``center``, ``h_max`` and ``v_max`` on each call."""
+    center, h_max, v_max = frame[:3]
+    d = queries.shape[1]
+    w = np.subtract(queries, center, dtype=np.float64)
+    fixed = (_gamma(d + 4, _UNIT_ROUNDOFF32) * (1 + 2 * _gamma(d + 2, _UNIT_ROUNDOFF32)) * h_max
+             + (d**0.5 * v_max + 2 * d + 2) * 2.0**-149)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = w.astype(np.float32)
+        a = np.sqrt(sq_norms(w))
+        bound = fixed + a * (_gamma(d + 3, _UNIT_ROUNDOFF32) * v_max + 2 * _gamma(d + 2) * a)
+        safe = h_max + (2 * max(v_max, 0.25)) * a <= 2.0**125
+    if not safe.all():
+        p[~safe], bound[~safe] = 0.0, np.inf
+    return p, bound
+
+
+def search_concatenating(index, query: np.ndarray, params) -> QueryResult:
+    """``search`` routing through a one-row ``route_cells_batch`` call and
+    concatenating the probed slices of the index's vectors, half norms and
+    ids, then keying them with one float32 product and cutting at the
+    float32 ``κ + 2 E`` of ``key_bounds_recomputing``, rounded up."""
+    query = np.asarray(query)
+    cells = route_cells_batch(query[None, :], index.codebook, params.ma, params.route)[0]
+    slices = [slice(index.offsets[c], index.offsets[c + 1]) for c in cells]
+    vectors, half, candidates = (np.concatenate([a[s] for s in slices])
+                                 for a in (index.keys.points, index.keys.half, index.ids))
+    query, r = np.asarray(query, dtype=np.float64), params.r_results
+    kept, rows = candidates, vectors
+    if len(vectors) > r:
+        p, bound = key_bounds_recomputing(query[None, :], index.keys.frame)
+        if bound[0] < np.inf:
+            keys = np.subtract(half, np.matmul(p[0], vectors.T))
+            exact = np.partition(keys, r - 1)[r - 1] + 2.0 * bound
+            cut = exact.astype(np.float32)
+            np.nextafter(cut, np.inf, out=cut, where=cut < exact)
+            keep = np.flatnonzero(keys <= cut)
+            rows, kept = vectors[keep], candidates[keep]
+    ids, dists = top_r(kept, sqdist_exact(query[None, :], rows)[0], r)
+    return QueryResult(ids=ids, dists=dists, scanned=int(candidates.size), probed_cells=cells)

@@ -18,7 +18,6 @@ from ivfbalance.distances import (
     nearest_r,
     plain_products,
     row_keys,
-    shifted_keys,
     sq_norms,
     sqdist_exact,
     sqdist_pairs,
@@ -30,6 +29,7 @@ from conftest import integer_tie_fixture, random_vectors
 from oracles import (
     assign_plain_whole_argmin,
     distortion_whole,
+    key_bounds_recomputing,
     route_cells_whole_sort,
     sqdist_expansion,
 )
@@ -392,8 +392,50 @@ def key_cases(rng):
         yield "rows at their center", v + rng.standard_normal((2, d)), np.tile(v, (5, 1))
 
 
+class TestKeyBoundsFrame:
+    """``key_bounds`` reads its row-side terms from the frame, derived once
+    by ``row_keys``: its p and E must equal the bits of the oracle that
+    derives them on each call, for a block and for each query alone."""
+
+    def test_matches_recomputing_oracle(self, rng, monkeypatch):
+        def no_gamma(*args):
+            raise AssertionError("key_bounds derived a gamma")
+
+        sides = set()
+        for name, queries, rows in key_cases(rng):
+            frame = row_keys(rows).frame
+            d = rows.shape[1]
+            # |q - center| just below and above where the guard stops claiming.
+            edge = (2.0**125 - frame.h_max) / frame.guard
+            steps = edge * (1 + np.arange(-3, 4) * 2.0**-52)
+            directions = np.vstack([np.eye(d)[0], np.full(d, d**-0.5)])
+            at_edge = (frame.center + steps[:, None, None] * directions).reshape(-1, d)
+            odd = np.repeat([[np.nan], [np.inf], [-np.inf]], d, axis=1)
+            queries = np.vstack([queries, odd, at_edge])
+            want_p, want_bound = key_bounds_recomputing(queries, frame)
+            monkeypatch.setattr(distances, "_gamma", no_gamma)
+            p, bound = key_bounds(queries, frame)
+            assert p.tobytes() == want_p.tobytes(), name
+            assert bound.tobytes() == want_bound.tobytes(), name
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for query, want_q, want_e in zip(queries, want_p, want_bound):
+                    one_p, one_bound = key_bounds(query, frame)
+                    assert one_p.tobytes() == want_q.tobytes(), name
+                    assert np.float64(one_bound).tobytes() == want_e.tobytes(), name
+            monkeypatch.undo()
+            sides.update(np.isinf(want_bound[-len(at_edge):]).tolist())
+        assert sides == {False, True}
+
+
+def float32_keys(p, rows, half):
+    """The keys ``fl32(half - fl32(p.v))`` of a block of queries, from one
+    float32 product, as the library's cuts compute them."""
+    return np.subtract(half, np.matmul(p, rows.T))
+
+
 class TestShiftedKeys:
-    """``shifted_keys`` are within ``key_bounds``' E of half the exact
+    """The float32 keys are within ``key_bounds``' E of half the exact
     kernel's value less the query's constant, checked in rationals."""
 
     def test_bound_holds_in_exact_arithmetic(self, rng):
@@ -402,7 +444,7 @@ class TestShiftedKeys:
             p, bound = key_bounds(queries, rows_keyed.frame)
             safe = np.isfinite(bound)
             assert safe.all() or name == "scale 1e+19", name
-            keys = shifted_keys(p[safe], rows, rows_keyed.half)
+            keys = float32_keys(p[safe], rows, rows_keyed.half)
             exact = sqdist_exact(queries[safe], rows)
             c = [Fraction(float(x)) for x in rows_keyed.frame.center]
             for query, query_keys, row_exact, e in zip(queries[safe], keys, exact, bound[safe]):
@@ -432,7 +474,7 @@ class TestShiftedKeys:
             bound += keyed.term
             safe = np.isfinite(bound)
             assert safe.all() or "1e+19" in name, name
-            keys = shifted_keys(p[safe], rows, keyed.half)
+            keys = float32_keys(p[safe], rows, keyed.half)
             c = [Fraction(float(x)) for x in keyed.frame.center]
             for query, query_keys, row_exact, e in zip(queries[safe], keys, exact[safe] + b,
                                                        bound[safe]):
@@ -473,7 +515,8 @@ class TestShiftedKeys:
 
 class TestNearestR:
     """``nearest_r`` against the gather-and-full-sort oracle on integer
-    data, where distances tie at every rank."""
+    data, where distances tie at every rank, over one span of every row and
+    over spans that skip rows, repeat none and include empty ones."""
 
     @pytest.fixture
     def ties(self):
@@ -481,10 +524,10 @@ class TestNearestR:
         ids = np.random.default_rng(3).permutation(data.count) + 1000
         queries = [np.array(q, dtype=np.float64) for q in ((0, 0, 0, 0), (1, -2, 3, 0))]
         queries += [np.array([0.5, 1.5, -2.5, 2.0]), np.array([np.nan, 0.0, 0.0, 0.0])]
-        return data.data, data.keys.half, data.keys.frame, ids, queries
+        return data.keys, ids, queries
 
     def test_matches_gather_and_full_sort(self, ties, monkeypatch):
-        rows, half, frame, ids, queries = ties
+        keys, ids, queries = ties
         cuts = []
 
         def recording_cut(*args):
@@ -492,20 +535,23 @@ class TestNearestR:
             return key_bounds(*args)
 
         monkeypatch.setattr(distances, "key_bounds", recording_cut)
-        n = len(rows)
-        for query, r in itertools.product(queries, (1, n - 1, n, n + 5)):
-            calls, cuts[:] = [], []
+        for spans, query in itertools.product(
+                ([(0, 300)], [(250, 300), (7, 7), (0, 90), (120, 121)]), queries):
+            rows = np.concatenate([np.arange(start, end) for start, end in spans])
+            n = len(rows)
+            for r in (1, n - 1, n, n + 5):
+                calls, cuts[:] = [], []
 
-            def kernel(x, c):
-                calls.append(len(c))
-                return sqdist_exact(x, c)
+                def kernel(x, c):
+                    calls.append(len(c))
+                    return sqdist_exact(x, c)
 
-            got_ids, got_d2 = nearest_r(kernel, query, rows, half, frame, ids, r)
-            d2 = sqdist_exact(query[None, :], rows)[0]
-            order = np.lexsort((ids, d2))[:r]
-            assert np.array_equal(got_ids, ids[order])
-            assert got_d2.tobytes() == d2[order].tobytes()
-            assert len(calls) == 1
-            assert len(cuts) == (r < n)
-            if r >= n or np.isnan(query).any():
-                assert calls == [n]
+                got_ids, got_d2 = nearest_r(query, keys, spans, r, ids, kernel)
+                d2 = sqdist_exact(query[None, :], keys.points[rows])[0]
+                order = np.lexsort((ids[rows], d2))[:r]
+                assert np.array_equal(got_ids, ids[rows][order])
+                assert got_d2.tobytes() == d2[order].tobytes()
+                assert len(calls) == 1
+                assert len(cuts) == (r < n)
+                if r >= n or np.isnan(query).any():
+                    assert calls == [n]

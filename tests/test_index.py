@@ -1,10 +1,15 @@
 import hashlib
 import itertools
 import struct
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import ivfbalance.balancer as balancer_mod
 import ivfbalance.dataset as dataset_mod
@@ -34,9 +39,10 @@ from ivfbalance import (
     select_cells,
 )
 from ivfbalance.distances import row_keys, sqdist_exact
-from ivfbalance.index import ROUTES, InvertedFile, route_cells_batch
+from ivfbalance.index import ROUTE_PENALIZED, ROUTES, InvertedFile, route_cells_batch
 
 from conftest import random_vectors, write_codebook_without_cells
+from oracles import penalized_ranking, search_concatenating
 
 
 @pytest.fixture
@@ -105,31 +111,31 @@ class TestBuild:
 
     def test_arrays_are_read_only(self, indexed):
         _, index = indexed
-        arrays = (index.cell_of_points(), index.ids, index.offsets, index.vectors, index.half,
-                  index.key_frame.center)
+        arrays = (index.cell_of_points(), index.ids, index.offsets, index.keys.points,
+                  index.keys.half, index.keys.frame.center)
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
 
     def test_vectors_are_the_source_rows_in_list_order(self, indexed, tmp_path):
         data, index = indexed
-        assert index.vectors.dtype == np.float32
-        assert np.array_equal(index.vectors, data.data[index.ids])
+        assert index.keys.points.dtype == np.float32
+        assert np.array_equal(index.keys.points, data.data[index.ids])
         save_index(index, tmp_path / "idx")
         loaded = load_index(tmp_path / "idx", data)
-        assert loaded.vectors.tobytes() == index.vectors.tobytes()
-        assert loaded.half.tobytes() == index.half.tobytes()
-        assert loaded.key_frame.center.tobytes() == index.key_frame.center.tobytes()
-        assert loaded.key_frame[1:] == index.key_frame[1:]
+        assert loaded.keys.points.tobytes() == index.keys.points.tobytes()
+        assert loaded.keys.half.tobytes() == index.keys.half.tobytes()
+        assert loaded.keys.frame.center.tobytes() == index.keys.frame.center.tobytes()
+        assert loaded.keys.frame[1:] == index.keys.frame[1:]
 
     def test_half_and_frame_are_the_sources_keys(self, indexed):
         data, index = indexed
-        assert index.half.dtype == np.float32
-        assert index.half.tobytes() == data.keys.half[index.ids].tobytes()
-        assert index.key_frame is data.keys.frame
-        center = index.key_frame.center.astype(np.float64)
-        want = ((index.vectors.astype(np.float64) - center) ** 2).sum(axis=1) / 2
-        assert np.allclose(index.half, want, rtol=1e-5, atol=0)
+        assert index.keys.half.dtype == np.float32
+        assert index.keys.half.tobytes() == data.keys.half[index.ids].tobytes()
+        assert index.keys.frame is data.keys.frame
+        center = index.keys.frame.center.astype(np.float64)
+        want = ((index.keys.points.astype(np.float64) - center) ** 2).sum(axis=1) / 2
+        assert np.allclose(index.keys.half, want, rtol=1e-5, atol=0)
 
     def test_the_data_is_keyed_once(self, tmp_path, rng, monkeypatch):
         """Build, a save and load over the same set and two ground-truth
@@ -300,6 +306,29 @@ class TestPermutationTies:
             for v, cell in zip(data.data, cell_of):
                 assert select_cells(v, cb, 1)[0] == cell
 
+    def test_one_row_ranks_as_a_batch_and_the_exact_ranking(self):
+        """Ten more permutations of centroid 0 tie all twelve cells in real
+        arithmetic; seeded penalties tie or split them on the penalized
+        route. ``select_cells`` cuts on its own one-row path."""
+        for seed, (rng, cb, point, _) in zip(range(500), self.cases()):
+            points = cb.centroids.points
+            extra = np.stack([points[0][rng.permutation(self.D)] for _ in range(10)])
+            penalties = rng.choice([1.0, 1.5], 12) if seed % 2 else np.ones(12)
+            cb = Codebook(Centroids(np.vstack([points, extra])), penalties)
+            for route, ma in itertools.product(ROUTES, (1, 2, 8, cb.k)):
+                got = select_cells(point, cb, ma, route)
+                batch = route_cells_batch(point[None, :], cb, ma, route)[0]
+                assert got.tobytes() == batch.tobytes()
+                want = penalized_ranking(point[None, :], cb.centroids.points,
+                                         cb.penalties if route == ROUTE_PENALIZED else None)[0, :ma]
+                assert np.array_equal(got, want)
+
+    def test_an_all_nan_query_routes_in_id_order(self):
+        _, cb, _, _ = next(self.cases())
+        for route, ma in itertools.product(ROUTES, (1, cb.k)):
+            assert np.array_equal(select_cells(np.full(self.D, np.nan), cb, ma, route),
+                                  np.arange(ma))
+
 
 def assert_search_matches_oracle(index, query, params):
     """``search`` against the gather-and-full-sort oracle, bit for bit;
@@ -462,6 +491,109 @@ class TestSearch:
             SearchParams(ma=1, r_results=0)
         with pytest.raises(ValueError):
             SearchParams(ma=1, route="sideways")
+
+
+def assert_same_result(got, want):
+    """Every ``QueryResult`` field equal, bit for bit and dtype for dtype."""
+    for name in ("ids", "dists", "probed_cells"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.scanned == want.scanned
+
+
+class TestSearchKeysSpansInPlace:
+    """``search`` keys the probed cells' spans in place and routes on its
+    own one-row cut; it must return what routing through
+    ``route_cells_batch`` and concatenating the probed slices returns."""
+
+    def test_empty_cells_and_candidates_at_r(self, tie_indexes):
+        queries = [np.array(q, dtype=np.float32) for q in ((0, 0), (2, 3), (4, 1), (9, -7))]
+        queries += [np.array([2.5 + 1e-9, 1.5]), np.array([np.nan, 0.0])]
+        seen = set()
+        for index in tie_indexes:
+            k = index.k
+            for query, ma, route in itertools.product(queries, (1, 2, k - 1, k), ROUTES):
+                total = search_concatenating(index, query, SearchParams(ma, 1, route)).scanned
+                for r in {1, 3, max(total - 1, 1), max(total, 1), total + 1}:
+                    params = SearchParams(ma, r, route)
+                    want = search_concatenating(index, query, params)
+                    assert_same_result(search(index, query, params), want)
+                    if (index.list_sizes()[want.probed_cells] == 0).any():
+                        seen.add("empty probed cell")
+                    if total in (r, r + 1):
+                        seen.add(f"candidates = r + {total - r}")
+                    if ma == k:
+                        seen.add(f"ma = k, {route}")
+        assert len(seen) == 5, seen
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_nan_far_and_offset_queries(self, offset):
+        rng = np.random.default_rng(21)
+        data = VectorSet.from_array(offset + rng.standard_normal((800, 8)))
+        codebook, _ = balance(data, Codebook.fresh(lloyd_full(data, 16, seed=2).centroids),
+                              BalanceConfig(StopRule.fixed_iters(5), alpha=0.1))
+        index = build(data, codebook)
+        queries = list(offset + rng.standard_normal((20, 8)))
+        queries += [np.full(8, np.nan), np.full(8, 1e37), np.full(8, -1e39)]
+        _, bound = distances_mod.key_bounds(np.array(queries[-2:]), index.keys.frame)
+        assert (bound == np.inf).all()  # far enough out that nothing is claimed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for query, ma, r, route in itertools.product(queries, (1, 3, 16), (1, 10),
+                                                         ROUTES):
+                params = SearchParams(ma, r, route)
+                assert_same_result(search(index, query, params),
+                                   search_concatenating(index, query, params))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_integer_ties(self, data):
+        # Integer rows, centroids, penalties and queries: every distance is
+        # exact, so ties fall at every rank and across cells.
+        n, k = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 6))
+        rows = data.draw(arrays(np.float32, (n, 3), elements=st.integers(-3, 3)))
+        points = data.draw(arrays(np.float32, (k, 3), elements=st.integers(-3, 3)))
+        penalties = data.draw(arrays(np.float64, k, elements=st.sampled_from([0.0, 1.0, 2.0])))
+        queries = data.draw(arrays(np.float64, (3, 3), elements=st.integers(-4, 4)))
+        index = build(VectorSet.from_array(rows), Codebook(Centroids(points), penalties))
+        for query, ma, r, route in itertools.product(queries, {1, k}, {1, 3, n}, ROUTES):
+            params = SearchParams(ma, r, route)
+            assert_same_result(search(index, query, params),
+                               search_concatenating(index, query, params))
+
+
+def test_concurrent_searches_match_sequential(balanced_indexes):
+    """Four threads search one shared index at once, each over the queries
+    in its own order, and get the sequential results: no call shares a
+    buffer with another."""
+    index = balanced_indexes[0]
+    queries = np.random.default_rng(5).standard_normal((300, 4))
+    params = SearchParams(ma=6, r_results=10)
+    want = [search(index, q, params) for q in queries]
+    orders = [np.random.default_rng(seed).permutation(len(queries)) for seed in range(4)]
+    got = [[] for _ in orders]
+    start = threading.Barrier(len(orders))
+
+    def run(order, out):
+        start.wait()
+        for _ in range(3):
+            out.extend((i, search(index, queries[i], params)) for i in order)
+
+    threads = [threading.Thread(target=run, args=args) for args in zip(orders, got)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside each search too
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for order, out in zip(orders, got):
+        assert [i for i, _ in out] == 3 * order.tolist()
+        for i, result in out:
+            assert_same_result(result, want[i])
 
 
 def set_meta(directory, key, value):

@@ -18,7 +18,7 @@ from ivfbalance import (
     select_cells,
 )
 from ivfbalance.distances import sqdist_to_centroids
-from ivfbalance.index import route_cells_batch
+from ivfbalance.index import InvertedFile, route_cells_batch
 from ivfbalance.metrics import GroundTruth, ScanHistogram, recall_at_r
 
 POINTS = VectorSet.from_array(np.arange(12.0).reshape(6, 2))
@@ -54,6 +54,12 @@ CASES = {
     ),
     "2-d-query": (
         lambda: select_cells(POINTS.data[:1], CODEBOOK, 1), "query must be a 1-d vector"
+    ),
+    # Before any search: the first one would fail on the dimensions.
+    "index-of-another-dim": (
+        lambda: InvertedFile(Codebook.fresh(Centroids(np.zeros((2, 4)))), [0, 10, 20],
+                             np.arange(20), VectorSet.from_array(np.zeros((20, 3)))),
+        "codebook has dim 4, data has dim 3",
     ),
     "non-finite-centroids": (
         lambda: Centroids(np.array([[0.0, np.nan]])), "centroids contain non-finite values"
