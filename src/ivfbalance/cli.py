@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 validation error (bad arguments, bad files),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -42,11 +41,8 @@ def _add_experiment_flags(sub: argparse.ArgumentParser, queries_required: bool) 
     sub.add_argument("--db", required=True, help="database fvecs file")
     sub.add_argument("--queries", required=queries_required, help="query fvecs file")
     sub.add_argument("--learning", help="learning-set fvecs file")
-    # dest: the ExperimentSpec field each flag sets.
-    sub.add_argument("--k", dest="ks", metavar="K", type=_int_list, required=True,
-                     help="cluster counts, comma-separated")
-    sub.add_argument("--ma", dest="mas", metavar="MA", type=_int_list, default=(1,),
-                     help="probe counts, comma-separated")
+    sub.add_argument("--k", type=_int_list, required=True, help="cluster counts, comma-separated")
+    sub.add_argument("--ma", type=_int_list, default=(1,), help="probe counts, comma-separated")
     sub.add_argument(
         "--iters",
         type=_int_list,
@@ -61,8 +57,19 @@ def _add_experiment_flags(sub: argparse.ArgumentParser, queries_required: bool) 
 
 
 def _experiment_spec(args: argparse.Namespace) -> harness.ExperimentSpec:
-    names = {field.name for field in dataclasses.fields(harness.ExperimentSpec)}
-    return harness.ExperimentSpec(**{k: v for k, v in vars(args).items() if k in names})
+    return harness.ExperimentSpec(
+        db=args.db,
+        queries=args.queries,
+        learning=args.learning,
+        ks=args.k,
+        mas=args.ma,
+        iters=args.iters,
+        alpha=args.alpha,
+        seed=args.seed,
+        out=args.out,
+        mode=args.mode,
+        route=args.route,
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:

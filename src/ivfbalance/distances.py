@@ -34,6 +34,7 @@ exactly, except in the float32 keys.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -292,24 +293,28 @@ def nearest_r(query: np.ndarray, keys: RowKeys, spans, r: int, ids: np.ndarray |
     for each ``(start, end)`` of ``spans``: their ``ids`` (row numbers
     without) and values ``fl64(X + b)``, X the caller's :func:`sqdist_exact`
     ``kernel`` and b the row's penalty, if any, ranked by :func:`top_r`.
-    With more than r rows, one sgemv per span keys it in place into one
-    buffer, and only the rows with keys at most κ + 2E (κ the r-th smallest
-    key, E with the penalties' term) reach ``kernel``, in one call: about r
-    without near-ties, every row where E is +inf (a NaN query, for one).
+    With more than r rows, one sgemv and one subtract key each span in
+    place into one buffer, and only the rows with keys at most κ + 2E (κ the
+    r-th smallest key, E with the penalties' term) are mapped back to row
+    numbers and reach ``kernel``, in one call: about r without near-ties,
+    every row where E is +inf (a NaN query, for one).
     """
     query, points = np.asarray(query, dtype=np.float64), keys.points
     if query.shape != points.shape[1:]:
         raise ValueError(f"query must be a 1-d vector of dim {points.shape[1]}, not {query.shape}")
-    rows = np.concatenate([np.arange(start, end) for start, end in spans])
-    p, bound = key_bounds(query, keys.frame) if len(rows) > r else (None, math.inf)
+    stops = list(itertools.accumulate(end - start for start, end in spans))  # ends in the buffer
+    p, bound = key_bounds(query, keys.frame) if stops[-1] > r else (None, math.inf)
     bound += keys.term
     if bound < math.inf:
-        matrix, buf, at = np.asarray(points, np.float32), np.empty(len(rows), np.float32), 0
-        for start, end in spans:
-            np.dot(matrix[start:end], p, out=buf[at : at + end - start])
-            at += end - start
-        buf = np.subtract(keys.half[rows], buf, out=buf)
-        rows = rows[buf <= _cut_at(np.partition(buf, r - 1)[r - 1], bound)]
+        matrix, buf = np.asarray(points, np.float32), np.empty(stops[-1], np.float32)
+        for (start, end), stop in zip(spans, stops):
+            out = buf[stop - end + start : stop]
+            np.subtract(keys.half[start:end], np.dot(matrix[start:end], p, out=out), out=out)
+        kept = np.flatnonzero(buf <= _cut_at(np.partition(buf, r - 1)[r - 1], bound))
+    else:
+        kept = np.arange(stops[-1])
+    shift = np.subtract([end for _, end in spans], stops)  # row minus position, per span
+    rows = kept + shift[np.searchsorted(stops, kept, side="right")]
     values = kernel(query[None, :], points.take(rows, 0))[0]
     if keys.penalties is not None:
         values += keys.penalties[rows]
