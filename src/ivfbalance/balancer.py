@@ -10,13 +10,20 @@ with ``n_opt = N / k``. Reassigning under the penalized distance
 ``d(x, c_i)^2 + b_i`` then drains points from crowded cells into their
 neighbors, driving populations toward ``n_opt``. Centroid positions are
 never re-estimated during balancing; only the penalties move. So balancing
-computes, once, the float32 products of every point with the centroids
-(4·N·k bytes, 102 MB at N=100k, k=256) and each point's key bound, and
-each iteration subtracts the products from the cells' penalized half norms
-to cut the cells, as routing does (``distances.nearest_cells``): the few
-rows the keys leave open are ranked on their kept cells by exact distance
-plus penalty. Balancing, build and routing therefore put every point in
-the same cell, whatever the batch.
+keys every point once, in one pass over the kernel row blocks, and keeps
+:class:`Candidates`: its ``TOP_L`` cells with the smallest keys, their
+float32 products, its key bound E, and λ, a lower bound on the keys of all
+its other cells, as Elkan's and Hamerly's k-means keep bounds on the
+centroids they do not rescan (penalties move here, not centroids). Each
+iteration cuts a point's candidates under the new penalties, as routing
+cuts every cell (``distances.nearest_cells``). λ falls by at most the
+largest drop of any cell's penalized half norm per iteration; a point
+whose one kept candidate stays below λ is decided, and every other point
+is re-scored on all cells in row blocks, which resets its λ. Balancing,
+build and routing therefore put every point in the same cell, whatever
+the batch. The state costs N·TOP_L·5 bytes plus two float64 values per
+point (9.6 MB at N=100k), against 4·N·k bytes (102 MB at k=256) for the
+products with every centroid.
 
 Geometrically, the penalized distance equals the plain squared L2 distance
 in a (d+1)-space where point x becomes (x, 0) and centroid i becomes
@@ -26,6 +33,7 @@ hyperplane, shrinking their cells. The test suite checks that identity.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -33,7 +41,15 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import VectorSet, write_csv
-from .distances import RowKeys, nearest_cells, plain_products, row_keys, sqdist_pairs
+from .distances import (
+    RowKeys,
+    _block_rows,
+    _cut_at,
+    nearest_cells,
+    plain_products,
+    row_keys,
+    sqdist_pairs,
+)
 from .distances import sqdist_to_centroids  # noqa: F401  (perfbench/spans.py wraps it here)
 from .kmeans import Assignment, Centroids
 from .metrics import imbalance_factor
@@ -42,6 +58,9 @@ DEFAULT_ALPHA = 0.01
 B_FLOOR = 1e-9
 DEFAULT_MAX_ITERS_CAP = 1000
 COUNT_FLOOR = 1
+
+# Candidate cells that balance keeps per point.
+TOP_L = 16
 
 STOP_FIXED_ITERS = "fixed_iters"
 STOP_TARGET_GAMMA = "target_gamma"
@@ -189,12 +208,117 @@ class BalanceTrace:
             for r in self.records))
 
 
-def assign_balanced(data: VectorSet, codebook: Codebook, products=None) -> Assignment:
+def _beyond(floor: np.ndarray, drop: float, cut: np.ndarray) -> np.ndarray:
+    """Where every other cell's key is certified above the float32 ``cut``:
+    ``fl64(F - D) > next32(cut)``, nowhere once D is +inf (see
+    :func:`balance`)."""
+    if drop == math.inf:
+        return np.zeros(len(cut), dtype=bool)
+    return floor - drop > np.nextafter(cut, np.float32(np.inf))
+
+
+def _floor(key: np.ndarray, drop: float) -> np.ndarray:
+    """``drop`` plus a float64 value below the real value of every float32
+    key at least ``key``, rounded down: see :func:`balance`."""
+    below = np.nextafter(key, np.float32(-np.inf)).astype(np.float64)
+    return np.nextafter(below + drop, -np.inf)
+
+
+@dataclass(eq=False)
+class Candidates:
+    """What :func:`balance` keeps of each point between iterations: its
+    ``TOP_L`` cells with the smallest keys when balancing began (every cell
+    where k <= TOP_L), laid out (TOP_L, N) with ids in the smallest unsigned
+    dtype that holds k - 1, and their float32 ``products``; its key bound E
+    without the penalties' term (``bound``); and ``floor``, λ rounded down
+    plus the running ``drop`` when λ was last reset. ``half`` holds the
+    penalized half norms that ``drop`` has been brought up to."""
+
+    cells: np.ndarray
+    products: np.ndarray
+    bound: np.ndarray
+    floor: np.ndarray
+    half: np.ndarray
+    drop: float = 0.0
+
+    @classmethod
+    def initial(cls, data: VectorSet, codebook: Codebook) -> tuple["Candidates", np.ndarray]:
+        """The state from one pass over the kernel row blocks, and each
+        point's plain nearest cell, from the same products."""
+        x, cells, plain = data.data, codebook.keys, codebook.centroids.keys
+        n, k = data.count, codebook.k
+        top = min(TOP_L, k)
+        state = cls(np.empty((top, n), np.min_scalar_type(k - 1)), np.empty((top, n), np.float32),
+                    np.empty(n), np.full(n, np.inf), cells.half)
+        nearest = np.empty(n, dtype=np.int64)
+        step = _block_rows(k, data.dim)
+        for start in range(0, n, step):
+            block = slice(start, start + step)
+            product, state.bound[block] = plain_products(x[block], plain)
+            nearest[block] = nearest_cells(x[block], plain, 1, (product, state.bound[block]))[:, 0]
+            if top < k:
+                keys = np.subtract(cells.half, product)
+                best = np.argpartition(keys, top, axis=1)
+                state.floor[block] = _floor(keys[np.arange(len(keys)), best[:, top]], 0.0)
+            else:
+                best = np.broadcast_to(np.arange(k), product.shape)
+            state.cells[:, block] = best[:, :top].T
+            state.products[:, block] = np.take_along_axis(product, best[:, :top], 1).T
+        return state, nearest
+
+    def assign(self, data: VectorSet, codebook: Codebook) -> np.ndarray:
+        """Each point's cell under the codebook's penalties: the one kept
+        candidate where :func:`balance`'s rule decides it, else the point's
+        ``nearest_cells`` cell from a re-score on every cell."""
+        cells = codebook.keys
+        self._follow(cells.half)
+        keys = np.empty(self.products.shape, np.float32)
+        # One candidate row at a time: a whole ``take`` would widen every id to intp.
+        for ids, key, product in zip(self.cells, keys, self.products):
+            np.subtract(cells.half.take(ids), product, out=key)
+        cut = _cut_at(keys.min(axis=0), self.bound + cells.term)
+        kept = keys <= cut
+        out = self.cells[kept.argmax(axis=0), np.arange(len(cut))].astype(np.int64)
+        open_ = (np.count_nonzero(kept, axis=0) != 1) | ~_beyond(self.floor, self.drop, cut)
+        self._rescore(data.data, np.flatnonzero(open_), cells, out)
+        return out
+
+    def _follow(self, half: np.ndarray) -> None:
+        """Add the largest drop of any cell's penalized half norm since the
+        last call to ``drop``, rounded up; +inf once a half norm overflows."""
+        if half is self.half:
+            return
+        if self.drop < math.inf and np.isfinite(half).all() and np.isfinite(self.half).all():
+            fall = float(np.subtract(self.half, half, dtype=np.float64).max())
+            self.drop = math.nextafter(self.drop + math.nextafter(fall, math.inf), math.inf)
+        else:
+            self.drop = math.inf
+        self.half = half
+
+    def _rescore(self, x: np.ndarray, rows: np.ndarray, cells: RowKeys, out: np.ndarray) -> None:
+        """``nearest_cells`` of ``rows`` into ``out``, one kernel row block at
+        a time, resetting their λ from the fresh keys of their other cells."""
+        top, k = self.cells.shape[0], len(cells.half)
+        step = _block_rows(k, x.shape[1])
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            points = x.take(block, 0)
+            product, bound = plain_products(points, cells)
+            out[block] = nearest_cells(points, cells, 1, (product, bound))[:, 0]
+            if top < k:
+                keys = np.subtract(cells.half, product)
+                keys[np.arange(len(block))[:, None], self.cells[:, block].T] = np.inf
+                self.floor[block] = _floor(keys.min(axis=1), self.drop)
+
+
+def assign_balanced(data: VectorSet, codebook: Codebook,
+                    candidates: Candidates | None = None) -> Assignment:
     """Assign each point to the cell minimizing its exact squared distance
-    plus the cell's penalty, lowest index on ties (``nearest_cells``), with
-    the points' ``plain_products`` when the caller keeps them."""
-    cells = nearest_cells(data.data, codebook.keys, 1, products)
-    return Assignment(cells[:, 0], codebook.k)
+    plus the cell's penalty, lowest index on ties (``nearest_cells``), from
+    the points' :class:`Candidates` when the caller keeps them."""
+    if candidates is None:
+        return Assignment(nearest_cells(data.data, codebook.keys, 1)[:, 0], codebook.k)
+    return Assignment(candidates.assign(data, codebook), codebook.k)
 
 
 def update_penalties(
@@ -235,18 +359,65 @@ def balance(
     then applies one penalty update. ``fixed_iters(r)`` runs exactly r
     updates; ``max_iters_cap`` bounds the updates of a target rule, whose
     target may never be met: convergence is empirical, not guaranteed.
+
+    One pass over the kernel row blocks keys every point and keeps its
+    :class:`Candidates`. With ``hb_j`` cell j's float32 penalized half
+    norm and ``q_j`` the point's float32 product with it, cell j's key is
+    ``fl32(hb_j - q_j)``, one float32 rounding of the real ``y_j = hb_j -
+    q_j``. λ is the smallest key among the point's other cells when it was
+    last taken, at iteration s. ``D`` is the running sum over iterations
+    of the largest drop of any ``hb_j``, and the state holds
+    ``F = fl64(prev32(λ) + D_s)`` rounded down. At iteration t a point is
+    decided from its candidates alone when exactly one candidate key is
+    at or below its cut ``_cut_at(κ, E + term)``, κ the smallest candidate
+    key, and ``fl64(F - D_t) > next32(cut)``. Why every other cell's key
+    is then above the cut:
+
+    * Rounding to nearest is monotone, in float32's normal and subnormal
+      ranges and at overflow alike. So a real y whose key is at least λ
+      exceeds ``prev32(λ)``, the float32 below λ (2^-149 below it in the
+      subnormal range, the largest float32 for λ = +inf): ``y_j(s) >
+      prev32(λ)`` for every other cell.
+    * Each iteration adds to ``D`` the largest float64 difference
+      ``hb_j(old) - hb_j(new)`` over the cells, stepped up one float64,
+      and steps the sum up one float64. A float64 rounding errs by at most
+      half a step and a difference of two float32 values is rounded at
+      most once (it is exact unless their exponents lie more than 29
+      apart), so ``D_t - D_s >= hb_j(s) - hb_j(t)`` for every cell j.
+    * ``prev32(λ)`` widens exactly and its sum with ``D_s`` rounds once,
+      so F, stepped down one float64, is at most ``prev32(λ) + D_s``.
+    * ``next32(cut)`` is a float64 too, so ``fl64(F - D_t) > next32(cut)``
+      gives ``F - D_t > next32(cut)`` in reals (monotone rounding again).
+
+    Then ``y_j(t) = y_j(s) - (hb_j(s) - hb_j(t)) > prev32(λ) - (D_t - D_s)
+    >= F - D_t > next32(cut)``, so each other key ``fl32(y_j(t))`` is at
+    least the float32 ``next32(cut)``, above the cut. The cells keyed at
+    or below the cut are the kept candidates, and κ is the smallest key of
+    all k cells. The cut keeps every cell of smallest ``fl64(X + b)`` for
+    any products within E (:func:`distances.key_bounds`), so the one kept
+    cell is the unique such cell: the point's ``nearest_cells`` cell.
+
+    Every other point is re-scored on all cells through ``plain_products``
+    and ``nearest_cells``, one kernel row block of such points at a time,
+    and its F is reset from the fresh keys of its other cells: the
+    near-ties, the points whose E is +inf (their cut is +inf), and every
+    point once a half norm overflows (``D`` is then +inf). Where k <=
+    ``TOP_L`` every cell is a candidate and F is +inf. The candidates and
+    their products stay as the first pass chose them. Each point's cell
+    is thus a function of that point alone, and counts, penalties and the
+    trace are those of ranking every cell of every point on every
+    iteration. The state holds N·TOP_L·5 bytes plus two float64 values
+    per point, and nothing ``balance`` allocates scales with N·k.
     """
     if data.count == 0:
         raise ValueError("cannot balance an empty dataset")
     n_opt = data.count / codebook.k
-    cells = codebook.centroids.keys
-    products = plain_products(data.data, cells)
-    nearest = nearest_cells(data.data, cells, 1, products)[:, 0]
-    plain = sqdist_pairs(data.data, cells.points, np.arange(data.count), nearest)
+    candidates, nearest = Candidates.initial(data, codebook)
+    plain = sqdist_pairs(data.data, codebook.centroids.points, np.arange(data.count), nearest)
     trace = BalanceTrace(scale_ratio=float(plain.mean()))
     iteration = 0
     while True:
-        assignment = assign_balanced(data, codebook, products)
+        assignment = assign_balanced(data, codebook, candidates)
         gamma = imbalance_factor(assignment.counts)
         trace.records.append(
             TraceRecord(

@@ -129,14 +129,17 @@ def sqdist_exact(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     rows only, so results do not depend on which other rows are present.
     It sums d nonnegative rounded squares of rounded differences, so it is
     within ``gamma_{d+2} D`` of the real squared distance D (Higham ch. 3),
-    which :func:`key_bounds` builds on. The differences are one (n, k, d)
-    float64 block: callers pass one query and the rows the key cut keeps,
-    about r, or every row where the cut claims nothing (25.6 MB at 100k
-    rows, d=32).
+    which :func:`key_bounds` builds on. Each row of ``x`` takes one (k, d)
+    float64 block of differences: callers pass one query and the rows the
+    key cut keeps, about r, or every row where the cut claims nothing
+    (25.6 MB at 100k rows, d=32).
     """
-    x, c = _as_pair(x, c)
-    diff = x[:, None, :] - c[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    x, c = _as_pair(x, c, None)
+    out = np.empty((len(x), len(c)))
+    for i in range(len(x)):
+        diff = np.subtract(c, x[i], dtype=np.float64)
+        out[i] = np.einsum("ij,ij->i", diff, diff)
+    return out
 
 
 def sqdist_pairs(x: np.ndarray, c: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:

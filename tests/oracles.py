@@ -8,18 +8,19 @@ directly; it works on whole distance matrices.
 The rest restate what the library computes with less work or memory, as
 it was first written, and the library must match each bit for bit:
 
+* the exact kernel as one (n, k, d) float64 block of differences;
 * the BLAS kernel with a temporary per operation;
 * k-means++ with one full distance call per draw;
 * the Lloyd mean update with ``np.add.at``;
 * every cell choice of balancing, build and routing as one whole matrix
-  of exact penalized distances, ``sqdist_exact`` plus the penalties,
+  of exact penalized distances, the exact kernel plus the penalties,
   ranked by ``(value, id)`` with a full stable argsort, and the balancing
   loop recomputing it on every iteration;
 * Lloyd's assignment and distortion over one whole BLAS distance matrix;
 * the Gaussian mixture drawn as whole (n, dim) float64 arrays;
 * the fvecs decoder that walks the records one by one to name the first
   malformed one, and checks finiteness itself;
-* ground truth as ``sqdist_exact`` over every point and ``top_r`` per
+* ground truth as the exact kernel over every point and ``top_r`` per
   query;
 * ``key_bounds`` deriving its row-side terms on every call;
 * search routing one query through ``route_cells_batch`` and concatenating
@@ -37,8 +38,8 @@ from ivfbalance.dataset import VectorSet, _draw_centers, mixture_centers
 from ivfbalance.distances import (
     _UNIT_ROUNDOFF32,
     _gamma,
+    _as_pair,
     sq_norms,
-    sqdist_exact,
     sqdist_to_centroids,
     top_r,
 )
@@ -83,6 +84,14 @@ def embed_points(vectors: np.ndarray) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError("expected a 2-d array of vectors")
     return np.hstack([arr, np.zeros((arr.shape[0], 1))])
+
+
+def sqdist_exact_block(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``sqdist_exact`` as one (n, k, d) float64 block of differences
+    ``x_i - c_j``, summed over d by one ``einsum``."""
+    x, c = _as_pair(x, c)
+    diff = x[:, None, :] - c[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
 
 
 def sqdist_expansion(x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -143,7 +152,7 @@ def penalized_ranking(x: np.ndarray, centroids: np.ndarray, penalties=None) -> n
     """Every cell, for each row of ``x``, ranked by ``(value, id)`` with NaN
     last: the whole (n, k) matrix of ``sqdist_exact`` plus the penalties,
     then a full stable argsort."""
-    d2 = sqdist_exact(x, centroids)
+    d2 = sqdist_exact_block(x, centroids)
     if penalties is not None:
         d2 += penalties[None, :]
     return np.argsort(d2, axis=1, kind="stable")
@@ -174,7 +183,7 @@ def balance_recomputing(data, codebook: Codebook, config):
             break
         codebook = update_penalties(codebook, counts, n_opt, config.alpha)
         iteration += 1
-    scale_ratio = float(sqdist_exact(data.data, points).min(axis=1).mean())
+    scale_ratio = float(sqdist_exact_block(data.data, points).min(axis=1).mean())
     return codebook, records, scale_ratio
 
 
@@ -285,7 +294,7 @@ def brute_force_nn_per_query(data, queries, r: int) -> GroundTruth:
     dists = np.empty((queries.count, r), dtype=np.float64)
     point_ids = np.arange(data.count)
     for i, query in enumerate(queries.data):
-        ids[i], dists[i] = top_r(point_ids, sqdist_exact(query[None, :], data.data)[0], r)
+        ids[i], dists[i] = top_r(point_ids, sqdist_exact_block(query[None, :], data.data)[0], r)
     return GroundTruth(ids, dists)
 
 
@@ -328,5 +337,5 @@ def search_concatenating(index, query: np.ndarray, params) -> QueryResult:
             np.nextafter(cut, np.inf, out=cut, where=cut < exact)
             keep = np.flatnonzero(keys <= cut)
             rows, kept = vectors[keep], candidates[keep]
-    ids, dists = top_r(kept, sqdist_exact(query[None, :], rows)[0], r)
+    ids, dists = top_r(kept, sqdist_exact_block(query[None, :], rows)[0], r)
     return QueryResult(ids=ids, dists=dists, scanned=int(candidates.size), probed_cells=cells)

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from ivfbalance import (
     assign_balanced,
     assign_plain,
     balance,
+    gen_gaussian_mixture,
+    lloyd_full,
     update_penalties,
 )
 import ivfbalance.balancer as balancer_mod
@@ -271,10 +274,10 @@ def same_bits(a, b) -> bool:
 
 
 class TestBalanceOneMatrix:
-    """``balance`` computes the float32 products once and cuts the cells of
-    each point on them under the penalties of each iteration; it must match
-    the loop that ranks every cell of every point by exact distance plus
-    penalty on every iteration."""
+    """``balance`` keys each point once, keeps its candidate cells and a
+    bound on the others, and re-scores the points the bound leaves open;
+    it must match the loop that ranks every cell of every point by exact
+    distance plus penalty on every iteration."""
 
     def assert_matches_recomputing(self, data, cb, config):
         final, trace = balance(data, cb, config)
@@ -336,22 +339,94 @@ class TestBalanceOneMatrix:
         "stop", [StopRule.fixed_iters(0), StopRule.fixed_iters(9), StopRule.target_gamma(1.0)]
     )
     def test_one_distance_call_per_balance(self, rng, monkeypatch, stop):
-        # Bounds come with the products, one call per row block; the float64
-        # kernel is never called.
-        calls, blas = [], []
+        # Bounds come with the products: one key_bounds call per row block of
+        # the first pass, then one per block of the rows each iteration
+        # re-scores; the float64 kernel is never called.
+        calls, blas, rescored = [], [], []
+        rescore = balancer_mod.Candidates._rescore
 
         def counting(*args):
             calls.append(len(args[0]))
             return key_bounds(*args)
 
-        monkeypatch.setattr(distances_mod, "_CHUNK_ELEMS", 64 * 10 * 4)  # 64-row blocks
+        def recording(state, x, rows, cells, out):
+            rescored.append(len(rows))
+            return rescore(state, x, rows, cells, out)
+
+        monkeypatch.setattr(distances_mod, "_CHUNK_ELEMS", 64 * 24 * 4)  # 64-row blocks
         monkeypatch.setattr(distances_mod, "key_bounds", counting)
+        monkeypatch.setattr(balancer_mod.Candidates, "_rescore", recording)
         monkeypatch.setattr(balancer_mod, "sqdist_to_centroids", lambda *a: blas.append(1))
         data = random_vectors(rng, 300, 4)
-        cb = Codebook.fresh(Centroids(data.data[:10].copy()))
+        cb = Codebook.fresh(Centroids(data.data[:24].copy()))
         config = BalanceConfig(stop=stop, alpha=0.1, max_iters_cap=40)
-        balance(data, cb, config)
-        assert calls == [64] * 4 + [44] and not blas
+        _, trace = balance(data, cb, config)
+        blocks = [min(64, n - start) for n in rescored for start in range(0, n, 64)]
+        assert calls == [64] * 4 + [44] + blocks and not blas
+        assert len(rescored) == len(trace)
+        assert len(trace) == 1 or 0 < sum(rescored) < 300 * len(trace)
+
+    @pytest.mark.parametrize("k", [balancer_mod.TOP_L, balancer_mod.TOP_L + 1])
+    def test_every_cell_or_all_but_one_a_candidate(self, rng, monkeypatch, k):
+        # Distances near the unit penalties: with one cell outside the
+        # candidates, the bound sends some rows, not all, to a re-score.
+        rescored, rescore = [], balancer_mod.Candidates._rescore
+
+        def recording(state, x, rows, cells, out):
+            rescored.append(len(rows))
+            return rescore(state, x, rows, cells, out)
+
+        monkeypatch.setattr(distances_mod, "_CHUNK_ELEMS", 48 * k * 4)
+        monkeypatch.setattr(balancer_mod.Candidates, "_rescore", recording)
+        data = random_vectors(rng, 400, 4, scale=0.3)
+        cb = Codebook.fresh(Centroids(data.data[:k].copy()))
+        config = BalanceConfig(stop=StopRule.fixed_iters(12), alpha=0.2)
+        trace = self.assert_matches_recomputing(data, cb, config)
+        assert len({tuple(r.counts) for r in trace.records}) > 1
+        if k > balancer_mod.TOP_L:
+            assert 0 < sum(rescored) < data.count * len(trace) / 4
+
+    def test_a_starved_cell_is_reached_only_through_the_bound(self, rng):
+        # The last cell sits amid the data with a penalty that keeps it out
+        # of every point's candidates. It stays empty, so its penalty falls
+        # fastest, and points cross into it only when their bound sends
+        # them to a re-score.
+        top = balancer_mod.TOP_L
+        data = VectorSet.from_array(rng.uniform(0, 1, (400, 2)))
+        points = np.vstack([rng.uniform(0, 1, (top, 2)), [[0.5, 0.5]]])
+        cb = Codebook(Centroids(points.astype(np.float32)), np.r_[np.ones(top), 50.0])
+        state, _ = balancer_mod.Candidates.initial(data, cb)
+        assert not (state.cells == top).any()
+        config = BalanceConfig(stop=StopRule.fixed_iters(20), alpha=0.2)
+        trace = self.assert_matches_recomputing(data, cb, config)
+        assert trace.records[0].counts[top] == 0 < trace.records[-1].counts[top]
+
+    @pytest.mark.parametrize(
+        "stop", [StopRule.target_gamma(1.0), StopRule.target_fraction(0.01)],
+        ids=["gamma", "fraction"],
+    )
+    def test_target_rules_stop_at_the_cap(self, rng, stop):
+        data = random_vectors(rng, 300, 3, scale=0.3)
+        cb = Codebook.fresh(Centroids(data.data[:20].copy()))
+        config = BalanceConfig(stop=stop, alpha=0.05, max_iters_cap=9)
+        assert len(self.assert_matches_recomputing(data, cb, config)) == 10
+
+    def test_rows_re_scored_stay_a_small_share(self, monkeypatch):
+        # Benchmark-like data (five skewed modes, d = 32, k = 64 > TOP_L):
+        # 8.9% of N x iterations are re-scored; the bound is what keeps it
+        # from every row on every iteration.
+        data = gen_gaussian_mixture(0, 4000, 32, 5, [0.5, 0.2, 0.15, 0.1, 0.05], 0.1)
+        cb = Codebook.fresh(lloyd_full(data, 64, seed=1, max_iters=3).centroids)
+        rows, products = [], balancer_mod.plain_products
+
+        def counting(x, cells):
+            rows.append(len(x))
+            return products(x, cells)
+
+        monkeypatch.setattr(balancer_mod, "plain_products", counting)
+        _, trace = balance(data, cb, BalanceConfig(stop=StopRule.fixed_iters(20), alpha=0.03))
+        rescored = sum(rows) - data.count  # less the first pass
+        assert 0 < rescored < 0.15 * data.count * len(trace)
 
     @staticmethod
     def permutation_tie_fixture(rng):
@@ -367,8 +442,9 @@ class TestBalanceOneMatrix:
     @pytest.mark.parametrize("case", ["offset", "huge", "tiny", "permuted"])
     def test_screen_fixtures(self, rng, monkeypatch, case):
         """Adversarial inputs for the key cut: a large offset, distances
-        past float32's range and below its normal range, and exact real
-        ties. Rows the keys cannot decide are ranked on their kept cells."""
+        past float32's range (the half norms overflow, so every row is
+        re-scored) and below its normal range, and exact real ties. Rows
+        the keys cannot decide are ranked on their kept cells."""
         if case == "permuted":
             data, cb = self.permutation_tie_fixture(rng)
         else:
@@ -384,9 +460,12 @@ class TestBalanceOneMatrix:
         monkeypatch.setattr(distances_mod, "_CHUNK_ELEMS", 16 * cb.k * cb.dim)
         monkeypatch.setattr(distances_mod, "sqdist_pairs", counting)
         config = BalanceConfig(stop=StopRule.fixed_iters(8), alpha=0.3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            self.assert_matches_recomputing(data, cb, config)
+        # Every cell a candidate, then 4 of the 9: the bound decides.
+        for top in (balancer_mod.TOP_L, 4):
+            monkeypatch.setattr(balancer_mod, "TOP_L", top)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                self.assert_matches_recomputing(data, cb, config)
         if case != "offset":
             assert ranked  # some rows were left open
 
@@ -471,3 +550,93 @@ class TestCodebookPersistence:
         cb = Codebook.fresh(cents)
         assert np.array_equal(cb.penalties, np.ones(4))
         assert cb.iteration == 0
+
+
+
+
+def next32(value, direction=np.inf):
+    """The float32 after ``value`` towards ``direction``."""
+    return np.nextafter(np.float32(value), np.float32(direction))
+
+
+class TestCandidateRule:
+    """``balance`` decides a point from its candidates where ``_beyond``
+    certifies every other cell's key above the cut. Checked in rationals at
+    each cut near the edge of what the rule passes: every other cell's real
+    ``hb - q`` lies above ``next32(cut)`` and its float32 key above the
+    cut, whatever the penalized half norms ``hb`` did since λ was taken."""
+
+    @staticmethod
+    def walks(rng):
+        """(name, float32 products q of a point's other cells, their float32
+        ``hb`` on each iteration)."""
+        n, steps = 24, 12
+        for name, scale, spread in [
+            ("unit", 1.0, 1.0),
+            ("keys round", 1.0, 2.0**-30),  # q far below hb: every key rounds
+            ("subnormal", 2.0**-140, 1.0),
+            ("large", 1e30, 1.0),
+        ]:
+            q = (rng.standard_normal(n) * scale * spread).astype(np.float32)
+            walk = [(rng.uniform(1, 2, n) * scale).astype(np.float32)]
+            for _ in range(steps):
+                factor = rng.uniform(0.7, 1.2, n)
+                factor[rng.integers(n)] = 0.05  # one cell falls past λ's gap
+                walk.append((walk[-1] * factor).astype(np.float32))
+            yield name, q, walk
+        # Half norms whose exponents lie far apart: their float64 drops round.
+        walk = [(2.0 ** rng.integers(-60, 60, n) * rng.uniform(1, 2, n)).astype(np.float32)
+                for _ in range(steps)]
+        yield "drops round in float64", np.zeros(n, np.float32), walk
+        # Few-bit values on a coarse grid: negative keys that fall into a
+        # wider binade, where λ's one-ulp margin is less than half an ulp
+        # of the key. Without the step above the cut, 4-5% of these fail.
+        for _ in range(2000):
+            hb = (rng.integers(1, 64, 4) * 2.0 ** rng.integers(-6, 0, 4)).astype(np.float32)
+            q = (rng.integers(1, 2**24, 4) * 2.0 ** rng.integers(-23, -20, 4)).astype(np.float32)
+            fall = rng.integers(0, 64, 4) * 2.0 ** rng.integers(-8, 0, 4)
+            yield "binades widen", q, [hb, (hb - fall).astype(np.float32)]
+
+    def test_the_floor_is_rounded_down(self, rng):
+        # F = fl64(prev32(λ) + D) rounded down, over keys of every scale,
+        # subnormal ones included, and drops whose sums round either way.
+        keys = (rng.standard_normal(3000) * 10.0 ** rng.uniform(-44, 30, 3000)).astype(np.float32)
+        drops = rng.uniform(0, 1, 3000) * 10.0 ** rng.uniform(-10, 10, 3000)
+        for key, drop in zip(keys, drops):
+            floor = balancer_mod._floor(np.array([key]), float(drop))[0]
+            below = Fraction(float(next32(key, -np.inf)))
+            assert Fraction(float(floor)) <= below + Fraction(float(drop))
+
+    def test_the_rule_holds_in_exact_arithmetic(self, rng):
+        fell_past, claims = set(), 0
+        for name, q, walk in self.walks(rng):
+            state = balancer_mod.Candidates(None, None, None, None, walk[0])
+            for t, hb in enumerate(walk):
+                previous_drop = state.drop
+                state._follow(hb)
+                # D covers the largest real drop of any cell.
+                fall = max(Fraction(float(a)) - Fraction(float(b)) for a, b in zip(walk[t - 1], hb))
+                assert t == 0 or Fraction(state.drop) - Fraction(previous_drop) >= fall, name
+                keys = np.subtract(hb, q)
+                if t == 0 or t == len(walk) // 2 > 1:  # λ is taken, and reset midway
+                    lam, taken = keys.min(), state.drop
+                    floor = balancer_mod._floor(np.array([lam]), taken)
+                    below = Fraction(float(next32(lam, -np.inf)))
+                    assert Fraction(float(floor[0])) <= below + Fraction(taken), name
+                    continue
+                edge = np.float32(floor[0] - state.drop)
+                cuts = [edge, keys.min()]
+                for _ in range(3):
+                    cuts += [next32(c, -np.inf) for c in cuts[-2:]]
+                real = min(Fraction(float(h)) - Fraction(float(v)) for h, v in zip(hb, q))
+                for cut in cuts:
+                    if balancer_mod._beyond(floor, state.drop, np.array([cut]))[0]:
+                        claims += 1
+                        assert real > Fraction(float(next32(cut))), name
+                        assert (keys > cut).all(), name
+                if keys.min() < lam:
+                    fell_past.add(name)
+        # In every kind of walk some cell's key fell below λ.
+        assert fell_past == {"unit", "keys round", "subnormal", "large", "drops round in float64",
+                             "binades widen"}
+        assert claims > 2000

@@ -31,6 +31,7 @@ from oracles import (
     distortion_whole,
     key_bounds_recomputing,
     route_cells_whole_sort,
+    sqdist_exact_block,
     sqdist_expansion,
 )
 
@@ -351,6 +352,19 @@ def screen_cases(rng):
 
 
 class TestExactKernel:
+    @pytest.mark.parametrize("d", [*range(1, 70), 96, 128, 129, 256])
+    def test_each_row_gives_the_bits_of_one_block(self, rng, d):
+        # Rows and queries of many scales, with NaN and +-inf coordinates.
+        rows = rng.standard_normal((13, d)) * 10.0 ** rng.integers(-20, 20, (13, 1))
+        rows = rows.astype(np.float32)
+        rows[3, 0], rows[5, -1], rows[7, d // 2] = np.nan, np.inf, -np.inf
+        queries = rng.standard_normal((5, d)) * 10.0 ** rng.integers(-20, 20, (5, 1))
+        queries[1, -1], queries[2, 0], queries[3, d // 2] = np.nan, np.inf, -np.inf
+        for x, c in ((queries, rows), (rows, rows), (queries[:1], rows[:0]), (queries[:0], rows)):
+            with np.errstate(invalid="ignore"):  # inf - inf
+                got, want = sqdist_exact(x, c), sqdist_exact_block(x, c)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_relative_error_holds_in_exact_arithmetic(self, rng):
         # ``sqdist_exact`` is within gamma_{d+2} relative of the real
         # squared distance, which ``key_bounds`` builds on.
