@@ -10,7 +10,8 @@ with ``n_opt = N / k``. Reassigning under the penalized distance
 ``d(x, c_i)^2 + b_i`` then drains points from crowded cells into their
 neighbors, driving populations toward ``n_opt``. Centroid positions are
 never re-estimated during balancing; only the penalties move. So balancing
-keys every point once, in one pass over the kernel row blocks, and keeps
+keys every point once, in one walk over the kernel row blocks
+(``distances.keyed_blocks``, as build and batch routing do), and keeps
 :class:`Candidates`: its ``TOP_L`` cells with the smallest keys, their
 float32 products, its key bound E, and λ, a lower bound on the keys of all
 its other cells, as Elkan's and Hamerly's k-means keep bounds on the
@@ -19,7 +20,7 @@ iteration cuts a point's candidates under the new penalties, as routing
 cuts every cell (``distances.nearest_cells``). λ falls by at most the
 largest drop of any cell's penalized half norm per iteration; a point
 whose one kept candidate stays below λ is decided, and every other point
-is re-scored on all cells in row blocks, which resets its λ. Balancing,
+is re-scored on all cells by that walk over it, which resets its λ. Balancing,
 build and routing therefore put every point in the same cell, whatever
 the batch. The state costs N·TOP_L·5 bytes plus two float64 values per
 point (9.6 MB at N=100k), against 4·N·k bytes (102 MB at k=256) for the
@@ -41,15 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import VectorSet, write_csv
-from .distances import (
-    RowKeys,
-    _block_rows,
-    _cut_at,
-    nearest_cells,
-    plain_products,
-    row_keys,
-    sqdist_pairs,
-)
+from .distances import RowKeys, _cut_at, keyed_blocks, nearest_cells, row_keys, sqdist_pairs
 from .distances import sqdist_to_centroids  # noqa: F401  (perfbench/spans.py wraps it here)
 from .kmeans import Assignment, Centroids
 from .metrics import imbalance_factor
@@ -165,8 +158,8 @@ class BalanceConfig:
     max_iters_cap: int = DEFAULT_MAX_ITERS_CAP
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.max_iters_cap < 0:
             raise ValueError("max_iters_cap must be >= 0")
 
@@ -243,27 +236,24 @@ class Candidates:
 
     @classmethod
     def initial(cls, data: VectorSet, codebook: Codebook) -> tuple["Candidates", np.ndarray]:
-        """The state from one pass over the kernel row blocks, and each
-        point's plain nearest cell, from the same products."""
-        x, cells, plain = data.data, codebook.keys, codebook.centroids.keys
-        n, k = data.count, codebook.k
+        """The state from one walk over the kernel row blocks keyed against
+        the plain centroids, and each point's plain nearest cell from it."""
+        cells, n, k = codebook.keys, data.count, codebook.k
         top = min(TOP_L, k)
         state = cls(np.empty((top, n), np.min_scalar_type(k - 1)), np.empty((top, n), np.float32),
                     np.empty(n), np.full(n, np.inf), cells.half)
         nearest = np.empty(n, dtype=np.int64)
-        step = _block_rows(k, data.dim)
-        for start in range(0, n, step):
-            block = slice(start, start + step)
-            product, state.bound[block] = plain_products(x[block], plain)
-            nearest[block] = nearest_cells(x[block], plain, 1, (product, state.bound[block]))[:, 0]
+        for block, ids, product, keys, bound in keyed_blocks(data.data, codebook.centroids.keys):
+            nearest[block], state.bound[block] = ids[:, 0], bound
             if top < k:
-                keys = np.subtract(cells.half, product)
+                keys = np.subtract(cells.half, product, out=keys)  # under the penalties
                 best = np.argpartition(keys, top, axis=1)
                 state.floor[block] = _floor(keys[np.arange(len(keys)), best[:, top]], 0.0)
             else:
                 best = np.broadcast_to(np.arange(k), product.shape)
             state.cells[:, block] = best[:, :top].T
             state.products[:, block] = np.take_along_axis(product, best[:, :top], 1).T
+            del product, keys, best  # not alive while the next block is keyed
         return state, nearest
 
     def assign(self, data: VectorSet, codebook: Codebook) -> np.ndarray:
@@ -299,16 +289,12 @@ class Candidates:
         """``nearest_cells`` of ``rows`` into ``out``, one kernel row block at
         a time, resetting their λ from the fresh keys of their other cells."""
         top, k = self.cells.shape[0], len(cells.half)
-        step = _block_rows(k, x.shape[1])
-        for start in range(0, len(rows), step):
-            block = rows[start : start + step]
-            points = x.take(block, 0)
-            product, bound = plain_products(points, cells)
-            out[block] = nearest_cells(points, cells, 1, (product, bound))[:, 0]
+        for block, ids, _, keys, _ in keyed_blocks(x, cells, rows=rows):
+            out[block] = ids[:, 0]
             if top < k:
-                keys = np.subtract(cells.half, product)
                 keys[np.arange(len(block))[:, None], self.cells[:, block].T] = np.inf
                 self.floor[block] = _floor(keys.min(axis=1), self.drop)
+            del ids, keys  # not alive while the next block is keyed
 
 
 def assign_balanced(data: VectorSet, codebook: Codebook,
@@ -360,7 +346,7 @@ def balance(
     updates; ``max_iters_cap`` bounds the updates of a target rule, whose
     target may never be met: convergence is empirical, not guaranteed.
 
-    One pass over the kernel row blocks keys every point and keeps its
+    One ``keyed_blocks`` walk over the data keys every point and keeps its
     :class:`Candidates`. With ``hb_j`` cell j's float32 penalized half
     norm and ``q_j`` the point's float32 product with it, cell j's key is
     ``fl32(hb_j - q_j)``, one float32 rounding of the real ``y_j = hb_j -
@@ -397,9 +383,9 @@ def balance(
     any products within E (:func:`distances.key_bounds`), so the one kept
     cell is the unique such cell: the point's ``nearest_cells`` cell.
 
-    Every other point is re-scored on all cells through ``plain_products``
-    and ``nearest_cells``, one kernel row block of such points at a time,
-    and its F is reset from the fresh keys of its other cells: the
+    Every other point is re-scored on all cells by ``keyed_blocks``' walk
+    over the open rows, one kernel row block of them at a time, and its F
+    is reset from the keys that walk yields for its other cells: the
     near-ties, the points whose E is +inf (their cut is +inf), and every
     point once a half norm overflows (``D`` is then +inf). Where k <=
     ``TOP_L`` every cell is a candidate and F is +inf. The candidates and

@@ -195,11 +195,11 @@ def _stop_rule(args: argparse.Namespace) -> balancer.StopRule:
 
 
 def _cmd_balance(args: argparse.Namespace) -> None:
-    data = load_fvecs(args.db)
-    codebook = index_mod.load_codebook(args.codebook)
     config = balancer.BalanceConfig(
         stop=_stop_rule(args), alpha=args.alpha, max_iters_cap=args.max_iters_cap
     )
+    data = load_fvecs(args.db)
+    codebook = index_mod.load_codebook(args.codebook)
     balanced, trace = balancer.balance(data, codebook, config)
     out = Path(args.out)
     index_mod.save_codebook(

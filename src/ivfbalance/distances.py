@@ -23,10 +23,11 @@ whose key is at most κ + 2E, κ being the r-th smallest key, reach the
 exact kernel, and are ranked by ``(value, id)``. One query's search and
 routing cut its candidate rows with one float32 product per span of them
 (:func:`nearest_r`), ground truth a block of queries with float32 GEMM
-tiles (:func:`block_cut`), and balancing, build and batch routing a row
-block's centroids with one float32 product (:func:`nearest_cells`); a
-cell's key holds half its penalty. So a point's cell is a function of the
-point alone, whatever the batch and the BLAS build.
+tiles (:func:`block_cut`), and balancing, build and batch routing each
+row block's centroids with one float32 product (:func:`keyed_blocks`,
+which :func:`nearest_cells` walks); a cell's key holds half its
+penalty. So a point's cell is a function of the point alone, whatever
+the batch and the BLAS build.
 
 All arithmetic is float64 regardless of input dtype; float32 inputs widen
 exactly, except in the float32 keys.
@@ -40,9 +41,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Rows per BLAS row block of sqdist_to_centroids: rows * k * dim, the
-# block's multiply-adds, stays near this.
+# Rows per row block of sqdist_to_centroids and keyed_blocks: rows * k * dim,
+# the block's multiply-adds, stays near this.
 _CHUNK_ELEMS = 16 * 1024 * 1024
+
+# Rows per float64 block of differences of the exact kernels: at d=32, 512 KB.
+_EXACT_ROWS = 2048
 
 # Rows per tile of block_cut: a block of 32 queries holds 32 * 4096
 # float32 keys (512 KB).
@@ -67,8 +71,8 @@ def _as_matrix(a: np.ndarray, name: str, dtype=None) -> np.ndarray:
 
 
 def _block_rows(k: int, d: int) -> int:
-    """Rows per BLAS row block of :func:`sqdist_to_centroids`, counted from
-    row 0."""
+    """Rows per row block of :func:`sqdist_to_centroids` and
+    :func:`keyed_blocks`, counted from row 0."""
     return max(1, _CHUNK_ELEMS // max(1, k * d))
 
 
@@ -129,16 +133,15 @@ def sqdist_exact(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     rows only, so results do not depend on which other rows are present.
     It sums d nonnegative rounded squares of rounded differences, so it is
     within ``gamma_{d+2} D`` of the real squared distance D (Higham ch. 3),
-    which :func:`key_bounds` builds on. Each row of ``x`` takes one (k, d)
-    float64 block of differences: callers pass one query and the rows the
-    key cut keeps, about r, or every row where the cut claims nothing
-    (25.6 MB at 100k rows, d=32).
+    which :func:`key_bounds` builds on. Each row of ``x`` walks ``c`` in
+    blocks of ``_EXACT_ROWS`` rows, one float64 block of differences alive
+    at a time.
     """
     x, c = _as_pair(x, c, None)
     out = np.empty((len(x), len(c)))
     for i in range(len(x)):
-        diff = np.subtract(c, x[i], dtype=np.float64)
-        out[i] = np.einsum("ij,ij->i", diff, diff)
+        for s in range(0, len(c), _EXACT_ROWS):
+            _sqdist_rows(c[s : s + _EXACT_ROWS], x[i], out[i, s : s + _EXACT_ROWS])
     return out
 
 
@@ -146,12 +149,18 @@ def sqdist_pairs(x: np.ndarray, c: np.ndarray, i: np.ndarray, j: np.ndarray) -> 
     """:func:`sqdist_exact` of each pair of rows ``x[i]`` and ``c[j]``, the
     same bits, in blocks of pairs that hold no pairs×d float64 copy."""
     out = np.empty(len(i))
-    step = 2048
-    for s in range(0, len(i), step):
-        diff = np.subtract(x.take(i[s : s + step], 0), c.take(j[s : s + step], 0),
-                           dtype=np.float64)
-        np.einsum("ij,ij->i", diff, diff, out=out[s : s + step])
+    for s in range(0, len(i), _EXACT_ROWS):
+        block = slice(s, s + _EXACT_ROWS)
+        _sqdist_rows(x.take(i[block], 0), c.take(j[block], 0), out[block])
     return out
+
+
+def _sqdist_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """``sum((a - b)**2)`` of each row of ``a`` into ``out``, ``b`` one row
+    or as many rows as ``a``: one float64 block of differences, summed by a
+    row ``einsum``. The exact kernels' one body."""
+    diff = np.subtract(a, b, dtype=np.float64)
+    np.einsum("ij,ij->i", diff, diff, out=out)
 
 
 def top_r(ids: np.ndarray, d2: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -461,46 +470,41 @@ def row_keys(points: np.ndarray, penalties: np.ndarray | None = None) -> RowKeys
     return RowKeys(points, half, frame, term, penalties)
 
 
-def plain_products(x: np.ndarray, cells: RowKeys) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, k) float32 products ``fl32(p.c)`` of :func:`key_bounds`' p
-    for the rows of ``x`` and the centroids, one product per row block, and
-    each row's E without the penalties' term: what :func:`nearest_cells`
-    keys the cells with, under any penalties."""
+def keyed_blocks(x: np.ndarray, cells: RowKeys, m: int = 1, rows: np.ndarray | None = None):
+    """Each kernel row block of ``x``, or of ``x[rows]`` gathered one block
+    at a time, keyed against the cells: ``(block, ids, product, keys, E)``,
+    with ``block`` its rows' index into ``x``, ``product`` the float32
+    ``fl32(p.c)`` of :func:`key_bounds`' p with each centroid, ``keys``
+    ``fl32(hb - product)``, E the rows' bound without the penalties' term,
+    and ``ids`` the rows' (rows, m) :func:`nearest_cells` cells."""
     x = _as_pair(x, cells.points, None)[0]
-    rows = np.asarray(cells.points, dtype=np.float32)
-    product = np.empty((len(x), len(rows)), dtype=np.float32)
-    bound = np.empty(len(x))
-    step = _block_rows(len(rows), x.shape[1])
-    for start in range(0, len(x), step):
-        block = slice(start, start + step)
-        p, bound[block] = key_bounds(x[block], cells.frame)
-        np.matmul(p, rows.T, out=product[block])
-    return product, bound
+    matrix = np.asarray(cells.points, dtype=np.float32)
+    step = _block_rows(len(matrix), x.shape[1])
+    for start in range(0, len(x) if rows is None else len(rows), step):
+        block = slice(start, start + step) if rows is None else rows[start : start + step]
+        points = x[block]
+        p, bound = key_bounds(points, cells.frame)
+        product = np.matmul(p, matrix.T)
+        keys = np.subtract(cells.half, product)
+        yield block, _choose(points, keys, bound + cells.term, cells, m), product, keys, bound
+        del points, p, product, keys  # the caller's del frees them before the next block
 
 
-def nearest_cells(x: np.ndarray, cells: RowKeys, m: int = 1, products=None) -> np.ndarray:
+def nearest_cells(x: np.ndarray, cells: RowKeys, m: int = 1) -> np.ndarray:
     """The (n, m) ids of the m cells with the smallest ``fl64(X + b)`` for
     each row of ``x``, X its :func:`sqdist_exact` value to a centroid and b
     the cell's penalty (0 without), lowest id on ties and NaN last: the
     first m of a full sort, a function of the row alone.
 
-    It is :func:`nearest_r`'s cut with the centroids as the rows. Each row
-    block of ``x`` keys the cells as ``fl32(hb - fl32(p.c))`` from its
-    :func:`plain_products`, or from the caller's ``products`` of ``x``. A
-    row that keeps one cell at m = 1 is decided; every other row, and every
-    row at m > 1 so that the order is exact, is ranked on its kept cells
-    (about m without near-ties, every cell where E is +inf), all rows of the
-    block in one pass.
+    It is :func:`nearest_r`'s cut with the centroids as the rows, over the
+    :func:`keyed_blocks` of ``x``. A row that keeps one cell at m = 1 is
+    decided; every other row, and every row at m > 1 so that the order is
+    exact, is ranked on its kept cells (about m without near-ties, every
+    cell where E is +inf), all rows of the block in one pass.
     """
-    x = _as_pair(x, cells.points, None)[0]
     out = np.empty((len(x), m), dtype=np.int64)
-    step = _block_rows(len(cells.half), x.shape[1])
-    for start in range(0, len(x), step):
-        block = slice(start, start + step)
-        product, bound = (plain_products(x[block], cells) if products is None
-                          else (products[0][block], products[1][block]))
-        keys = np.subtract(cells.half, product)
-        out[block] = _choose(x[block], keys, bound + cells.term, cells, m)
+    for block, ids, *_ in keyed_blocks(x, cells, m):
+        out[block] = ids
     return out
 
 

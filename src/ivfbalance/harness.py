@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import os
 import zipfile
 from collections.abc import Iterator
@@ -91,8 +92,11 @@ class ExperimentSpec:
             raise ValueError("iteration preset list must not be empty")
         if any(r < 0 for r in self.iters):
             raise ValueError("iteration presets must be >= 0")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        for name, values in (("k", self.ks), ("ma", self.mas), ("iteration preset", self.iters)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"each {name} must appear once, got {list(values)}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode: {self.mode!r}")
         if self.route not in ROUTES:

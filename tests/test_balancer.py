@@ -417,13 +417,13 @@ class TestBalanceOneMatrix:
         # from every row on every iteration.
         data = gen_gaussian_mixture(0, 4000, 32, 5, [0.5, 0.2, 0.15, 0.1, 0.05], 0.1)
         cb = Codebook.fresh(lloyd_full(data, 64, seed=1, max_iters=3).centroids)
-        rows, products = [], balancer_mod.plain_products
+        rows = []
 
-        def counting(x, cells):
+        def counting(x, frame):
             rows.append(len(x))
-            return products(x, cells)
+            return key_bounds(x, frame)
 
-        monkeypatch.setattr(balancer_mod, "plain_products", counting)
+        monkeypatch.setattr(distances_mod, "key_bounds", counting)
         _, trace = balance(data, cb, BalanceConfig(stop=StopRule.fixed_iters(20), alpha=0.03))
         rescored = sum(rows) - data.count  # less the first pass
         assert 0 < rescored < 0.15 * data.count * len(trace)

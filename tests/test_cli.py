@@ -210,6 +210,20 @@ class TestExitCodes:
         assert run(["balance", "--db", db, "--codebook", tmp_path / "cb",
                     "--out", tmp_path / "bal"]) == 2
 
+    @pytest.mark.parametrize("command, flags, message", [
+        ("balance", ["--codebook", "missing", "--alpha", "inf"], "alpha must be positive and finite"),
+        ("tradeoff", ["--queries", "missing.fvecs", "--k", "8,8"], "each k must appear once"),
+        ("histogram", ["--queries", "missing.fvecs", "--k", 8, "--ma", "2,2"],
+         "each ma must appear once"),
+    ], ids=["infinite-alpha", "repeated-k", "repeated-ma"])
+    def test_bad_settings_exit_two_before_any_file_is_read(self, tmp_path, capsys, command,
+                                                           flags, message):
+        # The database does not exist: a run that read it would fail on it first.
+        assert run([command, "--db", tmp_path / "missing.fvecs", *flags,
+                    "--out", tmp_path / "o"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_list_exits_two(self, generated, tmp_path, capsys):
         db, _ = generated
         with pytest.raises(SystemExit) as exc:

@@ -15,8 +15,8 @@ from ivfbalance.balancer import B_FLOOR
 from ivfbalance.distances import (
     _gamma,
     key_bounds,
+    keyed_blocks,
     nearest_r,
-    plain_products,
     row_keys,
     sq_norms,
     sqdist_exact,
@@ -237,7 +237,7 @@ class TestScreen:
             points = (0.5 + 1e-3 * rng.standard_normal((2, 3))).astype(np.float32)
             x = points.mean(axis=0, dtype=np.float64) + 1e-3 * rng.uniform(0.5, 1.5, (1, 3))
             plain = row_keys(points)
-            product = plain_products(x, plain)[0][0].astype(np.float64)
+            product = next(keyed_blocks(x, plain))[2][0].astype(np.float64)
             hb1 = np.float32(2 + rng.integers(256) * ulp)
             a1 = float(hb1) + ulp / 2 - 2.0**-40
             a0 = a1 - product[1] + product[0] - rng.uniform(0, 2.0**-18)
@@ -260,7 +260,7 @@ class TestScreen:
 class TestRowBlocks:
     """Assignment, the distortion trace, build and routing walk the kernel's
     row blocks one at a time; at each block edge they must give the bits of
-    one whole-matrix call."""
+    one whole-matrix call, and build and routing key each row once."""
 
     K, D, ROWS = 7, 3, 5
 
@@ -295,6 +295,37 @@ class TestRowBlocks:
         for ma, route in itertools.product((1, 3), ROUTES):
             got = route_cells_batch(data.data, cb, ma, route)
             assert np.array_equal(got, route_cells_whole_sort(data.data, cb, ma, route))
+
+    def test_build_and_routing_key_each_row_once(self, data, rng, monkeypatch):
+        # One key_bounds call per row block, whatever the walk's m.
+        cb = Codebook(Centroids(data.data[: self.K].copy()), rng.random(self.K))
+        calls = []
+
+        def counting(queries, frame):
+            calls.append(len(queries))
+            return key_bounds(queries, frame)
+
+        monkeypatch.setattr(distances, "key_bounds", counting)
+        n = data.count
+        blocks = [min(self.ROWS, n - start) for start in range(0, n, self.ROWS)]
+        for walk in (lambda: build(data, cb), lambda: route_cells_batch(data.data, cb, 1),
+                     lambda: route_cells_batch(data.data, cb, 3)):
+            calls.clear()
+            walk()
+            assert calls == blocks
+
+    def test_a_walk_over_rows_is_a_walk_over_their_gather(self, data, rng):
+        cb = Codebook(Centroids(data.data[: self.K].copy()), rng.random(self.K))
+        rows = rng.permutation(data.count)[: 3 * self.ROWS + 2]
+        for m in (1, 3):
+            walked = list(keyed_blocks(data.data, cb.keys, m, rows))
+            gathered = list(keyed_blocks(data.data[rows], cb.keys, m))
+            assert len(walked) == len(gathered) == 4
+            for (block, *got), (part, *want) in zip(walked, gathered):
+                assert np.array_equal(block, rows[part])
+                for a, b in zip(got, want):  # ids, product, keys and E
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
 
     def test_empty_input_is_still_shape_checked(self, rng):
         cb = Codebook.fresh(Centroids(rng.standard_normal((4, 3)).astype(np.float32)))
@@ -360,7 +391,10 @@ class TestExactKernel:
         rows[3, 0], rows[5, -1], rows[7, d // 2] = np.nan, np.inf, -np.inf
         queries = rng.standard_normal((5, d)) * 10.0 ** rng.integers(-20, 20, (5, 1))
         queries[1, -1], queries[2, 0], queries[3, d // 2] = np.nan, np.inf, -np.inf
-        for x, c in ((queries, rows), (rows, rows), (queries[:1], rows[:0]), (queries[:0], rows)):
+        # Two blocks of the kernel's rows and a tail, the NaN and inf rows in each.
+        many = np.resize(rows, (2 * distances._EXACT_ROWS + 13, d))
+        for x, c in ((queries, rows), (rows, rows), (queries[:1], rows[:0]), (queries[:0], rows),
+                     (queries[:4], many)):
             with np.errstate(invalid="ignore"):  # inf - inf
                 got, want = sqdist_exact(x, c), sqdist_exact_block(x, c)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()

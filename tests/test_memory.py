@@ -1,8 +1,8 @@
 """No stage of the write path or of routing holds an n×k float64 matrix,
 balancing holds no n×k array at all, the set-up path holds one copy of
 the vectors, neither ground truth nor the Lloyd mean update makes an n×d
-float64 copy of the data, and the checksums of the data hash its buffer
-in place.
+float64 copy of the data, the exact kernel holds one block of rows at a
+time, and the checksums of the data hash its buffer in place.
 
 ``tracemalloc`` sees numpy's buffers, so the peak it reports is the live
 memory a stage allocates, apart from where the allocator places it. The
@@ -22,6 +22,7 @@ from ivfbalance import (
     Centroids,
     Codebook,
     StopRule,
+    VectorSet,
     balance,
     brute_force_nn,
     build,
@@ -103,6 +104,18 @@ def test_ground_truth_and_mean_update_hold_no_widened_copy():
     previous = random_vectors(rng, k, d)
     _, peak = peak_bytes(lambda: _update_means(data, cells, Centroids(previous.data)))
     assert peak < widened / 2
+
+
+def test_ground_truth_past_the_keys_holds_no_block_of_every_row():
+    # Half norms past float32's range: the key cut claims nothing, and every
+    # query scores all rows exactly, one block of rows at a time.
+    n, d = 50_000, 32
+    rng = np.random.default_rng(4)
+    data = VectorSet.from_array(rng.standard_normal((n, d)) * 1e19)
+    queries = VectorSet.from_array(rng.standard_normal((4, d)) * 1e19)
+    assert data.keys.frame.h_max == np.inf
+    _, peak = peak_bytes(lambda: brute_force_nn(data, queries, 10))
+    assert peak < 8 * n * d / 4
 
 
 def test_data_checksums_hash_the_buffer_in_place(tmp_path):

@@ -8,6 +8,7 @@ from ivfbalance import (
     BalanceConfig,
     Centroids,
     Codebook,
+    ExperimentSpec,
     StopRule,
     VectorSet,
     balance,
@@ -34,6 +35,26 @@ CASES = {
     "unknown-stop-kind": (
         lambda: balance(POINTS, CODEBOOK, BalanceConfig(StopRule("bogus", 1))),
         "unknown stop rule: 'bogus'",
+    ),
+    "infinite-alpha": (
+        lambda: BalanceConfig(StopRule.fixed_iters(1), alpha=np.inf),
+        "alpha must be positive and finite, got inf",
+    ),
+    # A sweep is refused before any file is read or any training runs.
+    "repeated-k": (
+        lambda: ExperimentSpec("db", "out", ks=(8, 8)), r"each k must appear once, got \[8, 8\]"
+    ),
+    "repeated-ma": (
+        lambda: ExperimentSpec("db", "out", ks=(8,), mas=(2, 1, 2)),
+        r"each ma must appear once, got \[2, 1, 2\]",
+    ),
+    "repeated-iteration-preset": (
+        lambda: ExperimentSpec("db", "out", ks=(8,), iters=(4, 4)),
+        r"each iteration preset must appear once, got \[4, 4\]",
+    ),
+    "infinite-alpha-of-a-sweep": (
+        lambda: ExperimentSpec("db", "out", ks=(8,), alpha=np.inf),
+        "alpha must be positive and finite, got inf",
     ),
     # Before any balancing work: the rule itself is refused.
     "unknown-stop-kind-alone": (lambda: StopRule("bogus", 1), "unknown stop rule: 'bogus'"),
