@@ -313,7 +313,8 @@ def update_penalties(
     """One multiplicative penalty update; returns a new Codebook.
 
     Zero counts are clamped to 1 inside the ratio (a zero count would make
-    b=0 an absorbing state) and the result is clamped to ``B_FLOOR``.
+    b=0 an absorbing state) and the result is clamped to ``B_FLOOR``. An
+    alpha that takes a penalty past float64's range is refused.
     """
     counts = np.asarray(counts)
     if counts.shape != (codebook.k,):
@@ -323,7 +324,12 @@ def update_penalties(
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     ratio = np.maximum(counts, COUNT_FLOOR) / float(n_opt)
-    new_b = np.maximum(codebook.penalties * ratio**alpha, B_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        new_b = np.maximum(codebook.penalties * ratio**alpha, B_FLOOR)
+    if not np.isfinite(new_b).all():
+        raise ValueError(
+            f"alpha={alpha} overflows the penalties at iteration {codebook.iteration + 1}"
+        )
     return Codebook(codebook.centroids, new_b, codebook.iteration + 1)
 
 

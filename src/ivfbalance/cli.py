@@ -5,8 +5,8 @@ trains a codebook, ``balance`` equalizes its cell populations, ``build``
 materializes the inverted file, ``search``/``eval`` query it, and
 ``convergence``/``tradeoff``/``histogram`` run the full experiment sweeps.
 
-Exit codes: 0 success, 2 validation error (bad arguments, bad files),
-1 runtime error.
+Exit codes: 0 success, 2 validation error (bad arguments, bad files, an
+output path through an existing file), 1 runtime error.
 """
 
 from __future__ import annotations
@@ -252,7 +252,8 @@ def _cmd_eval(args: argparse.Namespace) -> None:
     queries = load_fvecs(args.queries)
     inverted = index_mod.load_index(args.index, data)
     out = Path(args.out)
-    truth = harness.ground_truth_cached(data, queries, 1, out / "gt_cache")
+    out.mkdir(parents=True, exist_ok=True)
+    truth = metrics.brute_force_nn(data, queries, 1)
     params = index_mod.SearchParams(ma=args.ma, route=args.route)
     report = metrics.evaluate(inverted, queries, params, truth)
     row = (inverted.k, args.ma, inverted.codebook.iteration, "", report)
@@ -300,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, FileExistsError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -17,11 +17,8 @@ reproduces every CSV byte-for-byte on a fixed platform.
 
 from __future__ import annotations
 
-import hashlib
-import io
 import math
 import os
-import zipfile
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,7 +33,7 @@ from .balancer import (
     StopRule,
     balance,
 )
-from .dataset import VectorSet, load_fvecs, write_csv, write_files
+from .dataset import VectorSet, load_fvecs, write_csv
 from .index import (
     ROUTE_PENALIZED,
     ROUTES,
@@ -47,7 +44,6 @@ from .index import (
 )
 from .kmeans import lloyd_full
 from .metrics import (
-    GroundTruth,
     brute_force_nn,
     evaluate,
     scan_costs,
@@ -155,39 +151,6 @@ def _out_dir(spec: ExperimentSpec) -> Path:
     return out
 
 
-def ground_truth_cached(
-    db: VectorSet, queries: VectorSet, r: int, cache_dir: str | os.PathLike
-) -> GroundTruth:
-    """Brute-force ground truth, cached on disk keyed by dataset checksums.
-
-    The cache file is written through ``write_files``, so a reader never
-    sees a partial file. A cache file that cannot be read, or does not hold
-    (Q, r) ids in ``[0, N)`` and distances, is recomputed and replaced.
-    The key names no code version: :func:`brute_force_nn` returns the
-    exact scan's bytes however it computes them, so a cache file written
-    by an earlier version stays valid.
-    """
-    digest = hashlib.sha256(np.ascontiguousarray(db.data))  # hashed in place
-    digest.update(np.ascontiguousarray(queries.data))
-    digest.update(str(r).encode())
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    cache_file = cache_dir / f"gt_{digest.hexdigest()[:24]}.npz"
-    try:
-        with np.load(cache_file) as stored:
-            truth = GroundTruth(stored["ids"], stored["dists"])
-        ids = truth.ids
-        if ids.shape == (queries.count, r) and 0 <= ids.min() <= ids.max() < db.count:
-            return truth
-    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
-        pass  # missing, unreadable or malformed: recompute and replace it
-    truth = brute_force_nn(db, queries, r)
-    archive = io.BytesIO()
-    np.savez(archive, ids=truth.ids, dists=truth.dists)
-    write_files(cache_dir, {cache_file.name: archive.getvalue()})
-    return truth
-
-
 def _trained(
     spec: ExperimentSpec, kmeans_set: VectorSet, balance_set: VectorSet
 ) -> Iterator[tuple[int, dict[int, Codebook], BalanceTrace]]:
@@ -226,7 +189,7 @@ def run_tradeoff(spec: ExperimentSpec) -> Path:
     queries = _load_queries(spec, "tradeoff")
     db, kmeans_set, balance_set = _load_sets(spec)
     out = _out_dir(spec)
-    truth = ground_truth_cached(db, queries, 1, out / "gt_cache")
+    truth = brute_force_nn(db, queries, 1)
     rows = []
     for k, r, index in _indexes(spec, db, kmeans_set, balance_set):
         for ma in spec.mas:

@@ -1,10 +1,11 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
 
 from ivfbalance.cli import main
-from ivfbalance import Centroids, Codebook, load_fvecs, save_codebook
+from ivfbalance import Centroids, Codebook, brute_force_nn, load_fvecs, save_codebook
 
 from conftest import write_codebook_without_cells
 
@@ -70,6 +71,34 @@ class TestPipeline:
             (row,) = list(csv.DictReader(fh))
         assert row["alpha"] == ""
         assert row["iters"] == "0"
+
+    def test_eval_ignores_a_planted_ground_truth_file(self, generated, tmp_path):
+        # A well-formed file where an earlier version cached ground truth,
+        # under the key it would have read, holding in-range but wrong ids.
+        db, queries = generated
+        assert run(["kmeans", "--db", db, "--k", 4, "--seed", 1,
+                    "--out", tmp_path / "cb"]) == 0
+        assert run(["build", "--db", db, "--codebook", tmp_path / "cb",
+                    "--out", tmp_path / "idx"]) == 0
+        data, query_set = load_fvecs(db), load_fvecs(queries)
+        truth = brute_force_nn(data, query_set, 1)
+        key = hashlib.sha256(data.data)
+        key.update(query_set.data)
+        key.update(b"1")
+        planted = tmp_path / "planted" / "gt_cache" / f"gt_{key.hexdigest()[:24]}.npz"
+        planted.parent.mkdir(parents=True)
+        np.savez(planted, ids=(truth.ids + 1) % data.count, dists=truth.dists)
+        for out in ("empty", "planted"):
+            assert run(["eval", "--index", tmp_path / "idx", "--db", db, "--queries", queries,
+                        "--out", tmp_path / out]) == 0
+        empty, planted_out = tmp_path / "empty", tmp_path / "planted"
+        assert sorted(p.name for p in empty.iterdir()) == ["histogram.csv", "report.csv"]
+        assert sorted(p.name for p in planted_out.iterdir() if p.is_file()) == [
+            "histogram.csv", "report.csv"
+        ]
+        assert list(planted_out.rglob("*.npz")) == [planted]
+        for name in ("report.csv", "histogram.csv"):
+            assert (planted_out / name).read_bytes() == (empty / name).read_bytes()
 
     def test_gen_deterministic(self, tmp_path):
         a = tmp_path / "a.fvecs"
@@ -238,10 +267,43 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "expected comma-separated floats: '1,x'" in capsys.readouterr().err
 
-    def test_os_error_is_runtime_error(self, tmp_path, capsys):
-        (tmp_path / "file").write_text("")
-        assert run(["gen", "--out", tmp_path / "file" / "g.fvecs", "--n", 5, "--dim", 2]) == 1
+    def test_balance_alpha_that_overflows_exits_two(self, generated, tmp_path, capsys):
+        db, _ = generated
+        assert run(["kmeans", "--db", db, "--k", 4, "--out", tmp_path / "cb"]) == 0
+        capsys.readouterr()
+        assert run(["balance", "--db", db, "--codebook", tmp_path / "cb",
+                    "--alpha", 1e308, "--out", tmp_path / "bal"]) == 2
+        assert "alpha=1e+308 overflows the penalties at iteration 1" in capsys.readouterr().err
+        assert not (tmp_path / "bal").exists()
+
+    @pytest.mark.parametrize("command", ["kmeans", "build", "search", "eval", "tradeoff"])
+    def test_out_naming_an_existing_file_exits_two(self, generated, tmp_path, capsys, command):
+        db, queries = generated
+        assert run(["kmeans", "--db", db, "--k", 4, "--out", tmp_path / "cb"]) == 0
+        assert run(["build", "--db", db, "--codebook", tmp_path / "cb",
+                    "--out", tmp_path / "idx"]) == 0
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        index_flags = ["--index", tmp_path / "idx", "--db", db, "--queries", queries]
+        args = {
+            "kmeans": ["--db", db, "--k", 4, "--out", afile],
+            "build": ["--db", db, "--codebook", tmp_path / "cb", "--out", afile],
+            "search": [*index_flags, "--out", afile / "x.csv"],
+            "eval": [*index_flags, "--out", afile],
+            "tradeoff": ["--db", db, "--queries", queries, "--k", 4, "--iters", 0,
+                         "--out", afile],
+        }[command]
+        capsys.readouterr()
+        assert run([command, *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(afile) in err
+        assert afile.read_text() == ""
+
+    def test_os_error_is_runtime_error(self, tmp_path, capsys, full_disk):
+        full_disk(1)
+        assert run(["gen", "--out", tmp_path / "g.fvecs", "--n", 5, "--dim", 2]) == 1
         assert capsys.readouterr().err.startswith("runtime error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

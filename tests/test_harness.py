@@ -15,7 +15,7 @@ from ivfbalance import (
     save_fvecs,
 )
 import ivfbalance.harness as harness
-from ivfbalance.harness import codebooks_at_iterations, ground_truth_cached
+from ivfbalance.harness import codebooks_at_iterations
 
 from conftest import random_vectors
 
@@ -291,57 +291,6 @@ class TestModes:
             mode="open",
         )
         assert run_tradeoff(spec).is_file()
-
-
-class TestGroundTruthCache:
-    def test_cache_hit_is_identical(self, tmp_path, rng):
-        data = random_vectors(rng, 80, 3)
-        queries = random_vectors(rng, 9, 3)
-        cache = tmp_path / "cache"
-        first = ground_truth_cached(data, queries, 2, cache)
-        files = list(cache.glob("gt_*.npz"))
-        assert len(files) == 1
-        second = ground_truth_cached(data, queries, 2, cache)
-        assert np.array_equal(first.ids, second.ids)
-        assert np.array_equal(first.dists, second.dists)
-        assert len(list(cache.glob("gt_*.npz"))) == 1
-
-    def test_distinct_datasets_get_distinct_keys(self, tmp_path, rng):
-        data = random_vectors(rng, 40, 3)
-        queries = random_vectors(rng, 4, 3)
-        other = random_vectors(rng, 40, 3)
-        cache = tmp_path / "cache"
-        ground_truth_cached(data, queries, 2, cache)
-        ground_truth_cached(other, queries, 2, cache)
-        assert len(list(cache.glob("gt_*.npz"))) == 2
-
-    def test_cache_with_ids_outside_the_data_is_recomputed(self, tmp_path, rng):
-        data = random_vectors(rng, 200, 3)
-        queries = random_vectors(rng, 5, 3)
-        cache = tmp_path / "cache"
-        expected = ground_truth_cached(data, queries, 2, cache)
-        (cache_file,) = cache.glob("gt_*.npz")
-        for bad in (10_000, -1):
-            np.savez(cache_file, ids=np.full((5, 2), bad), dists=expected.dists)
-            again = ground_truth_cached(data, queries, 2, cache)
-            assert np.array_equal(again.ids, expected.ids)
-            with np.load(cache_file) as stored:
-                assert np.array_equal(stored["ids"], expected.ids)
-        assert list(cache.iterdir()) == [cache_file]
-
-    def test_unreadable_cache_is_recomputed(self, tmp_path, rng):
-        data = random_vectors(rng, 60, 3)
-        queries = random_vectors(rng, 5, 3)
-        cache = tmp_path / "cache"
-        expected = ground_truth_cached(data, queries, 2, cache)
-        (cache_file,) = cache.glob("gt_*.npz")
-        cache_file.write_bytes(b"not an npz archive")
-        again = ground_truth_cached(data, queries, 2, cache)
-        assert np.array_equal(again.ids, expected.ids)
-        assert np.array_equal(again.dists, expected.dists)
-        assert list(cache.iterdir()) == [cache_file]
-        with np.load(cache_file) as stored:
-            assert np.array_equal(stored["ids"], expected.ids)
 
 
 def test_histogram_csv_bytes(two_clusters, tmp_path):

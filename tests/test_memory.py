@@ -31,7 +31,6 @@ from ivfbalance import (
     lloyd_full,
     save_fvecs,
 )
-from ivfbalance.harness import ground_truth_cached
 from ivfbalance.index import route_cells_batch, save_index
 from ivfbalance.kmeans import _update_means
 
@@ -126,8 +125,3 @@ def test_data_checksums_hash_the_buffer_in_place(tmp_path):
     index = build(data, Codebook.fresh(Centroids(data.data[:16].copy())))
     _, peak = peak_bytes(lambda: save_index(index, tmp_path / "idx"))
     assert peak < copy / 2
-    queries = random_vectors(rng, 4, d)
-    # The cache key hashes the data and queries; a miss also runs ground truth.
-    for _ in ("miss", "hit"):
-        _, peak = peak_bytes(lambda: ground_truth_cached(data, queries, 5, tmp_path / "gt"))
-        assert peak < copy / 2

@@ -17,6 +17,7 @@ from ivfbalance import (
     lloyd_full,
     mixture_centers,
     select_cells,
+    update_penalties,
 )
 from ivfbalance.distances import sqdist_to_centroids
 from ivfbalance.index import InvertedFile, route_cells_batch
@@ -39,6 +40,11 @@ CASES = {
     "infinite-alpha": (
         lambda: BalanceConfig(StopRule.fixed_iters(1), alpha=np.inf),
         "alpha must be positive and finite, got inf",
+    ),
+    # A finite alpha can still take a penalty past float64's range.
+    "overflowing-alpha": (
+        lambda: update_penalties(CODEBOOK, np.array([6, 0]), 3.0, 1e308),
+        r"alpha=1e\+308 overflows the penalties at iteration 1",
     ),
     # A sweep is refused before any file is read or any training runs.
     "repeated-k": (

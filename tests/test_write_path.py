@@ -24,7 +24,6 @@ from ivfbalance import (
     save_index,
 )
 from ivfbalance.dataset import format_csv, write_csv, write_files
-from ivfbalance.harness import ground_truth_cached
 from ivfbalance.metrics import ScanHistogram, write_histogram_csv
 
 from conftest import files_in, random_vectors
@@ -162,16 +161,14 @@ def test_format_csv_joins_the_str_of_each_field():
 def test_every_written_file_has_the_umasks_mode(tmp_path, data):
     previous = os.umask(0o027)
     try:
-        queries = random_vectors(np.random.default_rng(1), 3, 2)
         save_fvecs(data, tmp_path / "db.fvecs")
         codebook = codebook_with([1.0, 1.0, 1.0], 0)
         save_codebook(codebook, tmp_path / "cb")
         save_index(build(data, codebook), tmp_path / "idx")
         write_csv(tmp_path / "rows.csv", "a", [(1,)])
-        ground_truth_cached(data, queries, 2, tmp_path / "gt_cache")
     finally:
         os.umask(previous)
     written = [p for p in tmp_path.rglob("*") if p.is_file()]
-    assert len(written) == 1 + 3 + 4 + 1 + 1
+    assert len(written) == 1 + 3 + 4 + 1
     for path in written:
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o027, path
