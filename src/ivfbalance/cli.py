@@ -37,12 +37,12 @@ def _add_route_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--route", choices=index_mod.ROUTES, default=index_mod.ROUTE_PENALIZED)
 
 
-def _add_experiment_flags(sub: argparse.ArgumentParser, queries_required: bool) -> None:
+def _add_experiment_flags(sub: argparse.ArgumentParser, probed: bool) -> None:
+    """The sweep flags; ``probed`` adds the query set, the probe counts and
+    the route, which only the sweeps that route queries read."""
     sub.add_argument("--db", required=True, help="database fvecs file")
-    sub.add_argument("--queries", required=queries_required, help="query fvecs file")
     sub.add_argument("--learning", help="learning-set fvecs file")
     sub.add_argument("--k", type=_int_list, required=True, help="cluster counts, comma-separated")
-    sub.add_argument("--ma", type=_int_list, default=(1,), help="probe counts, comma-separated")
     sub.add_argument(
         "--iters",
         type=_int_list,
@@ -53,22 +53,24 @@ def _add_experiment_flags(sub: argparse.ArgumentParser, queries_required: bool) 
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("--mode", choices=harness.MODES, default=harness.MODE_CLOSED)
-    _add_route_flag(sub)
+    if probed:
+        sub.add_argument("--queries", required=True, help="query fvecs file")
+        sub.add_argument("--ma", type=_int_list, default=(1,), help="probe counts, comma-separated")
+        _add_route_flag(sub)
 
 
 def _experiment_spec(args: argparse.Namespace) -> harness.ExperimentSpec:
+    probes = dict(queries=args.queries, mas=args.ma, route=args.route) if "ma" in args else {}
     return harness.ExperimentSpec(
         db=args.db,
-        queries=args.queries,
         learning=args.learning,
         ks=args.k,
-        mas=args.ma,
         iters=args.iters,
         alpha=args.alpha,
         seed=args.seed,
         out=args.out,
         mode=args.mode,
-        route=args.route,
+        **probes,
     )
 
 
@@ -142,13 +144,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", required=True, help="output directory")
 
     conv = subs.add_parser("convergence", help="gamma-per-iteration traces")
-    _add_experiment_flags(conv, queries_required=False)
+    _add_experiment_flags(conv, probed=False)
 
     trade = subs.add_parser("tradeoff", help="selectivity/recall sweep")
-    _add_experiment_flags(trade, queries_required=True)
+    _add_experiment_flags(trade, probed=True)
 
     hist = subs.add_parser("histogram", help="scan-count distributions")
-    _add_experiment_flags(hist, queries_required=True)
+    _add_experiment_flags(hist, probed=True)
 
     return parser
 

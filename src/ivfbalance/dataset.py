@@ -166,7 +166,11 @@ def write_files(directory: PathLike, files: dict[str, str | bytes | np.ndarray])
             if target.exists() and not target.is_file():
                 raise ValueError(f"{target} exists and is not a regular file")
             temp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
-            with open(temp, "xb") as fh:
+            try:
+                fh = open(temp, "xb")
+            except OSError as exc:  # name the user's path, not the temporary
+                raise type(exc)(exc.errno, exc.strerror, str(Path(directory) / name)) from exc
+            with fh:
                 renames.append((temp, target))
                 fh.write(payload.encode() if isinstance(payload, str) else payload)
         for temp, target in renames:

@@ -439,17 +439,11 @@ def row_keys(points: np.ndarray, penalties: np.ndarray | None = None) -> RowKeys
     center, h_max, v_max = np.zeros(d, np.float32), 0.0, 0.0  # no rows: nothing to bound
     if n:
         center = rows[:: max(1, n // 1024)].mean(axis=0, dtype=np.float64).astype(np.float32)
-        # Tiles of 64Ki entries. A flat subtract of a repeated center runs long
-        # loops; a broadcast over the rows would loop d entries at a time.
-        step = max(1, 64 * 1024 // max(1, d))
-        repeated = np.tile(center, min(step, n))
-        buf = np.empty_like(repeated)
+        step = max(1, 64 * 1024 // max(1, d))  # tiles of 64Ki entries
         with np.errstate(over="ignore"):
             for start in range(0, n, step):
-                tile = rows[start : start + step]
-                diff = np.subtract(tile.reshape(-1), repeated[: tile.size], out=buf[: tile.size])
-                diff = diff.reshape(tile.shape)
-                np.einsum("ij,ij->i", diff, diff, out=half[start : start + len(tile)])
+                diff = rows[start : start + step] - center
+                np.einsum("ij,ij->i", diff, diff, out=half[start : start + len(diff)])
             half *= np.float32(0.5)
         h_max = float(half.max())
         spread = 2 * (h_max + (d + 2) * 2.0**-150) * (1 + 2 * _gamma(d + 2, _UNIT_ROUNDOFF32))

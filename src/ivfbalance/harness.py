@@ -38,14 +38,13 @@ from .index import (
     ROUTE_PENALIZED,
     ROUTES,
     InvertedFile,
-    SearchParams,
     build,
     route_cells_batch,
 )
 from .kmeans import lloyd_full
 from .metrics import (
     brute_force_nn,
-    evaluate,
+    probed_report,
     scan_costs,
     write_histogram_csv,
     write_report_csv,
@@ -163,13 +162,18 @@ def _trained(
         yield k, stages, trace
 
 
-def _indexes(
-    spec: ExperimentSpec, db: VectorSet, kmeans_set: VectorSet, balance_set: VectorSet
-) -> Iterator[tuple[int, int, InvertedFile]]:
-    """Per k and balancing preset r: the database indexed at stage r."""
+def _probed(
+    spec: ExperimentSpec, queries: VectorSet, db: VectorSet, kmeans_set: VectorSet,
+    balance_set: VectorSet,
+) -> Iterator[tuple[int, int, InvertedFile, np.ndarray]]:
+    """Per k and balancing preset r: the database indexed at stage r, and the
+    queries' cells there, routed once at the largest ``ma``. The probe order
+    is an exact ranking, so each smaller ``ma`` probes its prefix."""
     for k, stages, _ in _trained(spec, kmeans_set, balance_set):
         for r in spec.iters:
-            yield k, r, build(db, stages[r])
+            index = build(db, stages[r])
+            yield k, r, index, route_cells_batch(
+                queries.data, index.codebook, max(spec.mas), spec.route)
 
 
 def run_convergence(spec: ExperimentSpec) -> list[Path]:
@@ -190,27 +194,21 @@ def run_tradeoff(spec: ExperimentSpec) -> Path:
     db, kmeans_set, balance_set = _load_sets(spec)
     out = _out_dir(spec)
     truth = brute_force_nn(db, queries, 1)
-    rows = []
-    for k, r, index in _indexes(spec, db, kmeans_set, balance_set):
-        for ma in spec.mas:
-            params = SearchParams(ma=ma, route=spec.route)
-            report = evaluate(index, queries, params, truth)
-            rows.append((k, ma, r, spec.alpha, report))
+    rows = [(k, ma, r, spec.alpha, probed_report(index, probed[:, :ma], truth))
+            for k, r, index, probed in _probed(spec, queries, db, kmeans_set, balance_set)
+            for ma in spec.mas]
     path = out / "tradeoff.csv"
     write_report_csv(path, rows)
     return path
 
 
 def run_histogram(spec: ExperimentSpec) -> tuple[list[Path], Path]:
-    """Distribution of scan counts per preset, plus a variance summary. Each
-    (k, preset) routes once, at the largest ``ma``: the probe order is an
-    exact ranking, so each smaller ``ma`` probes its prefix."""
+    """Distribution of scan counts per preset, plus a variance summary."""
     queries = _load_queries(spec, "histogram")
     db, kmeans_set, balance_set = _load_sets(spec)
     out = _out_dir(spec)
     written, summary_rows = [], []
-    for k, r, index in _indexes(spec, db, kmeans_set, balance_set):
-        probed = route_cells_batch(queries.data, index.codebook, max(spec.mas), spec.route)
+    for k, r, index, probed in _probed(spec, queries, db, kmeans_set, balance_set):
         for ma in spec.mas:
             costs = scan_costs(index, probed[:, :ma])
             path = out / f"histogram_k{k}_ma{ma}_r{r}.csv"

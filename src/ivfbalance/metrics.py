@@ -150,27 +150,43 @@ def scan_costs(index: "InvertedFile", probed: np.ndarray) -> ScanHistogram:
     )
 
 
-def _probe_hits(
-    index: "InvertedFile",
-    queries: VectorSet,
-    params: "SearchParams",
-    truth: GroundTruth,
-    r: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (Q, ma) probed cells, and a (Q, r) mask that is True where a
-    true top-r neighbor's cell is among its query's probed cells."""
+def _route(index: "InvertedFile", queries: VectorSet, params: "SearchParams") -> np.ndarray:
     from .index import route_cells_batch  # deferred: metrics <-> index cycle
 
-    if queries.count == 0:
+    return route_cells_batch(queries.data, index.codebook, params.ma, params.route)
+
+
+def _hits(index: "InvertedFile", probed: np.ndarray, truth: GroundTruth, r: int) -> np.ndarray:
+    """A (Q, r) mask, True where a true top-r neighbor's cell is among its
+    query's (Q, ma) ``probed`` cells."""
+    if len(probed) == 0:
         raise ValueError("the query set is empty")
-    if truth.num_queries != queries.count:
-        raise ValueError(
-            f"truth covers {truth.num_queries} queries, got {queries.count}"
-        )
-    probed = route_cells_batch(queries.data, index.codebook, params.ma, params.route)
+    if truth.num_queries != len(probed):
+        raise ValueError(f"truth covers {truth.num_queries} queries, got {len(probed)}")
     truth_cells = index.cell_of_points()[truth.ids[:, :r]]
-    found = (truth_cells[:, :, None] == probed[:, None, :]).any(axis=2)
-    return probed, found
+    return (truth_cells[:, :, None] == probed[:, None, :]).any(axis=2)
+
+
+def probed_report(index: "InvertedFile", probed: np.ndarray, truth: GroundTruth) -> EvalReport:
+    """Measure selectivity, recall@1, imbalance and the scan-count histogram
+    of the queries whose (Q, ma) cells are ``probed``.
+
+    Selectivity is the summed probed-cell populations over N * Q. A query
+    scores a recall hit when its true nearest neighbor lies in one of its
+    probed cells (it is then necessarily ranked first). gamma and Var come
+    from the index's list lengths.
+    """
+    found = _hits(index, probed, truth, 1)
+    costs = scan_costs(index, probed)
+    list_sizes = index.list_sizes()
+    return EvalReport(
+        scanned=costs.scanned,
+        bucket_width=costs.bucket_width,
+        gamma=imbalance_factor(list_sizes),
+        variance=list_variance(list_sizes),
+        selectivity=float(costs.scanned.sum()) / (index.count * len(probed)),
+        recall_at_1=float(found.mean()),
+    )
 
 
 def evaluate(
@@ -179,24 +195,8 @@ def evaluate(
     params: "SearchParams",
     truth: GroundTruth,
 ) -> EvalReport:
-    """Measure selectivity, recall@1, imbalance and the scan-count histogram.
-
-    Selectivity is the summed probed-cell populations over N * |queries|.
-    A query scores a recall hit when its true nearest neighbor lies in one
-    of its probed cells (it is then necessarily ranked first). gamma and
-    Var come from the index's list lengths.
-    """
-    probed, found = _probe_hits(index, queries, params, truth, 1)
-    costs = scan_costs(index, probed)
-    list_sizes = index.list_sizes()
-    return EvalReport(
-        scanned=costs.scanned,
-        bucket_width=costs.bucket_width,
-        gamma=imbalance_factor(list_sizes),
-        variance=list_variance(list_sizes),
-        selectivity=float(costs.scanned.sum()) / (index.count * queries.count),
-        recall_at_1=float(found.mean()),
-    )
+    """Route ``queries`` by ``params``, then :func:`probed_report`."""
+    return probed_report(index, _route(index, queries, params), truth)
 
 
 def recall_at_r(
@@ -210,8 +210,7 @@ def recall_at_r(
     cells. Not part of the headline report; recall@1 is the primary measure."""
     if not 1 <= r <= truth.r:
         raise ValueError(f"r={r} out of range [1, {truth.r}]")
-    _, found = _probe_hits(index, queries, params, truth, r)
-    return float(found.mean())
+    return float(_hits(index, _route(index, queries, params), truth, r).mean())
 
 
 def write_report_csv(path: str | os.PathLike, rows: list[tuple]) -> None:

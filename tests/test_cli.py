@@ -260,6 +260,17 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "expected comma-separated ints: '3,x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--queries", "q.fvecs"), ("--ma", "1"), ("--route", "plain"),
+    ])
+    def test_convergence_takes_no_probe_flags(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["convergence", "--db", str(tmp_path / "db.fvecs"), "--k", "8",
+                  "--out", str(tmp_path / "o"), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_float_list_exits_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--out", str(tmp_path / "g.fvecs"), "--n", "5", "--dim", "2",
@@ -296,8 +307,27 @@ class TestExitCodes:
         capsys.readouterr()
         assert run([command, *args]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(afile) in err
+        named = afile / "x.csv" if command == "search" else afile
+        assert err.startswith("error: ") and str(named) in err and ".tmp" not in err
         assert afile.read_text() == ""
+
+    @pytest.mark.parametrize("command", ["search", "gen"])
+    def test_out_in_a_missing_directory_exits_two(self, generated, tmp_path, capsys, command):
+        db, queries = generated
+        if command == "search":
+            assert run(["kmeans", "--db", db, "--k", 4, "--out", tmp_path / "cb"]) == 0
+            assert run(["build", "--db", db, "--codebook", tmp_path / "cb",
+                        "--out", tmp_path / "idx"]) == 0
+        args, out = {
+            "search": (["--index", tmp_path / "idx", "--db", db, "--queries", queries], "x.csv"),
+            "gen": (["--n", 5, "--dim", 2], "db.fvecs"),
+        }[command]
+        out = tmp_path / "nodir" / out
+        capsys.readouterr()
+        assert run([command, *args, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert not out.parent.exists()
 
     def test_os_error_is_runtime_error(self, tmp_path, capsys, full_disk):
         full_disk(1)

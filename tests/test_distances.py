@@ -542,6 +542,22 @@ class TestShiftedKeys:
             keyed = row_keys(rows, b)
         assert np.isinf(keyed.half[0]) and keyed.term == np.inf
 
+    @pytest.mark.parametrize("scale", [1.0, 1e19])
+    @pytest.mark.parametrize("d", [3, 32])
+    def test_tiled_half_norms_equal_one_whole_matrix_einsum(self, rng, d, scale):
+        # row_keys subtracts the center one 64Ki-entry tile at a time; at
+        # 1e19 the squares overflow float32 to +inf, with no warning.
+        step = 65536 // d
+        for n in (step - 1, step, step + 1):
+            rows = (scale * rng.standard_normal((n, d))).astype(np.float32)
+            keyed = row_keys(rows)
+            diff = rows - keyed.frame.center
+            with np.errstate(over="ignore"):
+                expected = np.einsum("ij,ij->i", diff, diff) * np.float32(0.5)
+            assert keyed.half.dtype == expected.dtype == np.float32
+            np.testing.assert_array_equal(keyed.half.view(np.uint32), expected.view(np.uint32))
+            assert np.isinf(expected).any() == (scale > 1)
+
     def test_v_max_bounds_every_row_norm(self, rng):
         for name, _, rows in key_cases(rng):
             v_max = row_keys(rows).frame.v_max

@@ -32,6 +32,19 @@ def mixture_files(tmp_path):
     return db_path, q_path
 
 
+@pytest.fixture
+def routed(monkeypatch):
+    """The ``ma`` of each ``harness.route_cells_batch`` call, in order."""
+    calls, route = [], harness.route_cells_batch
+
+    def recording(queries, codebook, ma, *args):
+        calls.append(ma)
+        return route(queries, codebook, ma, *args)
+
+    monkeypatch.setattr(harness, "route_cells_batch", recording)
+    return calls
+
+
 class TestSpecValidation:
     def test_empty_iters_rejected_before_output(self, mixture_files, tmp_path):
         db, q = mixture_files
@@ -198,6 +211,21 @@ class TestTradeoff:
             rows[int(parts[2])] = float(parts[6])
         assert rows[64] < rows[0]
 
+    def test_routes_once_per_preset_and_writes_each_mas_own_rows(
+        self, mixture_files, tmp_path, routed
+    ):
+        db, q = mixture_files
+        common = dict(db=db, queries=q, ks=(8,), iters=(0, 4), seed=5)
+        path = run_tradeoff(ExperimentSpec(out=tmp_path / "all", mas=(1, 4, 2), **common))
+        assert routed == [4, 4]
+        rows = path.read_text().splitlines()[1:]
+        assert len(rows) == 6
+        for ma in (1, 4, 2):
+            alone = run_tradeoff(ExperimentSpec(out=tmp_path / f"ma{ma}", mas=(ma,), **common))
+            assert routed[-2:] == [ma, ma]
+            assert alone.read_text().splitlines()[1:] == [
+                row for row in rows if row.split(",")[1] == str(ma)]
+
     def test_requires_queries(self, mixture_files, tmp_path):
         db, _ = mixture_files
         spec = ExperimentSpec(db=db, out=tmp_path / "out", ks=(4,), seed=5)
@@ -216,16 +244,9 @@ class TestHistogram:
         assert len(lines) == 2  # header + the one bucket at N
 
     def test_routes_once_per_preset_and_writes_each_mas_own_bytes(
-        self, mixture_files, tmp_path, monkeypatch
+        self, mixture_files, tmp_path, routed
     ):
         db, q = mixture_files
-        routed, route = [], harness.route_cells_batch
-
-        def recording(queries, codebook, ma, *args):
-            routed.append(ma)
-            return route(queries, codebook, ma, *args)
-
-        monkeypatch.setattr(harness, "route_cells_batch", recording)
         common = dict(db=db, queries=q, ks=(8,), iters=(0, 4), seed=5)
         written, summary = run_histogram(ExperimentSpec(out=tmp_path / "all", mas=(1, 4, 2),
                                                         **common))

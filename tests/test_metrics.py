@@ -22,6 +22,7 @@ from ivfbalance import (
 )
 from ivfbalance import distances, metrics
 from ivfbalance.distances import sqdist_exact
+from ivfbalance.index import route_cells_batch
 from ivfbalance.metrics import ScanHistogram, write_histogram_csv, write_report_csv
 
 from conftest import random_vectors
@@ -387,6 +388,16 @@ class TestEvaluate:
         report = evaluate(index, queries, SearchParams(ma=2), truth)
         assert r1 == report.recall_at_1
         assert full == 1.0
+
+    @pytest.mark.parametrize("ma", [1, 2, 4])
+    def test_probed_report_equals_evaluate_on_the_same_cells(self, eval_fixture, ma):
+        _, queries, index, truth = eval_fixture
+        probed = route_cells_batch(queries.data, index.codebook, 4)[:, :ma]
+        report = metrics.probed_report(index, probed, truth)
+        expected = evaluate(index, queries, SearchParams(ma=ma), truth)
+        for name in ("gamma", "variance", "selectivity", "recall_at_1", "bucket_width"):
+            assert getattr(report, name) == getattr(expected, name)
+        np.testing.assert_array_equal(report.scanned, expected.scanned)
 
 
 class TestHistogram:
