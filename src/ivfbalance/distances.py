@@ -2,11 +2,11 @@
 
 Two kernels with different determinism/speed trade-offs:
 
-* :func:`sqdist_to_centroids` uses the BLAS expansion trick. It is fast and
-  deterministic for identical inputs. Lloyd's assignment and distortion
-  reduce it one row block at a time, never holding an n×k matrix. Its
-  bits for one row can depend on the other rows in the call and on the
-  BLAS build, so it decides no result rank and no cell of an index.
+* :func:`sqdist_to_centroids` uses the BLAS expansion trick in L2-sized
+  row blocks, deterministic for identical inputs. Lloyd's assignment and
+  distortion reduce it one block at a time, never holding an n×k matrix.
+  Its bits for one row can depend on the other rows in the call and on
+  the BLAS build, so it decides no result rank and no cell of an index.
 * :func:`sqdist_exact` computes elementwise differences, so each (row, col)
   distance is bitwise identical no matter how candidates are sliced,
   permuted, or batched. Every result rank and every cell choice is decided
@@ -41,9 +41,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Rows per row block of sqdist_to_centroids and keyed_blocks: rows * k * dim,
-# the block's multiply-adds, stays near this.
-_CHUNK_ELEMS = 16 * 1024 * 1024
+# Rows per row block of sqdist_to_centroids and keyed_blocks: rows * k * dim
+# stays near this. At k * dim = 8,192 (k=256, d=32) a block is 256 rows, and
+# its float64 distances and product, 512 KB each, stay resident in a 2 MB L2.
+_CHUNK_ELEMS = 2 * 1024 * 1024
 
 # Rows per float64 block of differences of the exact kernels: at d=32, 512 KB.
 _EXACT_ROWS = 2048
@@ -100,27 +101,36 @@ def sqdist_to_centroids(
     (n, k) float64 matrix, clipped at zero (the expansion
     ``|x|^2 + |c|^2 - 2 x.c`` can go slightly negative for near-identical
     pairs). With ``reduce``, ``reduce(d2, s)`` of each row block ``s`` and
-    its distances ``d2``, concatenated: one block alive, and widened to
-    float64, at a time. A caller that reuses one ``x`` across calls passes
-    it widened to float64 and its ``x_sq = sq_norms(x)`` once. The bits are
-    the same either way.
+    its distances ``d2``, a buffer the next block overwrites, concatenated:
+    one block alive, and widened to float64, at a time. A caller that
+    reuses one ``x`` across calls passes it widened to float64 and its
+    ``x_sq = sq_norms(x)`` once. The bits are the same either way.
+
+    A block is the product ``[|x|^2, 1].[1, |c|^2]``, whose products by 1
+    are exact, so it rounds as the add does (numpy walks a broadcast add
+    one row at a time, 4x slower at k=256), plus the product ``x.(-2 c)``.
+    For float32-valued ``x`` and ``c``, as every caller passes, that gives
+    the bits of subtracting ``2 (x.c)``: each product of two entries is
+    exact in float64 and every partial sum, a multiple of 2^-298, is
+    normal, so the -2 commutes with every rounding, in any order of sums.
     """
     x, c = _as_pair(x, c, None)
     c = np.ascontiguousarray(c, dtype=np.float64)
-    n = len(x)
+    n, k = len(x), len(c)
     if x_sq is not None and (x_sq.shape != (n,) or x_sq.dtype != np.float64):
         raise ValueError(f"x_sq must be float64 of shape ({n},)")
-    c_sq = sq_norms(c)
-    out = [] if reduce else np.empty((n, len(c)))
+    m2c, norms = -2.0 * c, np.stack([np.ones(k), sq_norms(c)])
     rows = _block_rows(*c.shape)
+    out = [] if reduce else np.empty((n, k))
+    buf, product = np.empty((2, min(rows, n), k))
+    left = np.ones((min(rows, n), 2))
     for start in range(0, max(n, 1), rows):
         s = slice(start, min(start + rows, n))
         xb = np.ascontiguousarray(x[s], dtype=np.float64)
-        xb_sq = sq_norms(xb) if x_sq is None else x_sq[s]
-        block = np.add(xb_sq[:, None], c_sq[None, :], out=None if reduce else out[s])
-        product = xb @ c.T
-        block -= np.multiply(product, 2.0, out=product)  # exact, so the bits of 2.0 * (x.c)
-        np.clip(block, 0.0, None, out=block)
+        left[: len(xb), 0] = sq_norms(xb) if x_sq is None else x_sq[s]
+        block = np.matmul(left[: len(xb)], norms, out=buf[: len(xb)] if reduce else out[s])
+        block += np.matmul(xb, m2c.T, out=product[: len(xb)])
+        np.maximum(block, 0.0, out=block)
         if reduce:
             out.append(reduce(block, s))
     return np.concatenate(out) if reduce else out

@@ -31,7 +31,6 @@ from pathlib import Path
 
 import numpy as np
 
-import ivfbalance.distances as distances
 from ivfbalance import Centroids, Codebook, imbalance_factor, update_penalties
 from ivfbalance.balancer import STOP_FIXED_ITERS, _stop_satisfied
 from ivfbalance.dataset import VectorSet, _draw_centers, mixture_centers
@@ -94,14 +93,13 @@ def sqdist_exact_block(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def sqdist_expansion(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+def sqdist_expansion(x: np.ndarray, c: np.ndarray, rows: int) -> np.ndarray:
     """``|x|^2 + |c|^2 - 2 x.c`` clipped at zero, one new array per step,
-    in the kernel's row blocks."""
+    in blocks of ``rows`` rows from row 0."""
     x = np.asarray(x, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     n, k = x.shape[0], c.shape[0]
     out = np.empty((n, k))
-    rows = max(1, distances._CHUNK_ELEMS // max(1, k * x.shape[1]))
     for start in range(0, n, rows):
         xb = x[start : start + rows]
         block = sq_norms(xb)[:, None] + sq_norms(c)[None, :]
@@ -189,14 +187,14 @@ def balance_recomputing(data, codebook: Codebook, config):
 
 def assign_plain_whole_argmin(data, centroids: Centroids) -> np.ndarray:
     """Each point's Lloyd cell as one argmin over the whole BLAS distance
-    matrix."""
-    return np.argmin(sqdist_to_centroids(data.data, centroids.points), axis=1)
+    matrix, one product of every row."""
+    return np.argmin(sqdist_expansion(data.data, centroids.points, data.count), axis=1)
 
 
 def distortion_whole(data, centroids: Centroids, cells: np.ndarray) -> float:
     """The summed distance of each point to its cell, gathered from the
-    whole BLAS distance matrix."""
-    d2 = sqdist_to_centroids(data.data, centroids.points)
+    whole BLAS distance matrix, one product of every row."""
+    d2 = sqdist_expansion(data.data, centroids.points, data.count)
     return float(d2[np.arange(data.count), cells].sum())
 
 

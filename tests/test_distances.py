@@ -30,9 +30,11 @@ from oracles import (
     assign_plain_whole_argmin,
     distortion_whole,
     key_bounds_recomputing,
+    kmeans_pp_per_draw,
     route_cells_whole_sort,
     sqdist_exact_block,
     sqdist_expansion,
+    update_means_add_at,
 )
 
 
@@ -61,6 +63,28 @@ class TestCachedNorms:
             sqdist_to_centroids(x, x[:2], sq_norms(x).astype(np.float32))
 
 
+def kernel_case(name, rng):
+    """(x, c) float32 at k=256, d=32, the benchmark's shape, or k=1 for
+    "kmeans-pp", the shape of a k-means++ draw."""
+    k, d = 256, 32
+    normal = lambda n, scale=1.0: (rng.standard_normal((n, d)) * scale).astype(np.float32)
+    if name == "kmeans-pp":  # past one 2 Mi-element block of 65,536 rows
+        x = normal(65536 + 160)
+        return x, x[7:8]
+    if name == "offset-1e4":
+        # Half the coordinates at 1e4, so the float64 sums round; cells in
+        # pairs one float32 step apart, rows on a cell: the expansion goes
+        # negative for both of a pair, and the clip's zeros tie.
+        c = normal(k)
+        c[:, : d // 2] += np.float32(1e4)
+        c[1::2] = c[::2]
+        c[1::2, -1] = np.nextafter(c[::2, -1], np.float32(np.inf))
+        return c[rng.integers(k, size=3 * 256 + 160)], c
+    n = {"tail-256": 3 * 256 + 160, "tail-2048": 2 * 2048 + 1, "empty": 0}.get(name, 3 * 256 + 160)
+    scale = {"scale-1e-20": 1e-20, "scale-1e19": 1e19}.get(name, 1.0)
+    return normal(n, scale), normal(k, scale)
+
+
 class TestKernel:
     @pytest.mark.parametrize("chunk_rows", [None, 5])
     def test_matches_one_array_per_step(self, rng, monkeypatch, chunk_rows):
@@ -70,7 +94,22 @@ class TestKernel:
         x = (rng.standard_normal((41, d)) + 100.0).astype(np.float32)
         c = (x[:k] + rng.standard_normal((k, d)) * 1e-3).astype(np.float32)
         got = sqdist_to_centroids(x, c)
-        assert got.tobytes() == sqdist_expansion(x, c).tobytes()
+        assert got.tobytes() == sqdist_expansion(x, c, chunk_rows or len(x)).tobytes()
+
+    @pytest.mark.parametrize("case", ["tail-256", "tail-2048", "kmeans-pp", "offset-1e4",
+                                      "scale-1e-20", "scale-1e19", "empty"])
+    def test_bits_of_16_mi_element_blocks(self, rng, case):
+        # Blocks of 16 Mi elements, 2,048 rows at k=256, d=32, 524,288 at
+        # k=1: the kernel's blocks of 2 Mi divide them, so every row keeps
+        # its place in the BLAS micro-kernel's row unroll, and its bits.
+        x, c = kernel_case(case, rng)
+        want = sqdist_expansion(x, c, 16 * 1024 * 1024 // c.size)
+        x64 = x.astype(np.float64)
+        for got in (sqdist_to_centroids(x, c), sqdist_to_centroids(x64, c, sq_norms(x64)),
+                    sqdist_to_centroids(x, c, reduce=lambda d2, _: d2.copy())):
+            assert got.tobytes() == want.tobytes()
+        if case == "offset-1e4":  # rows where the clip, not the distance, decides the argmin
+            assert ((want == 0.0).sum(axis=1) > 1).sum() > 10
 
 
 @pytest.fixture(params=["random", "integer-ties", "nan-query"])
@@ -285,6 +324,24 @@ class TestRowBlocks:
             cells = assign_plain_whole_argmin(data, cents)
             assert np.array_equal(assign_plain(data, cents).cell_of, cells)
             assert distortion == distortion_whole(data, cents, cells)
+
+    def test_lloyd_over_256_row_blocks(self, rng, monkeypatch):
+        # Cells, centroids and distortion trace of a Lloyd loop over whole
+        # matrices, each one product of every row.
+        k, d = 64, 32
+        monkeypatch.setattr(distances, "_CHUNK_ELEMS", 256 * k * d)
+        data = random_vectors(rng, 5000, d)
+        result = lloyd_full(data, k, seed=3, max_iters=4, rel_tol=0.0)
+        cents = Centroids(kmeans_pp_per_draw(data, k, 3))
+        cells = assign_plain_whole_argmin(data, cents)
+        trace = [distortion_whole(data, cents, cells)]
+        for _ in range(4):
+            cents = update_means_add_at(data, cells, cents)
+            cells = assign_plain_whole_argmin(data, cents)
+            trace.append(distortion_whole(data, cents, cells))
+        assert result.centroids.points.tobytes() == cents.points.tobytes()
+        assert np.array_equal(result.assignment.cell_of, cells)
+        assert result.distortions == trace
 
     def test_build_and_routing(self, data, rng):
         cb = Codebook(Centroids(data.data[: self.K].copy()), rng.random(self.K))
