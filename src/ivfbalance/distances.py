@@ -4,9 +4,10 @@ Two kernels with different determinism/speed trade-offs:
 
 * :func:`sqdist_to_centroids` uses the BLAS expansion trick in L2-sized
   row blocks, deterministic for identical inputs. Lloyd's assignment and
-  distortion reduce it one block at a time, never holding an n×k matrix.
-  Its bits for one row can depend on the other rows in the call and on
-  the BLAS build, so it decides no result rank and no cell of an index.
+  distortion, its only callers, reduce it one block at a time, never
+  holding an n×k matrix. Its bits for one row can depend on the other rows
+  in the call and on the BLAS build, so it decides no result rank, no cell
+  of an index and no k-means++ draw.
 * :func:`sqdist_exact` computes elementwise differences, so each (row, col)
   distance is bitwise identical no matter how candidates are sliced,
   permuted, or batched. Every result rank and every cell choice is decided
@@ -27,7 +28,10 @@ tiles (:func:`block_cut`), and balancing, build and batch routing each
 row block's centroids with one float32 product (:func:`keyed_blocks`,
 which :func:`nearest_cells` walks); a cell's key holds half its
 penalty. So a point's cell is a function of the point alone, whatever
-the batch and the BLAS build.
+the batch and the BLAS build. k-means++ keys every row against each new
+centre, itself a row, with one float32 sgemv, and re-scores exactly only
+the rows whose key cannot rule out that the centre is nearer than their
+weight (:func:`key_bounds`, "A query at one of the rows").
 
 All arithmetic is float64 regardless of input dtype; float32 inputs widen
 exactly, except in the float32 keys.
@@ -94,17 +98,13 @@ def sq_norms(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, a, dtype=np.float64)
 
 
-def sqdist_to_centroids(
-    x: np.ndarray, c: np.ndarray, x_sq: np.ndarray | None = None, reduce=None
-) -> np.ndarray:
+def sqdist_to_centroids(x: np.ndarray, c: np.ndarray, reduce=None) -> np.ndarray:
     """Squared L2 distances from each row of ``x`` to each row of ``c``: an
     (n, k) float64 matrix, clipped at zero (the expansion
     ``|x|^2 + |c|^2 - 2 x.c`` can go slightly negative for near-identical
     pairs). With ``reduce``, ``reduce(d2, s)`` of each row block ``s`` and
     its distances ``d2``, a buffer the next block overwrites, concatenated:
-    one block alive, and widened to float64, at a time. A caller that
-    reuses one ``x`` across calls passes it widened to float64 and its
-    ``x_sq = sq_norms(x)`` once. The bits are the same either way.
+    one block alive, and widened to float64, at a time.
 
     A block is the product ``[|x|^2, 1].[1, |c|^2]``, whose products by 1
     are exact, so it rounds as the add does (numpy walks a broadcast add
@@ -117,8 +117,6 @@ def sqdist_to_centroids(
     x, c = _as_pair(x, c, None)
     c = np.ascontiguousarray(c, dtype=np.float64)
     n, k = len(x), len(c)
-    if x_sq is not None and (x_sq.shape != (n,) or x_sq.dtype != np.float64):
-        raise ValueError(f"x_sq must be float64 of shape ({n},)")
     m2c, norms = -2.0 * c, np.stack([np.ones(k), sq_norms(c)])
     rows = _block_rows(*c.shape)
     out = [] if reduce else np.empty((n, k))
@@ -127,7 +125,7 @@ def sqdist_to_centroids(
     for start in range(0, max(n, 1), rows):
         s = slice(start, min(start + rows, n))
         xb = np.ascontiguousarray(x[s], dtype=np.float64)
-        left[: len(xb), 0] = sq_norms(xb) if x_sq is None else x_sq[s]
+        left[: len(xb), 0] = sq_norms(xb)
         block = np.matmul(left[: len(xb)], norms, out=buf[: len(xb)] if reduce else out[s])
         block += np.matmul(xb, m2c.T, out=product[: len(xb)])
         np.maximum(block, 0.0, out=block)
@@ -136,8 +134,9 @@ def sqdist_to_centroids(
     return np.concatenate(out) if reduce else out
 
 
-def sqdist_exact(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Elementwise-exact squared L2 distances, (n, k) float64.
+def sqdist_exact(x: np.ndarray, c: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise-exact squared L2 distances, (n, k) float64, to the rows
+    of ``c``, or to ``c[rows]``, gathered one block at a time.
 
     Each entry is computed as ``sum((x_i - c_j)**2)`` over its own pair of
     rows only, so results do not depend on which other rows are present.
@@ -148,10 +147,11 @@ def sqdist_exact(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     at a time.
     """
     x, c = _as_pair(x, c, None)
-    out = np.empty((len(x), len(c)))
-    for i in range(len(x)):
-        for s in range(0, len(c), _EXACT_ROWS):
-            _sqdist_rows(c[s : s + _EXACT_ROWS], x[i], out[i, s : s + _EXACT_ROWS])
+    out = np.empty((len(x), len(c) if rows is None else len(rows)))
+    for s in range(0, out.shape[1], _EXACT_ROWS):
+        block = c[s : s + _EXACT_ROWS] if rows is None else c.take(rows[s : s + _EXACT_ROWS], 0)
+        for i in range(len(x)):
+            _sqdist_rows(block, x[i], out[i, s : s + _EXACT_ROWS])
     return out
 
 
@@ -292,6 +292,23 @@ def key_bounds(queries: np.ndarray, frame: KeyFrame) -> tuple:
     Without penalties ``hb = h`` and ``Y = X``: the term is 0. Where
     ``h_max + b_max`` exceeds ``2^125``, ``hb`` could overflow: the term,
     and so E, is +inf.
+
+    A query at one of the rows. Where q is a row c itself, widened, as a
+    k-means++ centre is, ``X_c = 0``, so c's own key ``k_c`` gives
+    ``C >= -k_c - E``, and every row has, with no bound on C::
+
+        X / 2 >= k - k_c - 2 E
+
+    Let W be a row's weight, a :func:`sqdist_exact` value or 0, and w its
+    half rounded up to float32 (+inf past its range). ``W / 2`` is exact:
+    a nonzero sum of squares of differences of float32 values is at least
+    ``2^-298``, far above float64's subnormals. Let ``t`` be the float32
+    ``k_c + 2 E`` rounded up by :func:`_cut_at`, whose float64 sum the
+    spare covers as it does ``κ + 2 E``: k_c is a key, bounded as κ is.
+    Rounding is monotone and t is a float32 value, so ``fl32(k - w) > t``
+    only where ``k - w > t``, and then ``k - W / 2 >= k - w > t``, so
+    ``X / 2 > W / 2``: the row cannot get nearer than W, and skipping it
+    leaves ``minimum(W, X)`` unchanged, bit for bit.
     """
     w = np.subtract(queries, frame.center, dtype=np.float64)
     if w.ndim == 1:  # Python floats round as float64 arrays do, and never warn

@@ -3,23 +3,33 @@
 Everything is deterministic for a fixed seed. Ties break toward the lowest
 index throughout, and per-point assignment is a pure function, so vectorized
 execution matches sequential execution exactly.
+
+k-means++ samples by D^2 weighting (Arthur and Vassilvitskii, 2007) on
+exact weights, :func:`~ivfbalance.distances.sqdist_exact` values, so its
+draws depend on the inputs alone, whatever the BLAS build. Lloyd's
+assignment and distortion still run on the BLAS kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .dataset import VectorSet
-from .distances import RowKeys, row_keys, sq_norms, sqdist_to_centroids
+from .distances import RowKeys, _cut_at, _gamma, key_bounds, row_keys, sqdist_exact
+from .distances import sqdist_to_centroids
 
 DEFAULT_REL_TOL = 1e-4
 DEFAULT_MAX_ITERS = 100
 
 INIT_RANDOM_POINTS = "random-points"
 INIT_KMEANS_PP = "kmeans-plus-plus"
+
+# Rows per block of the weights' prefix sums in a k-means++ draw.
+_DRAW_BLOCK = 1024
 
 
 @dataclass(eq=False)
@@ -90,7 +100,8 @@ def init_centroids(
     """Pick k starting centroids, deterministically per seed.
 
     ``random-points`` selects k distinct rows; ``kmeans-plus-plus`` samples
-    by the standard D^2 weighting.
+    by D^2 weighting on exact distances, each draw the row that
+    ``rng.choice`` with those weights would give.
     """
     if not 0 < k <= data.count:
         raise ValueError(f"k={k} must be in [1, {data.count}], the number of points")
@@ -101,23 +112,80 @@ def init_centroids(
     if method != INIT_KMEANS_PP:
         raise ValueError(f"unknown init method: {method!r}")
 
-    # Widen once and keep |x|^2 across the k draws.
-    x = data.data.astype(np.float64)
-    x_sq = sq_norms(x)
+    # Exact D^2 weights and their halves rounded up to float32. Each draw
+    # keys every row against its new centre with one sgemv, and re-scores
+    # only the rows whose key key_bounds cannot rule out getting nearer:
+    # every row where E is +inf.
+    x, keys, n = data.data, data.keys, data.count
     chosen = np.empty(k, dtype=np.int64)
-    chosen[0] = rng.integers(data.count)
-    best = sqdist_to_centroids(x, x[chosen[0]][None, :], x_sq)[:, 0]
+    chosen[0] = rng.integers(n)
+    best = sqdist_exact(x[chosen[0]][None, :], x)[0]
+    half_best, key = _half_up(best), np.empty(n, np.float32)
     for i in range(1, k):
-        total = best.sum()
-        if total <= 0.0:
+        chosen[i] = _draw(best, rng)
+        if chosen[i] < 0:
             # All remaining mass at distance zero: fall back to unchosen rows.
-            remaining = np.setdiff1d(np.arange(data.count), chosen[:i])
-            chosen[i] = remaining[0]
+            chosen[i] = np.setdiff1d(np.arange(n), chosen[:i])[0]
+        centre = x[chosen[i]]
+        p, bound = key_bounds(centre, keys.frame)
+        if bound < math.inf:
+            np.subtract(keys.half, np.dot(x, p, out=key), out=key)
+            cut = _cut_at(key[chosen[i]], bound)
+            rows = np.flatnonzero(np.subtract(key, half_best, out=key) <= cut)
         else:
-            chosen[i] = rng.choice(data.count, p=best / total)
-        new_d = sqdist_to_centroids(x, x[chosen[i]][None, :], x_sq)[:, 0]
-        np.minimum(best, new_d, out=best)
-    return Centroids(data.data[chosen].astype(np.float32))
+            rows = np.arange(n)
+        lower = np.minimum(best[rows], sqdist_exact(centre[None, :], x, rows)[0])
+        best[rows], half_best[rows] = lower, _half_up(lower)
+    return Centroids(x[chosen])
+
+
+def _half_up(weights: np.ndarray) -> np.ndarray:
+    """Half of each float64 weight, rounded up to float32: +inf past its
+    range."""
+    exact = weights * 0.5
+    with np.errstate(over="ignore"):
+        half = exact.astype(np.float32)
+    return np.nextafter(half, np.inf, out=half, where=half < exact)
+
+
+def _draw(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """The row ``rng.choice(len(weights), p=weights / weights.sum())``
+    draws, reading the same one uniform u from ``rng``, or -1, reading
+    none, where every weight is 0.
+
+    ``rng.choice`` counts the rows j whose ``c_j`` is at most u, c being
+    the running sum of those p divided by its last entry. Let S_j be the
+    real sum of the weights up to row j, S that of all n rows, γ_k
+    Higham's at float64's unit roundoff, and b = ``_DRAW_BLOCK``. Each p
+    rounds once, the sums of nonnegative terms put at most n roundings on
+    a weight and the division one, so ``|c_j - S_j / S| <= 2 γ_{2n+2}``.
+    Sums of the weights in blocks of b rows, their running sums and the
+    running sum inside one block, divided by their total, are within
+    ``2 γ_{2n+3b+1}`` of ``S_j / S`` the same way. So where those of rows
+    j - 1 and j lie more than ``ε = 5 γ_{2n+3b+1}`` below and above u
+    (one γ to spare for the rounded differences, and for p that underflow,
+    at most ``n 2^-1075`` in all) the row is j. Only where
+    u is within ε of one of them is the running sum of p itself taken, as
+    ``rng.choice`` takes it.
+    """
+    n = len(weights)
+    starts = np.arange(0, n, _DRAW_BLOCK)
+    ends = np.cumsum(np.add.reduceat(weights, starts))
+    if ends[-1] <= 0.0:
+        return -1
+    u, total = rng.random(), ends[-1]
+    block = int(ends.searchsorted(u * total, side="right"))
+    if block < len(ends):
+        base = ends[block - 1] if block else 0.0
+        sums = np.cumsum(weights[starts[block] : starts[block] + _DRAW_BLOCK]) + base
+        j = int(sums.searchsorted(u * total, side="right"))
+        below = sums[j - 1] if j else base
+        eps = 5 * _gamma(2 * n + 3 * _DRAW_BLOCK + 1)
+        if j < len(sums) and min(sums[j] / total - u, u - below / total) > eps:
+            return int(starts[block]) + j
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, side="right"))
 
 
 def assign_plain(data: VectorSet, centroids: Centroids) -> Assignment:
@@ -149,7 +217,7 @@ def _update_means(
 
     taken: list[int] = []
     for cell in np.flatnonzero(~filled):
-        d2 = sqdist_to_centroids(data.data, previous.points[cell][None, :])[:, 0]
+        d2 = sqdist_exact(previous.points[cell][None, :], data.data)[0]
         d2[taken] = -np.inf
         taken.append(int(np.argmax(d2)))  # first occurrence: lowest id of equally far rows
         new_points[cell] = data.data[taken[-1]].astype(np.float64)

@@ -10,8 +10,10 @@ it was first written, and the library must match each bit for bit:
 
 * the exact kernel as one (n, k, d) float64 block of differences;
 * the BLAS kernel with a temporary per operation;
-* k-means++ with one full distance call per draw;
-* the Lloyd mean update with ``np.add.at``;
+* k-means++ with one exact-kernel pass over every row and one
+  ``rng.choice`` per draw;
+* the Lloyd mean update with ``np.add.at``, and its empty-cell repair
+  with one exact-kernel pass over every row and a stable sort;
 * every cell choice of balancing, build and routing as one whole matrix
   of exact penalized distances, the exact kernel plus the penalties,
   ranked by ``(value, id)`` with a full stable argsort, and the balancing
@@ -39,7 +41,7 @@ from ivfbalance.distances import (
     _gamma,
     _as_pair,
     sq_norms,
-    sqdist_to_centroids,
+    sqdist_exact,
     top_r,
 )
 from ivfbalance.index import ROUTE_PENALIZED, QueryResult, route_cells_batch
@@ -110,7 +112,7 @@ def sqdist_expansion(x: np.ndarray, c: np.ndarray, rows: int) -> np.ndarray:
 
 def update_means_add_at(data, cells: np.ndarray, previous: Centroids) -> Centroids:
     """The Lloyd mean update summing rows with ``np.add.at``, then the
-    farthest-point repair of empty cells."""
+    farthest-point repair of empty cells on exact distances."""
     k = previous.k
     sums = np.zeros((k, data.dim))
     np.add.at(sums, cells, data.data.astype(np.float64))
@@ -120,7 +122,7 @@ def update_means_add_at(data, cells: np.ndarray, previous: Centroids) -> Centroi
     new_points[filled] = sums[filled] / counts[filled, None]
     taken: set[int] = set()
     for cell in np.flatnonzero(~filled):
-        d2 = sqdist_to_centroids(data.data, previous.points[cell][None, :])[:, 0]
+        d2 = sqdist_exact(previous.points[cell][None, :], data.data)[0]
         order = np.argsort(-d2, kind="stable")
         pick = next(int(p) for p in order if int(p) not in taken)
         taken.add(pick)
@@ -129,19 +131,20 @@ def update_means_add_at(data, cells: np.ndarray, previous: Centroids) -> Centroi
 
 
 def kmeans_pp_per_draw(data, k: int, seed: int) -> np.ndarray:
-    """k-means++ seeding that widens the data and recomputes every |x|^2 on
-    each draw. Returns the chosen rows (float32)."""
+    """k-means++ seeding on exact D^2 weights, every row scored against
+    each new centre and each draw made by ``rng.choice``. Returns the
+    chosen rows (float32)."""
     rng = np.random.default_rng(seed)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(data.count)
-    best = sqdist_to_centroids(data.data, data.data[chosen[0]][None, :])[:, 0]
+    best = sqdist_exact(data.data[chosen[0]][None, :], data.data)[0]
     for i in range(1, k):
         total = best.sum()
         if total <= 0.0:
             chosen[i] = np.setdiff1d(np.arange(data.count), chosen[:i])[0]
         else:
             chosen[i] = rng.choice(data.count, p=best / total)
-        new_d = sqdist_to_centroids(data.data, data.data[chosen[i]][None, :])[:, 0]
+        new_d = sqdist_exact(data.data[chosen[i]][None, :], data.data)[0]
         np.minimum(best, new_d, out=best)
     return data.data[chosen].astype(np.float32)
 

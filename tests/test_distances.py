@@ -39,33 +39,15 @@ from oracles import (
 
 
 class TestCachedNorms:
-    @pytest.mark.parametrize("k", [1, 3, 17])
-    def test_cached_norms_match_across_chunks(self, rng, monkeypatch, k):
-        d = 8
-        monkeypatch.setattr(distances, "_CHUNK_ELEMS", 5 * k * d)  # 5-row chunks
-        x = rng.standard_normal((37, d)).astype(np.float32)
-        c = rng.standard_normal((k, d)).astype(np.float32)
-        x64 = x.astype(np.float64)
-        want = sqdist_to_centroids(x, c)
-        got = sqdist_to_centroids(x64, c, sq_norms(x64))
-        assert got.tobytes() == want.tobytes()
-
     @pytest.mark.parametrize("shape", [(1000, 32), (37, 8), (7, 1), (4, 0)])
     def test_float32_rows_give_the_bits_of_their_widened_copy(self, rng, shape):
         x = rng.standard_normal(shape).astype(np.float32)
         assert sq_norms(x).tobytes() == sq_norms(x.astype(np.float64)).tobytes()
 
-    def test_x_sq_is_shape_and_dtype_checked(self, rng):
-        x = rng.standard_normal((6, 3))
-        with pytest.raises(ValueError, match="x_sq"):
-            sqdist_to_centroids(x, x[:2], np.zeros(5))
-        with pytest.raises(ValueError, match="x_sq"):
-            sqdist_to_centroids(x, x[:2], sq_norms(x).astype(np.float32))
-
 
 def kernel_case(name, rng):
     """(x, c) float32 at k=256, d=32, the benchmark's shape, or k=1 for
-    "kmeans-pp", the shape of a k-means++ draw."""
+    "kmeans-pp", a single centroid."""
     k, d = 256, 32
     normal = lambda n, scale=1.0: (rng.standard_normal((n, d)) * scale).astype(np.float32)
     if name == "kmeans-pp":  # past one 2 Mi-element block of 65,536 rows
@@ -104,8 +86,7 @@ class TestKernel:
         # its place in the BLAS micro-kernel's row unroll, and its bits.
         x, c = kernel_case(case, rng)
         want = sqdist_expansion(x, c, 16 * 1024 * 1024 // c.size)
-        x64 = x.astype(np.float64)
-        for got in (sqdist_to_centroids(x, c), sqdist_to_centroids(x64, c, sq_norms(x64)),
+        for got in (sqdist_to_centroids(x, c),
                     sqdist_to_centroids(x, c, reduce=lambda d2, _: d2.copy())):
             assert got.tobytes() == want.tobytes()
         if case == "offset-1e4":  # rows where the clip, not the distance, decides the argmin
@@ -558,6 +539,37 @@ class TestShiftedKeys:
                 for key, x in zip(query_keys, row_exact):
                     error = Fraction(float(key)) - (Fraction(float(x)) / 2 - constant)
                     assert abs(error) <= Fraction(float(e)), name
+
+    def test_a_row_as_query_bounds_every_row_in_exact_arithmetic(self, rng):
+        # A query at a row c (k-means++'s new centre): X / 2 >= k - k_c - 2E
+        # for every row, the cut t is at least k_c + 2E, and where
+        # fl32(k - w) > t, w the half weight rounded up to float32, the row
+        # is farther than the weight W. The half weights sit at the edge of
+        # that rule, k - t, and a few float32 steps around it.
+        skipped = 0
+        for name, _, rows in key_cases(rng):
+            keyed = row_keys(rows)
+            exact = sqdist_exact(rows, rows)
+            for j, (row, row_exact) in enumerate(zip(rows, exact)):
+                p, bound = key_bounds(row.astype(np.float64), keyed.frame)
+                if bound == np.inf:
+                    assert name == "scale 1e+19", name
+                    continue
+                assert row_exact[j] == 0.0
+                keys = float32_keys(p[None, :], rows, keyed.half)[0]
+                cut = float(distances._cut_at(keys[j], bound))
+                k_c, e = Fraction(float(keys[j])), Fraction(bound)
+                assert Fraction(cut) >= k_c + 2 * e, name
+                for key, x in zip(keys, row_exact.tolist()):
+                    assert Fraction(x) / 2 >= Fraction(float(key)) - k_c - 2 * e, name
+                    edge = float(key) - cut
+                    halves = np.append(edge + np.arange(-3, 4) * float(np.spacing(np.float32(edge))), 0)
+                    weights = 2 * halves[halves >= 0]
+                    skip = key - kmeans._half_up(weights) > np.float32(cut)
+                    for weight in weights[skip].tolist():
+                        assert Fraction(x) > Fraction(weight), name
+                    skipped += skip.sum()
+        assert skipped > 1000
 
     @pytest.mark.parametrize("penalty", ["far above", "floor", "near the guard"])
     def test_penalty_term_holds_in_exact_arithmetic(self, rng, penalty):

@@ -1,10 +1,20 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from ivfbalance import Centroids, VectorSet, assign_plain, init_centroids, lloyd_full
-from ivfbalance.kmeans import Assignment, INIT_KMEANS_PP, INIT_RANDOM_POINTS
+from ivfbalance import (
+    Centroids,
+    VectorSet,
+    assign_plain,
+    gen_gaussian_mixture,
+    init_centroids,
+    lloyd_full,
+)
+from ivfbalance.kmeans import Assignment, INIT_KMEANS_PP, INIT_RANDOM_POINTS, _draw, _half_up
 
 import ivfbalance.distances as distances
+import ivfbalance.kmeans as kmeans
 
 from conftest import random_vectors
 from oracles import kmeans_pp_per_draw, update_means_add_at
@@ -45,11 +55,113 @@ class TestInitCentroids:
         got = init_centroids(data, 6, seed=3, method=INIT_KMEANS_PP)
         assert got.points.tobytes() == kmeans_pp_per_draw(data, 6, 3).tobytes()
 
+    @pytest.mark.parametrize("case", ["scale 1e19", "offset 1e3", "d=1", "k=N"])
+    def test_kmeans_pp_matches_per_draw_oracle_at_the_edges(self, rng, monkeypatch, case):
+        # At 1e19 the half norms overflow float32, E is +inf and every row
+        # is re-scored on every draw; at 1e3 from the origin with a spread
+        # of 1e-3 the keys round by about the distances' size, so only the
+        # cut's E keeps the weights exact; at d=1 rows on integer steps tie
+        # and repeat, down to the zero-mass fallback; at k=N every row is
+        # drawn.
+        def no_blas(*args, **kwargs):
+            raise AssertionError("k-means++ called the BLAS kernel")
+
+        monkeypatch.setattr(kmeans, "sqdist_to_centroids", no_blas)
+        n, d, k, scale, offset = {
+            "scale 1e19": (200, 8, 20, 1e19, 0.0),
+            "offset 1e3": (300, 2, 30, 1e-3, 1e3),
+            "d=1": (300, 1, 40, 1.0, 0.0),
+            "k=N": (60, 3, 60, 1.0, 0.0),
+        }[case]
+        data = VectorSet.from_array(offset + scale * rng.standard_normal((n, d)))
+        if case == "d=1":
+            data = VectorSet.from_array(np.round(data.data * 4))  # integer steps: many ties
+        assert (data.keys.frame.h_max == np.inf) == (case == "scale 1e19")
+        for seed in (0, 5):
+            got = init_centroids(data, k, seed=seed, method=INIT_KMEANS_PP)
+            assert got.points.tobytes() == kmeans_pp_per_draw(data, k, seed).tobytes(), case
+
+    def test_kmeans_pp_re_scores_a_small_share_of_rows(self, monkeypatch):
+        # Rows scored exactly per draw, on the benchmark's mixture at a
+        # tenth of its size: the first pass scores every row once.
+        scored = []
+
+        def counting(x, c, rows=None):
+            scored.append(len(c) if rows is None else len(rows))
+            return distances.sqdist_exact(x, c, rows)
+
+        monkeypatch.setattr(kmeans, "sqdist_exact", counting)
+        n, k = 10_000, 256
+        for seed in (0, 1):
+            data = gen_gaussian_mixture(seed, n, 32, 5, [0.5, 0.2, 0.15, 0.1, 0.05], 0.1)
+            scored.clear()
+            init_centroids(data, k, seed=seed, method=INIT_KMEANS_PP)
+            assert scored[0] == n and len(scored) == k
+            assert 0 < sum(scored[1:]) <= 0.05 * n * (k - 1)
+
+    def test_half_weights_round_up_to_float32(self, rng):
+        # The smallest float32 at or above each half weight, +inf past
+        # float32's range (with no overflow warning), as the cut needs.
+        weights = np.concatenate([rng.random(2000) * 10.0 ** rng.integers(-88, 300, 2000),
+                                  [0.0, 2.0**-298, 2.0 * float(np.finfo(np.float32).max)]])
+        top = Fraction(float(np.finfo(np.float32).max))
+        for half, weight in zip(_half_up(weights), weights.tolist()):
+            if half == np.inf:
+                assert Fraction(weight) / 2 > top
+                continue
+            below = np.nextafter(half, np.float32(-np.inf))
+            assert Fraction(float(below)) < Fraction(weight) / 2 <= Fraction(float(half))
+
     def test_k_out_of_range(self, small_set):
         with pytest.raises(ValueError):
             init_centroids(small_set, small_set.count + 1, seed=0)
         with pytest.raises(ValueError):
             init_centroids(small_set, 0, seed=0)
+
+
+def draw_cases(rng, u):
+    """(name, weights) for a draw that reads the uniform u: zero runs,
+    subnormal weights, a single nonzero weight first or last, one row, u on
+    a step of the running sum, and steps within a few ulps of u on either
+    side, where only the running sum of p itself decides."""
+    n = int(rng.integers(2, 60))
+    yield "one row", rng.random(1) + 0.5
+    yield "u on a step", np.array([u, 0.0, 1.0 - u])  # 1 - u and the sum are exact
+    w = rng.random(n) * (rng.random(n) < 0.5)
+    w[rng.integers(n)] = rng.random() + 0.1
+    yield "zero runs", w
+    yield "subnormal", rng.integers(0, 5, n) * 5e-324 + (np.arange(n) == n // 2) * 1e-320
+    yield "subnormal beside normal", np.where(rng.random(n) < 0.5, 5e-324, rng.random(n))
+    for at in (0, n - 1):
+        one = np.zeros(n)
+        one[at] = rng.random() * 10.0 ** rng.integers(-300, 300)
+        yield f"single nonzero at {at}", one
+    yield "spread over scales", rng.random(n) * 10.0 ** rng.integers(-20, 20, n)
+    # Row j's weight set so that (sum up to j) / (sum of all) is u.
+    w = rng.random(3000)
+    j = int(np.searchsorted(np.cumsum(w) / w.sum(), u))
+    w[j] = 0.0
+    step = max((u * w.sum() - w[:j].sum()) / (1 - u), 0.0)
+    for ulps in range(-4, 5):
+        w[j] = step * (1 + ulps * 2.0**-45)
+        yield f"near a step, {ulps}", w.copy()
+
+
+class TestDraw:
+    def test_draw_matches_rng_choice(self):
+        # Each case on 1,200 seeds: the same row, and the same stream after.
+        for seed in range(1200):
+            u = np.random.default_rng(seed).random()
+            for name, weights in draw_cases(np.random.default_rng(seed), u):
+                want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = want_rng.choice(len(weights), p=weights / weights.sum())
+                assert _draw(weights, got_rng) == want, (name, seed)
+                assert got_rng.random() == want_rng.random(), (name, seed)
+
+    def test_zero_mass_reads_no_uniform(self):
+        rng = np.random.default_rng(4)
+        assert _draw(np.zeros(5000), rng) == -1
+        assert rng.random() == np.random.default_rng(4).random()
 
 
 class TestAssignPlain:

@@ -1,8 +1,8 @@
 """No stage of the write path or of routing holds an n×k float64 matrix,
 balancing holds no n×k array at all, the set-up path holds one copy of
-the vectors, neither ground truth nor the Lloyd mean update makes an n×d
-float64 copy of the data, the exact kernel holds one block of rows at a
-time, and the checksums of the data hash its buffer in place.
+the vectors, neither ground truth, k-means++ nor the Lloyd mean update
+makes an n×d float64 copy of the data, the exact kernel holds one block of
+rows at a time, and the checksums of the data hash its buffer in place.
 
 ``tracemalloc`` sees numpy's buffers, so the peak it reports is the live
 memory a stage allocates, apart from where the allocator places it. The
@@ -32,7 +32,7 @@ from ivfbalance import (
     save_fvecs,
 )
 from ivfbalance.index import route_cells_batch, save_index
-from ivfbalance.kmeans import _update_means
+from ivfbalance.kmeans import INIT_KMEANS_PP, _update_means, init_centroids
 
 from conftest import random_vectors
 
@@ -103,6 +103,17 @@ def test_ground_truth_and_mean_update_hold_no_widened_copy():
     previous = random_vectors(rng, k, d)
     _, peak = peak_bytes(lambda: _update_means(data, cells, Centroids(previous.data)))
     assert peak < widened / 2
+
+
+def test_kmeans_pp_holds_no_widened_copy():
+    n, d = 50_000, 32
+    data = random_vectors(np.random.default_rng(6), n, d)
+    # The rows' keys, the weights and their float32 halves, a float32
+    # buffer of n keys, the ids and weights of a draw's re-scored rows, and
+    # the exact kernel's block of differences (2.4 MB of 3.2 here, where a
+    # draw can re-score a third of the rows).
+    _, peak = peak_bytes(lambda: init_centroids(data, 8, seed=1, method=INIT_KMEANS_PP))
+    assert peak < 8 * n * d / 4
 
 
 def test_ground_truth_past_the_keys_holds_no_block_of_every_row():
